@@ -37,7 +37,6 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -95,7 +94,7 @@ RunResult run_clients(FileIo& io, const std::string& dir,
   const auto one_rep = [&] {
     std::vector<std::thread> threads;
     if (grouped) {
-      std::shared_mutex state_mu;
+      daemon::StateMutex state_mu;
       daemon::GroupCommit commits(store, state_mu);
       for (std::size_t c = 0; c < clients; ++c) {
         threads.emplace_back([&] {

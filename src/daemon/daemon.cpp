@@ -447,16 +447,17 @@ std::string RequestHandler::dispatch(const std::vector<std::string>& tokens) {
       if (!k) return err_response("bad shard index '" + tokens[2] + "'");
       shard = static_cast<std::size_t>(*k);
     }
-    const Bytes ct = router_.encrypt(*payload, shard);
+    // Encoded once: the feed line and the response carry the same hex.
+    std::string ct = hex_encode(router_.encrypt(*payload, shard));
     if (hooks_.publish) {
       hooks_.publish("bcast encrypt shard=" + std::to_string(shard) +
-                         " bytes=" + std::to_string(payload->size()) + " ct=" +
-                         hex_encode(ct),
+                         " bytes=" + std::to_string(payload->size()) +
+                         " ct=" + ct,
                      0);
     }
     return ok_response({{"bytes", std::to_string(payload->size())},
                         {"shard", std::to_string(shard)},
-                        {"ct", hex_encode(ct)}});
+                        {"ct", std::move(ct)}});
   }
 
   if (verb == "subscribe") {
@@ -683,7 +684,7 @@ FeedReplay Daemon::feed_replay(std::optional<std::uint64_t> from) {
   // (the same order the epoch barrier locks them) for one consistent
   // cut of periods + archives.
   const std::size_t n = router_->shards();
-  std::vector<std::shared_lock<std::shared_mutex>> locks;
+  std::vector<std::shared_lock<StateMutex>> locks;
   locks.reserve(n);
   for (std::size_t k = 0; k < n; ++k) locks.emplace_back(router_->state_mu(k));
   FeedReplay rep;

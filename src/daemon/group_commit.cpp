@@ -4,7 +4,7 @@
 
 namespace dfky::daemon {
 
-GroupCommit::GroupCommit(StateStore& store, std::shared_mutex& state_mu,
+GroupCommit::GroupCommit(StateStore& store, StateMutex& state_mu,
                          std::function<void()> on_fatal, obs::Labels labels,
                          std::function<std::string()> post_sync)
     : store_(store),

@@ -19,10 +19,10 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <shared_mutex>
 #include <thread>
 #include <vector>
 
+#include "daemon/state_mutex.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "store/store.h"
@@ -47,7 +47,7 @@ class GroupCommit {
   /// batch; "" for no label). A throw REFUSES the ack: the batch is
   /// NACKed and the queue fail-stops (how a lease-fenced or stale-term
   /// primary guarantees it never acknowledges past the fence).
-  GroupCommit(StateStore& store, std::shared_mutex& state_mu,
+  GroupCommit(StateStore& store, StateMutex& state_mu,
               std::function<void()> on_fatal = {}, obs::Labels labels = {},
               std::function<std::string()> post_sync = {});
   /// Drains everything still queued, stops the committer, returns the
@@ -116,7 +116,7 @@ class GroupCommit {
   void committer_loop();
 
   StateStore& store_;
-  std::shared_mutex& state_mu_;
+  StateMutex& state_mu_;
   std::function<void()> on_fatal_;
   obs::Labels labels_;  // shard identity on every metric
   // Replication ack gate (may be empty); returns the repl_ack span label.

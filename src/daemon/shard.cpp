@@ -1,13 +1,16 @@
 #include "daemon/shard.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <shared_mutex>
 
 #include "core/content.h"
 #include "core/keyfile.h"
 #include "daemon/repl.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "rng/chacha_rng.h"
 #include "serial/codec.h"
 
 namespace dfky::daemon {
@@ -272,7 +275,7 @@ ShardRouter::NewPeriodResult ShardRouter::new_period_all() {
   // committers run their batch AND its sync under this lock, so once we
   // hold all of them no shard has staged-but-unsynced records: the only
   // frames the phase-2 syncs flush are the barrier's own.
-  std::vector<std::unique_lock<std::shared_mutex>> locks;
+  std::vector<std::unique_lock<StateMutex>> locks;
   locks.reserve(shards_.size());
   for (auto& sh : shards_) locks.emplace_back(sh->state_mu);
   // Route ends once the barrier owns every shard: what follows is the
@@ -598,15 +601,23 @@ Bytes ShardRouter::encrypt(BytesView payload, std::size_t shard) {
                         std::to_string(shards_.size()) + ")");
   }
   Shard& sh = *shards_[shard];
+  // Shared across the whole seal, not just the key read: the caller
+  // publishes the ciphertext right after this returns, and an epoch
+  // barrier slipping in mid-seal could push the next period's reset to
+  // subscribers before a broadcast sealed under the old key.
   std::shared_lock state(sh.state_mu);
-  const SecurityManager& mgr = sh.store.manager();
-  Writer w;
+  // Only the seed draw is serialized; the v+3 exponentiations run on a
+  // per-request stream, so concurrent encrypts use every worker.
+  std::array<byte, 32> seed{};
   {
     std::lock_guard rng_lk(sh.rng_mu);
-    const ContentMessage msg =
-        seal_content(mgr.params(), mgr.public_key(), payload, *sh.rng);
-    msg.serialize(w, mgr.params().group);
+    sh.rng->fill(seed);
   }
+  ChaChaRng rng(seed);
+  const SecurityManager& mgr = sh.store.manager();
+  Writer w;
+  seal_content(mgr.params(), mgr.public_key(), payload, rng)
+      .serialize(w, mgr.params().group);
   return std::move(w).take();
 }
 

@@ -28,11 +28,11 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <span>
 #include <vector>
 
 #include "daemon/group_commit.h"
+#include "daemon/state_mutex.h"
 #include "store/store.h"
 
 namespace dfky::daemon {
@@ -54,6 +54,8 @@ class ShardRouter {
  public:
   /// One fresh Rng per shard, so committer threads never serialize on a
   /// shared generator (the daemon passes SystemRng, tests a seeded one).
+  /// Committers draw from it directly; encrypt draws only a 32-byte seed
+  /// for its own per-request ChaCha20 stream.
   using RngFactory = std::function<std::unique_ptr<Rng>(std::size_t shard)>;
 
   /// Takes ownership of the opened shard stores (from open_shard_set, or
@@ -277,7 +279,7 @@ class ShardRouter {
 
   // -- direct shard access (tests, bench) ---------------------------------------
   StateStore& store(std::size_t shard) { return shards_[shard]->store; }
-  std::shared_mutex& state_mu(std::size_t shard) {
+  StateMutex& state_mu(std::size_t shard) {
     return shards_[shard]->state_mu;
   }
   /// Trace id of the most recent traced mutation routed to `shard` (0 when
@@ -293,9 +295,11 @@ class ShardRouter {
   struct Shard {
     explicit Shard(StateStore s) : store(std::move(s)) {}
     StateStore store;
-    std::shared_mutex state_mu;
+    StateMutex state_mu;
     std::unique_ptr<Rng> rng;
-    std::mutex rng_mu;  // reads (encrypt) vs the shard's committer
+    /// Guards `rng`: the committer's and the barrier's draws, and each
+    /// encrypt's 32-byte seed draw (never its exponentiations).
+    std::mutex rng_mu;
     /// Atomic shared_ptr so demote() can stop and drop a live queue while
     /// a straggling mutation still holds a reference (its run() then fails
     /// with "shutting down" instead of touching freed memory). Null on a

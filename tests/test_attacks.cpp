@@ -67,6 +67,22 @@ struct ExpiryCase {
   std::size_t coalition;
 };
 
+// Names the case by its fields. Without it gtest prints the raw bytes,
+// padding included, and the test names change from run to run.
+void PrintTo(const ExpiryCase& c, std::ostream* os) {
+  switch (c.strategy) {
+    case WindowStrategy::kExpiredConvex: *os << "ExpiredConvex"; break;
+    case WindowStrategy::kExpiredInterpolation:
+      *os << "ExpiredInterpolation";
+      break;
+    case WindowStrategy::kExpiredAcrossPeriod:
+      *os << "ExpiredAcrossPeriod";
+      break;
+    case WindowStrategy::kUnrevokedControl: *os << "UnrevokedControl"; break;
+  }
+  *os << "_coalition" << c.coalition;
+}
+
 class ExpiredAdversary : public ::testing::TestWithParam<ExpiryCase> {};
 
 TEST_P(ExpiredAdversary, AdvantageStatisticallyNegligible) {

@@ -5,10 +5,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <mutex>
 #include <optional>
 #include <set>
-#include <shared_mutex>
 #include <thread>
 #include <vector>
 
@@ -131,7 +132,7 @@ TEST(Protocol, ResponsesRoundTrip) {
 struct DaemonStore {
   MemFileIo fs;
   std::optional<StateStore> store;
-  std::shared_mutex state_mu;
+  StateMutex state_mu;
 
   explicit DaemonStore(std::size_t v = 2) {
     ChaChaRng rng(31);
@@ -200,7 +201,7 @@ TEST(GroupCommit, SyncFailureNacksTheBatchAndFailsStop) {
     MemFileIo fs;
     FaultyFileIo io(fs, FilePlan{});
     StateStore store = make_store(io);
-    std::shared_mutex mu;
+    StateMutex mu;
     GroupCommit commits(store, mu);
     ChaChaRng rng(1);
     commits.run([&] { store.add_user(rng); });
@@ -214,7 +215,7 @@ TEST(GroupCommit, SyncFailureNacksTheBatchAndFailsStop) {
   plan.crash_at = total_ops - 1;
   FaultyFileIo io(fs, plan);
   StateStore store = make_store(io);
-  std::shared_mutex mu;
+  StateMutex mu;
   std::atomic<int> fatal_calls{0};
   Bytes wal_after_failure;
   {
@@ -565,6 +566,73 @@ TEST(ShardRouter, ConcurrentMutationsLandOnTheRightShardsDurably) {
   std::size_t users = 0;
   for (const StateStore& s : recovered) users += s.manager().users().size();
   EXPECT_EQ(users, kThreads * kPerThread);
+}
+
+TEST(ShardRouter, MutationsAreNotStarvedByEncryptLoad) {
+  // Concurrent encrypts hold the shard's state lock shared back to back.
+  // The epoch barrier and the committer need it exclusively, and must
+  // still get in within a bounded wait.
+  HandlerFixture f(/*shards=*/1, /*v=*/16);
+  const Bytes payload(256, 0x5a);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> load;
+  for (int t = 0; t < 4; ++t) {
+    load.emplace_back([&] {
+      while (!stop.load()) (void)f.router->encrypt(payload, 0);
+    });
+  }
+  // Each mutation runs through std::async so a starved one fails the
+  // test instead of hanging it: once the load stops, it completes.
+  constexpr auto kBudget = std::chrono::seconds(2);
+  auto barrier = std::async(std::launch::async,
+                            [&] { return f.router->new_period_all().period; });
+  const bool barrier_in_time =
+      barrier.wait_for(kBudget) == std::future_status::ready;
+  auto add = std::async(std::launch::async,
+                        [&] { return f.router->add_user().global_id; });
+  const bool add_in_time = add.wait_for(kBudget) == std::future_status::ready;
+  stop = true;
+  for (std::thread& t : load) t.join();
+  EXPECT_TRUE(barrier_in_time) << "new_period_all starved by encrypt load";
+  EXPECT_TRUE(add_in_time) << "add_user starved by encrypt load";
+  EXPECT_EQ(barrier.get(), 1u);
+  (void)add.get();
+  EXPECT_EQ(f.router->status().active, 1u);
+}
+
+TEST(ShardRouter, ConcurrentEncryptsOpenAndNeverShareRandomness) {
+  // Encrypts on one shard run their exponentiations concurrently, each on
+  // its own stream seeded from the shard's Rng. Every ciphertext must
+  // open to its own payload, and no two may reuse an encryption exponent
+  // r (a shared u = g^r would mean a shared stream).
+  HandlerFixture f;
+  const KeyFileData key = decode_key_file(f.router->add_user().key_file);
+  constexpr std::size_t kThreads = 4, kPerThread = 32;
+  std::vector<std::vector<Bytes>> cts(kThreads);
+  const auto payload_of = [](std::size_t t, std::size_t i) {
+    return Bytes{static_cast<byte>(t), static_cast<byte>(i), 0xc7};
+  };
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        cts[t].push_back(f.router->encrypt(payload_of(t, i), 0));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  std::set<std::string> us;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(cts[t].size(), kPerThread);
+    for (std::size_t i = 0; i < kPerThread; ++i) {
+      Reader r(cts[t][i]);
+      const ContentMessage m = ContentMessage::deserialize(r, key.sp.group);
+      EXPECT_EQ(open_content(key.sp, key.key, m), payload_of(t, i));
+      us.insert(m.kem.u.value().to_hex());
+    }
+  }
+  EXPECT_EQ(us.size(), kThreads * kPerThread);
 }
 
 // ---- replication: follower routers, repl verbs, promotion ---------------------

@@ -9,7 +9,8 @@
 # the durable-store crash matrix, and the persistence corruption fuzz.
 # --tsan builds -DDFKY_SANITIZE_THREAD=ON instead and runs the
 # obs concurrency tests (metrics registry and trace ring hammered from
-# many threads) plus the cluster-simulator suites.
+# many threads), the shard router (concurrent encrypts against the
+# committer and the epoch barrier) plus the cluster-simulator suites.
 # Pass '.*' to sanitize the whole suite.
 set -euo pipefail
 
@@ -27,9 +28,9 @@ export DFKY_SIM_SEEDS="${DFKY_SIM_SEEDS:-20}"
 
 if [ "$mode" = "tsan" ]; then
   build_dir="${1:-$repo/build-tsan}"
-  filter="${2:-ObsConcurrency|ObsCounter|ObsEvents|TraceConcurrency|SimCluster|SimHealth|SimTrace|SimFailover|SimFeed|Reactor\.}"
+  filter="${2:-ObsConcurrency|ObsCounter|ObsEvents|TraceConcurrency|ShardRouter|SimCluster|SimHealth|SimTrace|SimFailover|SimFeed|Reactor\.}"
   sanitize_flag=-DDFKY_SANITIZE_THREAD=ON
-  targets=(obs_tests sim_tests failover_sim_tests reactor_tests)
+  targets=(obs_tests daemon_tests sim_tests failover_sim_tests reactor_tests)
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 else
   build_dir="${1:-$repo/build-asan}"
