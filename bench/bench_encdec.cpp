@@ -6,7 +6,6 @@
 
 #include "bench_json.h"
 #include "core/scheme.h"
-#include "group/fixed_base.h"
 #include "rng/chacha_rng.h"
 
 namespace {
@@ -97,12 +96,23 @@ BENCHMARK(BM_Decrypt_PopulationIndependence)
     ->Arg(64)->Arg(1024)->Arg(16384)
     ->Unit(benchmark::kMillisecond);
 
-// Ablation: fixed-base precomputation (Encryptor) vs plain encryption —
-// same algorithm and output distribution, tables amortized across the
+// Ablation: an Encryptor with a fixed-base table on every base vs a
+// table-less one — same algorithm and output, tables amortized across the
 // broadcasts a provider sends under one public key.
-void BM_Encrypt_FixedBase(benchmark::State& state) {
+void BM_Encrypt_TableLess(benchmark::State& state) {
   Fixture fx(ParamId::kSec512, static_cast<std::size_t>(state.range(0)));
   const Encryptor enc(fx.sp, fx.s.pk);
+  ChaChaRng rng(17);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(enc.encrypt(fx.m, rng));
+  }
+  state.counters["v"] = static_cast<double>(state.range(0));
+}
+BENCHMARK(BM_Encrypt_TableLess)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
+
+void BM_Encrypt_FixedBase(benchmark::State& state) {
+  Fixture fx(ParamId::kSec512, static_cast<std::size_t>(state.range(0)));
+  const Encryptor enc = Encryptor(fx.sp, fx.s.pk).with_tables();
   ChaChaRng rng(17);
   for (auto _ : state) {
     benchmark::DoNotOptimize(enc.encrypt(fx.m, rng));

@@ -96,8 +96,21 @@ void BM_FixedBasePow(benchmark::State& state) {
   }
   state.counters["window_bits"] = static_cast<double>(state.range(0));
   state.counters["table_elems"] = static_cast<double>(table.table_size());
+  state.counters["table_bytes"] = static_cast<double>(table.bytes());
 }
-BENCHMARK(BM_FixedBasePow)->Arg(2)->Arg(4)->Arg(6)->Arg(8)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FixedBasePow)->DenseRange(2, 8)->Unit(benchmark::kMicrosecond);
+
+void BM_FixedBaseBuild(benchmark::State& state) {
+  const Group g(GroupParams::named(ParamId::kSec512));
+  ChaChaRng rng(6);
+  const Gelt base = g.random_element(rng);
+  const std::size_t w = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(FixedBaseTable(g, base, w));
+  }
+  state.counters["window_bits"] = static_cast<double>(w);
+}
+BENCHMARK(BM_FixedBaseBuild)->DenseRange(4, 8)->Unit(benchmark::kMillisecond);
 
 void BM_GroupEncode(benchmark::State& state) {
   const Group g(GroupParams::named(ParamId::kSec512));
@@ -141,7 +154,13 @@ int main(int argc, char** argv) {
     report.add_timed("multiexp", k, 0, 0, samples, [&] {
       benchmark::DoNotOptimize(multiexp(g, bases, exps));
     });
-    const FixedBaseTable table(g, bases[0], 4);
+    // The system's tables (window kFixedBaseWindow): per-base build time
+    // next to the pow it buys; the record's bytes field is the table size.
+    const FixedBaseTable table(g, bases[0]);
+    report.add_timed("fixedbase_build", g.p().bit_length(), 0, table.bytes(),
+                     samples, [&] {
+                       benchmark::DoNotOptimize(FixedBaseTable(g, bases[0]));
+                     });
     report.add_timed("fixedbase_pow", g.p().bit_length(), 0, 0, samples, [&] {
       benchmark::DoNotOptimize(table.pow(g, exps[0]));
     });

@@ -36,13 +36,19 @@ std::size_t ContentMessage::wire_size(const Group& group) const {
   return w.size();
 }
 
+ContentMessage seal_content(const Encryptor& enc, BytesView payload,
+                            Rng& rng) {
+  const Group& group = enc.params().group;
+  const Gelt shared = group.random_element(rng);
+  ContentMessage msg;
+  msg.kem = enc.encrypt(shared, rng);
+  msg.sealed_payload = seal(content_key(group, shared), payload);
+  return msg;
+}
+
 ContentMessage seal_content(const SystemParams& sp, const PublicKey& pk,
                             BytesView payload, Rng& rng) {
-  const Gelt shared = sp.group.random_element(rng);
-  ContentMessage msg;
-  msg.kem = encrypt(sp, pk, shared, rng);
-  msg.sealed_payload = seal(content_key(sp.group, shared), payload);
-  return msg;
+  return seal_content(Encryptor(sp, pk), payload, rng);
 }
 
 Bytes open_content(const SystemParams& sp, const UserKey& sk,

@@ -9,6 +9,7 @@
 
 #include "core/ciphertext.h"
 #include "core/keys.h"
+#include "core/scheme.h"
 
 namespace dfky {
 
@@ -21,7 +22,10 @@ struct ContentMessage {
   std::size_t wire_size(const Group& group) const;
 };
 
-/// Encrypts an arbitrary byte payload for the current subscriber population.
+/// Encrypts an arbitrary byte payload for the current subscriber population:
+/// draws the shared element, then encrypts it under `enc`'s key.
+ContentMessage seal_content(const Encryptor& enc, BytesView payload, Rng& rng);
+/// The same under a table-less Encryptor for `pk`.
 ContentMessage seal_content(const SystemParams& sp, const PublicKey& pk,
                             BytesView payload, Rng& rng);
 

@@ -39,6 +39,8 @@ struct MasterSecret {
 struct PkSlot {
   Bigint z;
   Gelt h;
+
+  friend bool operator==(const PkSlot&, const PkSlot&) = default;
 };
 
 /// Public key: PK = < g, g', y, (z_1, h_1), ..., (z_v, h_v) > plus the
@@ -49,6 +51,8 @@ struct PublicKey {
   Gelt y;  // g^{A(0)} g'^{B(0)}
   std::vector<PkSlot> slots;
   std::uint64_t period = 0;
+
+  friend bool operator==(const PublicKey&, const PublicKey&) = default;
 
   std::vector<Bigint> slot_ids() const;
   bool has_slot_id(const Bigint& z) const;

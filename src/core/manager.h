@@ -32,14 +32,14 @@ struct ManagerMutation {
   };
 
   Kind kind = Kind::kAddUser;
-  Bigint x;                   // kAddUser: the issued identity value
+  Bigint x{};                 // kAddUser: the issued identity value
   std::uint64_t user_id = 0;  // kRemoveUser
   /// kNewPeriod: the randomizing polynomials D, E as fixed-width
   /// coefficient vectors (v + 1 each, untrimmed)...
-  std::vector<Bigint> d, e;
+  std::vector<Bigint> d{}, e{};
   /// ...and the broadcast bundle itself — the Schnorr signature is
   /// randomized, so replay must reuse the recorded one.
-  SignedResetBundle bundle;
+  SignedResetBundle bundle{};
 
   void serialize(Writer& w, const Group& group) const;
   /// Throws DecodeError on malformed input.

@@ -1,5 +1,7 @@
 #include "core/scheme.h"
 
+#include <algorithm>
+
 #include "obs/metrics.h"
 #include "poly/leap_vector.h"
 
@@ -59,24 +61,66 @@ void revoke_into_slot(const SystemParams& sp, const MasterSecret& msk,
   pk.slots[slot_index] = PkSlot{x, slot_value(sp, msk, x)};
 }
 
-Ciphertext encrypt(const SystemParams& sp, const PublicKey& pk, const Gelt& m,
-                   Rng& rng) {
-  require(sp.group.is_element(m), "encrypt: message not a group element");
-  DFKY_OBS_TIMER(obs_span, "dfky_encrypt_ns", {{"path", "plain"}});
-  DFKY_OBS(static obs::Counter& c =
-               obs::counter("dfky_encrypt_total", {{"path", "plain"}});
+Encryptor::Encryptor(SystemParams sp, PublicKey pk)
+    : sp_(std::move(sp)), pk_(std::move(pk)), tables_(pk_.slots.size() + 3) {}
+
+Encryptor::Encryptor(const Encryptor& prev, PublicKey pk)
+    : Encryptor(prev.sp_, std::move(pk)) {
+  for (std::size_t i = 0; i < tables_.size() && i < prev.tables_.size(); ++i) {
+    if (prev.tables_[i] && prev.base(i) == base(i)) tables_[i] = prev.tables_[i];
+  }
+}
+
+Encryptor Encryptor::with_tables() const {
+  Encryptor out = *this;
+  for (std::size_t i = 0; i < out.tables_.size(); ++i) {
+    if (!out.tables_[i]) {
+      out.tables_[i] = std::make_shared<const FixedBaseTable>(sp_.group, base(i));
+    }
+  }
+  return out;
+}
+
+std::size_t Encryptor::tables() const {
+  return static_cast<std::size_t>(
+      std::count_if(tables_.begin(), tables_.end(),
+                    [](const Table& t) { return t != nullptr; }));
+}
+
+const Gelt& Encryptor::base(std::size_t i) const {
+  switch (i) {
+    case 0: return pk_.g;
+    case 1: return pk_.g2;
+    case 2: return pk_.y;
+    default: return pk_.slots[i - 3].h;
+  }
+}
+
+Ciphertext Encryptor::encrypt(const Gelt& m, Rng& rng) const {
+  const Group& group = sp_.group;
+  require(group.is_element(m), "encrypt: message not a group element");
+  DFKY_OBS_TIMER(obs_span, "dfky_encrypt_ns");
+  DFKY_OBS(static obs::Counter& c = obs::counter("dfky_encrypt_total");
            c.inc(););
-  const Bigint r = sp.group.random_exponent(rng);
+  const Bigint r = group.random_exponent(rng);
+  const auto pow = [&](std::size_t i) {
+    return tables_[i] ? tables_[i]->pow(group, r) : group.pow(base(i), r);
+  };
   Ciphertext ct;
-  ct.period = pk.period;
-  ct.u = sp.group.pow(pk.g, r);
-  ct.u2 = sp.group.pow(pk.g2, r);
-  ct.w = sp.group.mul(sp.group.pow(pk.y, r), m);
-  ct.slots.reserve(pk.slots.size());
-  for (const PkSlot& s : pk.slots) {
-    ct.slots.push_back(CtSlot{s.z, sp.group.pow(s.h, r)});
+  ct.period = pk_.period;
+  ct.u = pow(0);
+  ct.u2 = pow(1);
+  ct.w = group.mul(pow(2), m);
+  ct.slots.reserve(pk_.slots.size());
+  for (std::size_t l = 0; l < pk_.slots.size(); ++l) {
+    ct.slots.push_back(CtSlot{pk_.slots[l].z, pow(3 + l)});
   }
   return ct;
+}
+
+Ciphertext encrypt(const SystemParams& sp, const PublicKey& pk, const Gelt& m,
+                   Rng& rng) {
+  return Encryptor(sp, pk).encrypt(m, rng);
 }
 
 Gelt decrypt(const SystemParams& sp, const UserKey& sk, const Ciphertext& ct) {

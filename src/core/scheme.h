@@ -4,8 +4,11 @@
 // registry) lives in SecurityManager / Receiver.
 #pragma once
 
+#include <memory>
+
 #include "core/ciphertext.h"
 #include "core/keys.h"
+#include "group/fixed_base.h"
 
 namespace dfky {
 
@@ -34,7 +37,48 @@ UserKey issue_user_key(const SystemParams& sp, const MasterSecret& msk,
 void revoke_into_slot(const SystemParams& sp, const MasterSecret& msk,
                       PublicKey& pk, std::size_t slot_index, const Bigint& x);
 
-/// Encryption of a group element M under PK.
+/// Encryption bound to one public key, with an optional fixed-base table
+/// for each of its v + 3 bases (g, g', y, h_1..h_v); a base without one
+/// goes through Group::pow. Every ciphertext, `encrypt` included, is
+/// assembled here. Tables are shared, immutable, between Encryptors, so
+/// the Encryptor for a revoked or rolled key keeps every table whose base
+/// did not change.
+class Encryptor {
+ public:
+  using Table = std::shared_ptr<const FixedBaseTable>;
+
+  /// No tables: every exponentiation is a Group::pow.
+  Encryptor(SystemParams sp, PublicKey pk);
+  /// For `pk`, sharing each of `prev`'s tables whose base is unchanged
+  /// (g and g' always; y and the untouched slots across a revoke). Builds
+  /// nothing.
+  Encryptor(const Encryptor& prev, PublicKey pk);
+
+  /// A copy with a table on every base, building the missing ones at
+  /// kFixedBaseWindow.
+  Encryptor with_tables() const;
+
+  const SystemParams& params() const { return sp_; }
+  const PublicKey& public_key() const { return pk_; }
+  /// Bases that have a table.
+  std::size_t tables() const;
+  /// True when every base has a table.
+  bool complete() const { return tables() == tables_.size(); }
+
+  /// Encryption of a group element M: draws r from `rng`, then
+  /// u = g^r, u' = g'^r, w = y^r M and h_l^r per slot.
+  Ciphertext encrypt(const Gelt& m, Rng& rng) const;
+
+ private:
+  /// Base i in the order g, g', y, h_1..h_v.
+  const Gelt& base(std::size_t i) const;
+
+  SystemParams sp_;
+  PublicKey pk_;
+  std::vector<Table> tables_;  // parallel to base(i); null = Group::pow
+};
+
+/// Encryption of a group element M under PK: a table-less Encryptor.
 Ciphertext encrypt(const SystemParams& sp, const PublicKey& pk, const Gelt& m,
                    Rng& rng);
 

@@ -55,6 +55,7 @@ ShardRouter::ShardRouter(std::vector<StateStore> stores,
            obs::gauge("dfkyd_role", {{"role", "follower"}})
                .set(follower ? 1 : 0);
            obs::gauge("dfky_repl_term").set(term););
+  builder_ = std::thread([this] { build_tables(); });
 }
 
 void ShardRouter::start_committers() {
@@ -176,7 +177,46 @@ void ShardRouter::note_primary_heartbeat(std::uint64_t term) {
   stamp_primary_contact();
 }
 
-ShardRouter::~ShardRouter() { stop_commits(); }
+ShardRouter::~ShardRouter() {
+  {
+    std::lock_guard lk(build_mu_);
+    build_stop_ = true;
+  }
+  build_cv_.notify_all();
+  builder_.join();  // lets a build in hand finish: one key's tables
+  stop_commits();
+}
+
+void ShardRouter::queue_tables(std::size_t shard) {
+  {
+    std::lock_guard lk(build_mu_);
+    if (std::find(build_queue_.begin(), build_queue_.end(), shard) !=
+        build_queue_.end()) {
+      return;
+    }
+    build_queue_.push_back(shard);
+  }
+  build_cv_.notify_one();
+}
+
+void ShardRouter::build_tables() {
+  std::unique_lock lk(build_mu_);
+  for (;;) {
+    build_cv_.wait(lk, [this] { return build_stop_ || !build_queue_.empty(); });
+    if (build_stop_) return;
+    Shard& sh = *shards_[build_queue_.front()];
+    build_queue_.pop_front();
+    lk.unlock();
+    const std::shared_ptr<const Encryptor> from = sh.cached_encryptor();
+    if (from && !from->complete()) {
+      // Fails if an encrypt swapped in a newer key's Encryptor meanwhile;
+      // that encrypt queued the shard again.
+      sh.swap_encryptor(from,
+                        std::make_shared<const Encryptor>(from->with_tables()));
+    }
+    lk.lock();
+  }
+}
 
 void ShardRouter::fail_stop() {
   bool expected = false;
@@ -615,9 +655,19 @@ Bytes ShardRouter::encrypt(BytesView payload, std::size_t shard) {
   }
   ChaChaRng rng(seed);
   const SecurityManager& mgr = sh.store.manager();
+  std::shared_ptr<const Encryptor> enc = sh.cached_encryptor();
+  if (!enc || enc->public_key() != mgr.public_key()) {
+    // The key moved (or this is the shard's first encrypt): seal now with
+    // the tables that carry over and leave the rest to the builder, so no
+    // request pays for a table build.
+    auto next = enc ? std::make_shared<const Encryptor>(*enc, mgr.public_key())
+                    : std::make_shared<const Encryptor>(mgr.params(),
+                                                        mgr.public_key());
+    if (sh.swap_encryptor(enc, next) && !next->complete()) queue_tables(shard);
+    enc = std::move(next);
+  }
   Writer w;
-  seal_content(mgr.params(), mgr.public_key(), payload, rng)
-      .serialize(w, mgr.params().group);
+  seal_content(*enc, payload, rng).serialize(w, mgr.params().group);
   return std::move(w).take();
 }
 

@@ -24,13 +24,17 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
+#include <thread>
 #include <vector>
 
+#include "core/scheme.h"
 #include "daemon/group_commit.h"
 #include "daemon/state_mutex.h"
 #include "store/store.h"
@@ -151,7 +155,10 @@ class ShardRouter {
   HealthReport health() const;
 
   /// Seals `payload` under shard `shard`'s public key (keys issued by a
-  /// shard only open that shard's broadcasts).
+  /// shard only open that shard's broadcasts), through the shard's cached
+  /// Encryptor. When the key has moved since the cached one, the seal
+  /// uses an Encryptor that keeps the still-valid tables and builds none,
+  /// and the shard is queued for the table builder (DESIGN.md Sect. 11.1).
   Bytes encrypt(BytesView payload, std::size_t shard);
 
   /// True after any shard fail-stopped (batch sync or barrier failure).
@@ -288,6 +295,10 @@ class ShardRouter {
   std::uint64_t last_trace_id(std::size_t shard) const {
     return shards_[shard]->last_trace_id.load(std::memory_order_relaxed);
   }
+  /// The shard's cached Encryptor (null before its first encrypt).
+  std::shared_ptr<const Encryptor> encryptor(std::size_t shard) const {
+    return shards_[shard]->cached_encryptor();
+  }
 
  private:
   /// Non-movable: GroupCommit and the committer thread hold references
@@ -306,6 +317,28 @@ class ShardRouter {
     /// follower.
     std::atomic<std::shared_ptr<GroupCommit>> commits;
     std::atomic<std::uint64_t> last_trace_id{0};  // repl trace propagation
+    /// The Encryptor for the public key the last encrypt saw. Encrypt
+    /// swaps in one for a new key (tables carried over, none built); the
+    /// builder swaps in the complete one only over the Encryptor it
+    /// started from. Guarded by a plain mutex, like repl_: every access
+    /// is a pointer copy or swap.
+    std::shared_ptr<const Encryptor> encryptor;
+    mutable std::mutex encryptor_mu;
+
+    std::shared_ptr<const Encryptor> cached_encryptor() const {
+      std::lock_guard lk(encryptor_mu);
+      return encryptor;
+    }
+    /// Installs `next` if the cache still holds `from`.
+    bool swap_encryptor(const std::shared_ptr<const Encryptor>& from,
+                        std::shared_ptr<const Encryptor> next) {
+      {
+        std::lock_guard lk(encryptor_mu);
+        if (encryptor != from) return false;
+        encryptor.swap(next);
+      }
+      return true;  // `next` now holds the old one: freed outside the lock
+    }
   };
 
   void fail_stop();  // sets fatal_, invokes on_fatal_ once
@@ -313,6 +346,12 @@ class ShardRouter {
   void ensure_primary(const char* verb) const;
   void note_term(Shard& sh, std::uint64_t term, const char* verb);
   void stamp_trace(Shard& sh);
+  /// Queues `shard` for the table builder (once until it is picked up).
+  void queue_tables(std::size_t shard);
+  /// The builder thread: builds each queued shard's missing tables
+  /// outside every lock and installs the complete Encryptor if the cache
+  /// still holds the one it started from.
+  void build_tables();
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::function<void()> on_fatal_;
@@ -329,6 +368,11 @@ class ShardRouter {
   std::atomic<std::uint64_t> next_add_{0};  // round-robin placement
   std::mutex barrier_mu_;  // serializes new_period_all (and promote)
   std::mutex term_mu_;     // serializes TERM-file persistence
+  std::mutex build_mu_;    // guards build_queue_ and build_stop_
+  std::condition_variable build_cv_;
+  std::deque<std::size_t> build_queue_;
+  bool build_stop_ = false;
+  std::thread builder_;  // started last in the constructor, joined first
 };
 
 }  // namespace dfky::daemon

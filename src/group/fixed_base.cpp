@@ -10,11 +10,14 @@ FixedBaseTable::FixedBaseTable(const Group& group, const Gelt& base,
   require(window_bits >= 1 && window_bits <= 8,
           "FixedBaseTable: window_bits must be in [1, 8]");
   DFKY_OBS_TIMER(obs_span, "dfky_fixedbase_precompute_ns");
-  const std::size_t digits =
-      (group.order().bit_length() + window_bits - 1) / window_bits;
+  const std::size_t exp_bits = group.order().bit_length();
+  if (!group.is_elliptic()) {
+    zp_.emplace(base.value(), group.p(), exp_bits, window_bits);
+    return;
+  }
+  const std::size_t digits = (exp_bits + window_bits - 1) / window_bits;
   const std::size_t radix = std::size_t{1} << window_bits;
-
-  tables_.reserve(digits);
+  ec_rows_.reserve(digits);
   Gelt window_base = base;  // base^(2^(i * w)) at digit i
   for (std::size_t i = 0; i < digits; ++i) {
     std::vector<Gelt> row;
@@ -24,7 +27,7 @@ FixedBaseTable::FixedBaseTable(const Group& group, const Gelt& base,
       row.push_back(acc);
       if (d + 1 < radix) acc = group.mul(acc, window_base);
     }
-    tables_.push_back(std::move(row));
+    ec_rows_.push_back(std::move(row));
     // Advance to the next digit position: square w times.
     window_base = group.mul(acc, window_base);  // == base^(2^w * 2^(i*w))
   }
@@ -34,6 +37,7 @@ Gelt FixedBaseTable::pow(const Group& group, const Bigint& e) const {
   DFKY_OBS(static obs::Counter& c = obs::counter("dfky_fixedbase_pow_total");
            c.inc(););
   const Bigint exp = e.mod(group.order());
+  if (zp_) return Gelt(zp_->pow(exp));
   Gelt acc = group.one();
   const std::size_t bits = exp.bit_length();
   for (std::size_t i = 0; i * window_bits_ < bits; ++i) {
@@ -41,50 +45,16 @@ Gelt FixedBaseTable::pow(const Group& group, const Bigint& e) const {
     for (std::size_t b = 0; b < window_bits_; ++b) {
       if (exp.bit(i * window_bits_ + b)) digit |= std::size_t{1} << b;
     }
-    if (digit != 0) {
-      require(i < tables_.size(), "FixedBaseTable: exponent too large");
-      acc = group.mul(acc, tables_[i][digit - 1]);
-    }
+    if (digit != 0) acc = group.mul(acc, ec_rows_[i][digit - 1]);
   }
   return acc;
 }
 
 std::size_t FixedBaseTable::table_size() const {
+  if (zp_) return zp_->entries();
   std::size_t total = 0;
-  for (const auto& row : tables_) total += row.size();
+  for (const auto& row : ec_rows_) total += row.size();
   return total;
-}
-
-Encryptor::Encryptor(SystemParams sp, PublicKey pk, std::size_t window_bits)
-    : sp_(std::move(sp)),
-      pk_(std::move(pk)),
-      g_table_(sp_.group, pk_.g, window_bits),
-      g2_table_(sp_.group, pk_.g2, window_bits),
-      y_table_(sp_.group, pk_.y, window_bits) {
-  slot_tables_.reserve(pk_.slots.size());
-  for (const PkSlot& s : pk_.slots) {
-    slot_tables_.emplace_back(sp_.group, s.h, window_bits);
-  }
-}
-
-Ciphertext Encryptor::encrypt(const Gelt& m, Rng& rng) const {
-  require(sp_.group.is_element(m), "Encryptor: message not a group element");
-  DFKY_OBS_TIMER(obs_span, "dfky_encrypt_ns", {{"path", "fixed_base"}});
-  DFKY_OBS(static obs::Counter& c =
-               obs::counter("dfky_encrypt_total", {{"path", "fixed_base"}});
-           c.inc(););
-  const Bigint r = sp_.group.random_exponent(rng);
-  Ciphertext ct;
-  ct.period = pk_.period;
-  ct.u = g_table_.pow(sp_.group, r);
-  ct.u2 = g2_table_.pow(sp_.group, r);
-  ct.w = sp_.group.mul(y_table_.pow(sp_.group, r), m);
-  ct.slots.reserve(pk_.slots.size());
-  for (std::size_t l = 0; l < pk_.slots.size(); ++l) {
-    ct.slots.push_back(
-        CtSlot{pk_.slots[l].z, slot_tables_[l].pow(sp_.group, r)});
-  }
-  return ct;
 }
 
 }  // namespace dfky

@@ -635,6 +635,91 @@ TEST(ShardRouter, ConcurrentEncryptsOpenAndNeverShareRandomness) {
   EXPECT_EQ(us.size(), kThreads * kPerThread);
 }
 
+TEST(ShardRouter, EncryptTracksKeyChanges) {
+  // Each encrypt seals under the key the shard holds now: right after a
+  // revoke or a new period through an Encryptor that carried the
+  // still-valid tables over, and later through the complete one the
+  // builder installs.
+  constexpr std::size_t kV = 4;
+  HandlerFixture f(/*shards=*/1, kV);
+  ShardRouter& router = *f.router;
+  const ShardRouter::AddedUser active = router.add_user();
+  const ShardRouter::AddedUser revoked = router.add_user();
+  const KeyFileData ka = decode_key_file(active.key_file);
+  const KeyFileData kr = decode_key_file(revoked.key_file);
+  const Group& group = ka.sp.group;
+  std::uint8_t n = 0;
+  // Seals a fresh payload; it must open under `open_key` and, when given,
+  // fail under `shut_key`.
+  const auto check = [&](const KeyFileData& open_key,
+                         const KeyFileData* shut_key) {
+    const Bytes payload = {n++, 0x3c};
+    const Bytes ct = router.encrypt(payload, 0);
+    Reader r(ct);
+    const ContentMessage m = ContentMessage::deserialize(r, group);
+    EXPECT_EQ(open_content(open_key.sp, open_key.key, m), payload);
+    if (shut_key) {
+      EXPECT_THROW(open_content(shut_key->sp, shut_key->key, m), Error);
+    }
+  };
+  // Encrypts until the builder has installed the complete Encryptor for
+  // the shard's current key.
+  const auto until_complete = [&](const KeyFileData& open_key,
+                                  const KeyFileData* shut_key) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    for (;;) {
+      check(open_key, shut_key);
+      const std::shared_ptr<const Encryptor> enc = router.encryptor(0);
+      if (enc->complete() &&
+          enc->public_key() == router.store(0).manager().public_key()) {
+        return;
+      }
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "the table builder never installed a complete Encryptor";
+    }
+  };
+
+  check(ka, nullptr);
+  EXPECT_EQ(router.encryptor(0)->tables() % (kV + 3), 0u);  // none or all
+  until_complete(ka, nullptr);
+  check(kr, nullptr);  // not yet revoked
+
+  const std::uint64_t revoked_id = revoked.global_id;
+  router.revoke(std::span(&revoked_id, 1));
+  check(ka, &kr);  // at once: every table but the revoked slot's carries
+  EXPECT_GE(router.encryptor(0)->tables(), kV + 2);
+  until_complete(ka, &kr);
+
+  router.new_period_all();
+  const KeyFileData kn = decode_key_file(router.add_user().key_file);
+  check(kn, &kr);  // at once: only the g and g' tables carry over
+  EXPECT_GE(router.encryptor(0)->tables(), 2u);
+  until_complete(kn, &kr);
+}
+
+TEST(ShardRouter, DestroyWhileTablesBuild) {
+  // The first encrypt queues a 17-table build at 512 bits; destroying the
+  // router straight after must join the builder mid-build, cleanly.
+  for (int round = 0; round < 3; ++round) {
+    MemFileIo fs;
+    ChaChaRng rng(41 + round);
+    SecurityManager mgr(
+        SystemParams::create(Group(GroupParams::named(ParamId::kSec512)),
+                             /*v=*/16, rng),
+        rng);
+    std::vector<StateStore> stores;
+    stores.push_back(StateStore::create(fs, "store", std::move(mgr), rng));
+    std::optional<ShardRouter> router;
+    router.emplace(std::move(stores), [](std::size_t k) {
+      return std::make_unique<ChaChaRng>(200 + k);
+    });
+    EXPECT_FALSE(router->encrypt(Bytes{1, 2, 3}, 0).empty());
+    EXPECT_FALSE(router->encryptor(0)->complete());
+    router.reset();
+  }
+}
+
 // ---- replication: follower routers, repl verbs, promotion ---------------------
 
 /// A primary router plus a follower router over a cloned shard set, both
@@ -820,7 +905,9 @@ TEST(Replication, PromoteAndDemoteHooksFireOnlyOnRoleChange) {
       *f.foll, RequestHandler::Hooks{
                    .pre_demote = [&] { ++pre; },
                    .post_demote = [&] { ++demoted; },
-                   .post_promote = [&] { ++promoted; }});
+                   .post_promote = [&] { ++promoted; },
+                   .watchdog_state = {},
+                   .publish = {}});
   EXPECT_EQ(f.ok(hooked, "promote").fields.at("already"), "0");
   EXPECT_EQ(promoted, 1);
   EXPECT_EQ(f.ok(hooked, "promote").fields.at("already"), "1");

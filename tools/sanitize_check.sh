@@ -5,12 +5,14 @@
 #   tools/sanitize_check.sh [--tsan] [build-dir] [ctest-regex]
 #
 # Default (ASan+UBSan, -DDFKY_SANITIZE=ON): build-dir = build-asan, regex =
-# the fault matrix, the bus reentrancy regressions, the metrics registry,
-# the durable-store crash matrix, and the persistence corruption fuzz.
+# the fixed-base kernel and Encryptor (raw limb indexing), the fault
+# matrix, the bus reentrancy regressions, the metrics registry, the
+# durable-store crash matrix, and the persistence corruption fuzz.
 # --tsan builds -DDFKY_SANITIZE_THREAD=ON instead and runs the
 # obs concurrency tests (metrics registry and trace ring hammered from
-# many threads), the shard router (concurrent encrypts against the
-# committer and the epoch barrier) plus the cluster-simulator suites.
+# many threads), the shard router (concurrent encrypts against the table
+# builder, the committer and the epoch barrier) plus the cluster-simulator
+# suites.
 # Pass '.*' to sanitize the whole suite.
 set -euo pipefail
 
@@ -34,9 +36,9 @@ if [ "$mode" = "tsan" ]; then
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 else
   build_dir="${1:-$repo/build-asan}"
-  filter="${2:-FaultyBus|Recovery|FaultMatrixTest|Bus\.|Obs|MemFileIo|FaultyFileIo|StateStore|CrashMatrix|Fsck|PersistenceFuzz|ShardSet|ShardRouter|DaemonProto|Replication|SimCluster|SimHealth|SimTrace|SimFailover|SimFeed|TraceLifecycle|TraceSlow|TraceJson|TraceConcurrency|TraceOff|Term\.|Reactor\.}"
+  filter="${2:-FixedBase|Encryptor|FaultyBus|Recovery|FaultMatrixTest|Bus\.|Obs|MemFileIo|FaultyFileIo|StateStore|CrashMatrix|Fsck|PersistenceFuzz|ShardSet|ShardRouter|DaemonProto|Replication|SimCluster|SimHealth|SimTrace|SimFailover|SimFeed|TraceLifecycle|TraceSlow|TraceJson|TraceConcurrency|TraceOff|Term\.|Reactor\.}"
   sanitize_flag=-DDFKY_SANITIZE=ON
-  targets=(fault_tests system_tests obs_tests store_tests core_tests
+  targets=(unit_crypto_tests fault_tests system_tests obs_tests store_tests core_tests
     daemon_proto_tests daemon_tests sim_tests failover_sim_tests
     reactor_tests)
   # halt_on_error so a sanitizer report fails the run loudly.
