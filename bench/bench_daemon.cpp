@@ -3,7 +3,8 @@
 // batches their WAL records into a single append+fsync amortizes the
 // durability cost; at 8 clients the acknowledged-mutation throughput is
 // >= 4x the fsync-per-mutation baseline. Measured on a real filesystem
-// (the fsync is the whole point).
+// (the fsync is the whole point), under dfkyd's default snapshot rotation
+// rule, so an ack also pays its share of rotations.
 //
 // E13: sharded daemon — ack throughput scaling across shards. Claim:
 // partitioning the store across N shards, each with its own committer
@@ -60,6 +61,8 @@ benchjson::Report g_report("daemon");
 
 constexpr std::size_t kV = 8;
 
+/// E13–E15 time sharding, the reactor and tracing; rotation is E12's and
+/// E11's to measure, so it stays out of their tables.
 StoreOptions no_rotation() {
   StoreOptions opts;
   opts.snapshot_every = std::size_t{1} << 30;
@@ -88,7 +91,7 @@ RunResult run_clients(FileIo& io, const std::string& dir,
   ChaChaRng setup_rng(7);
   remove_store_dir(io, dir);
   StateStore store = StateStore::create(io, dir, SecurityManager(sp, setup_rng),
-                                        setup_rng, no_rotation());
+                                        setup_rng);
   ChaChaRng rng(11);
   std::mutex rng_mu;
   const auto one_rep = [&] {

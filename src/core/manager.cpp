@@ -140,6 +140,7 @@ std::optional<SignedResetBundle> SecurityManager::remove_user(std::uint64_t id,
   ++level_;
   rec.revoked = true;
   rec.revoked_in_period = pk_.period;
+  ++revoked_users_;
   record(ManagerMutation{.kind = ManagerMutation::Kind::kRemoveUser,
                          .user_id = id});
   DFKY_OBS(
@@ -196,7 +197,10 @@ SecurityManager::SecurityManager(RestoreTag, SystemParams sp,
       users_(std::move(users)),
       archive_capacity_(archive_capacity),
       archive_(std::move(archive)) {
-  for (const UserRecord& u : users_) used_x_.insert(u.x);
+  for (const UserRecord& u : users_) {
+    used_x_.insert(u.x);
+    if (u.revoked) ++revoked_users_;
+  }
 }
 
 Bytes SecurityManager::save_state() const {
@@ -420,6 +424,7 @@ void SecurityManager::apply_mutation(const ManagerMutation& m) {
       ++level_;
       rec.revoked = true;
       rec.revoked_in_period = pk_.period;
+      ++revoked_users_;
       return;
     }
     case ManagerMutation::Kind::kNewPeriod: {

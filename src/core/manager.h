@@ -121,6 +121,9 @@ class SecurityManager {
   const std::vector<UserRecord>& users() const { return users_; }
   const UserRecord& user(std::uint64_t id) const;
   bool is_revoked(std::uint64_t id) const { return user(id).revoked; }
+  /// Users never revoked / revoked so far, kept as counts (O(1), no scan).
+  std::size_t active_users() const { return users_.size() - revoked_users_; }
+  std::size_t revoked_users() const { return revoked_users_; }
   /// Master secret (tracing algorithms are run by the manager).
   const MasterSecret& master_secret() const { return msk_; }
 
@@ -169,6 +172,7 @@ class SecurityManager {
   ResetMode default_mode_;
   std::size_t level_ = 0;
   std::vector<UserRecord> users_;
+  std::size_t revoked_users_ = 0;  // users_ entries with revoked set
   std::set<Bigint> used_x_;
   std::size_t archive_capacity_ = kDefaultArchiveCapacity;
   std::deque<SignedResetBundle> archive_;  // ascending new_period

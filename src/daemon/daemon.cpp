@@ -575,6 +575,10 @@ class StallFileIo final : public FileIo {
     return inner_.list(d);
   }
   Bytes read(const std::string& p) const override { return inner_.read(p); }
+  Bytes read_range(const std::string& p, std::size_t off,
+                   std::size_t len) const override {
+    return inner_.read_range(p, off, len);
+  }
   void write(const std::string& p, BytesView d) override { inner_.write(p, d); }
   void append(const std::string& p, BytesView d) override {
     inner_.append(p, d);

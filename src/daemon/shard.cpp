@@ -582,9 +582,8 @@ ShardRouter::Status ShardRouter::status() const {
     const SecurityManager& mgr = sh->store.manager();
     st.periods.push_back(mgr.period());
     st.period = std::max(st.period, mgr.period());
-    for (const UserRecord& u : mgr.users()) {
-      (u.revoked ? st.revoked : st.active) += 1;
-    }
+    st.active += mgr.active_users();
+    st.revoked += mgr.revoked_users();
     st.saturation_level += mgr.saturation_level();
     st.saturation_limit += mgr.saturation_limit();
     st.generation += sh->store.generation();

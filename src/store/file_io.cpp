@@ -116,6 +116,25 @@ Bytes RealFileIo::read(const std::string& path) const {
   return out;
 }
 
+Bytes RealFileIo::read_range(const std::string& path, std::size_t offset,
+                             std::size_t len) const {
+  Fd fd(path, O_RDONLY);
+  if (!fd.ok()) io_fail("read", path);
+  Bytes out(len);
+  std::size_t got = 0;
+  while (got < len) {
+    const ssize_t n = eintr_retry([&] {
+      return ::pread(fd.get(), out.data() + got, len - got,
+                     static_cast<off_t>(offset + got));
+    });
+    if (n < 0) io_fail("read", path);
+    if (n == 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  out.resize(got);
+  return out;
+}
+
 void RealFileIo::write(const std::string& path, BytesView data) {
   Fd fd(path, O_WRONLY | O_CREAT | O_TRUNC);
   if (!fd.ok()) io_fail("write", path);
@@ -271,6 +290,18 @@ Bytes MemFileIo::read(const std::string& path) const {
   auto it = files_.find(path);
   if (it == files_.end()) throw IoError("mem_io: no such file: " + path);
   return it->second.live;
+}
+
+Bytes MemFileIo::read_range(const std::string& path, std::size_t offset,
+                            std::size_t len) const {
+  std::lock_guard lk(mu_);
+  auto it = files_.find(path);
+  if (it == files_.end()) throw IoError("mem_io: no such file: " + path);
+  const Bytes& live = it->second.live;
+  const std::size_t begin = std::min(offset, live.size());
+  const std::size_t end = begin + std::min(len, live.size() - begin);
+  return Bytes(live.begin() + static_cast<std::ptrdiff_t>(begin),
+               live.begin() + static_cast<std::ptrdiff_t>(end));
 }
 
 void MemFileIo::write(const std::string& path, BytesView data) {
@@ -467,10 +498,7 @@ std::vector<std::string> FaultyFileIo::list(const std::string& dir) const {
   return fs_.list(dir);
 }
 
-Bytes FaultyFileIo::read(const std::string& path) const {
-  std::lock_guard lk(mu_);
-  ++counters_.reads;
-  Bytes data = fs_.read(path);
+void FaultyFileIo::fault_read(Bytes& data) const {
   // Unconditional draws keep the PRG stream aligned across runs, exactly
   // like FaultyBus::roll.
   const std::uint64_t flip_roll = rng_.u64();
@@ -491,6 +519,22 @@ Bytes FaultyFileIo::read(const std::string& path) const {
     ++counters_.short_reads;
     note_io_fault("short_read");
   }
+}
+
+Bytes FaultyFileIo::read(const std::string& path) const {
+  std::lock_guard lk(mu_);
+  ++counters_.reads;
+  Bytes data = fs_.read(path);
+  fault_read(data);
+  return data;
+}
+
+Bytes FaultyFileIo::read_range(const std::string& path, std::size_t offset,
+                               std::size_t len) const {
+  std::lock_guard lk(mu_);
+  ++counters_.reads;
+  Bytes data = fs_.read_range(path, offset, len);
+  fault_read(data);
   return data;
 }
 

@@ -54,6 +54,10 @@ class FileIo {
   virtual std::vector<std::string> list(const std::string& dir) const = 0;
   /// Whole-file read. Throws IoError if missing.
   virtual Bytes read(const std::string& path) const = 0;
+  /// Up to `len` bytes starting at byte `offset` (fewer when the file ends
+  /// first, none past its end). Throws IoError if missing.
+  virtual Bytes read_range(const std::string& path, std::size_t offset,
+                           std::size_t len) const = 0;
 
   /// Create-or-truncate write of the whole file (no durability implied).
   virtual void write(const std::string& path, BytesView data) = 0;
@@ -94,6 +98,8 @@ class RealFileIo final : public FileIo {
   bool is_dir(const std::string& path) const override;
   std::vector<std::string> list(const std::string& dir) const override;
   Bytes read(const std::string& path) const override;
+  Bytes read_range(const std::string& path, std::size_t offset,
+                   std::size_t len) const override;
   void write(const std::string& path, BytesView data) override;
   void append(const std::string& path, BytesView data) override;
   void truncate(const std::string& path, std::size_t size) override;
@@ -126,6 +132,8 @@ class MemFileIo final : public FileIo {
   bool is_dir(const std::string& path) const override;
   std::vector<std::string> list(const std::string& dir) const override;
   Bytes read(const std::string& path) const override;
+  Bytes read_range(const std::string& path, std::size_t offset,
+                   std::size_t len) const override;
   void write(const std::string& path, BytesView data) override;
   void append(const std::string& path, BytesView data) override;
   void truncate(const std::string& path, std::size_t size) override;
@@ -208,6 +216,8 @@ class FaultyFileIo final : public FileIo {
   bool is_dir(const std::string& path) const override;
   std::vector<std::string> list(const std::string& dir) const override;
   Bytes read(const std::string& path) const override;
+  Bytes read_range(const std::string& path, std::size_t offset,
+                   std::size_t len) const override;
   void write(const std::string& path, BytesView data) override;
   void append(const std::string& path, BytesView data) override;
   void truncate(const std::string& path, std::size_t size) override;
@@ -230,6 +240,9 @@ class FaultyFileIo final : public FileIo {
   void set_plan(FilePlan plan);
 
  private:
+  /// Applies the plan's bit flip and short read to a read's data. Caller
+  /// holds mu_.
+  void fault_read(Bytes& data) const;
   /// Counts the op; throws CrashPoint when the plan says so. `torn_target`
   /// non-null marks ops whose in-flight data can partially reach the
   /// platter (appends/writes).

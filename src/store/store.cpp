@@ -19,10 +19,8 @@ constexpr std::uint32_t kWalMagic = 0x6466776c;   // "dfwl"
 constexpr std::uint32_t kTermMagic = 0x6466746d;  // "dftm"
 constexpr std::uint8_t kVersion = 1;
 constexpr std::size_t kTagSize = Sha256::kDigestSize;
-// Per record: u32 payload length, u32 CRC32C, chained HMAC tag.
-constexpr std::size_t kFrameHeader = 4 + 4 + kTagSize;
-// WAL file prefix: magic, version, generation, chain seed tag.
-constexpr std::size_t kWalHeader = 4 + 1 + 8 + kTagSize;
+constexpr std::size_t kFrameHeader = kWalFrameHeaderBytes;
+constexpr std::size_t kWalHeader = kWalHeaderBytes;
 constexpr std::size_t kMaxRecordBytes = std::size_t{1} << 28;
 
 std::string snap_name(std::uint64_t gen) {
@@ -286,6 +284,19 @@ WalScan scan_wal(BytesView raw, BytesView key, std::uint64_t gen,
   return s;
 }
 
+/// Multiexps a replay of `m` redoes (StateStore::replay_weight).
+std::uint64_t replay_weight_of(const ManagerMutation& m, std::size_t v) {
+  switch (m.kind) {
+    case ManagerMutation::Kind::kAddUser:
+      return 0;
+    case ManagerMutation::Kind::kRemoveUser:
+      return 1;  // revoke_into_slot
+    case ManagerMutation::Kind::kNewPeriod:
+      return v + 1;  // make_fresh_public_key
+  }
+  return 0;
+}
+
 }  // namespace
 
 // ---- StateStore ----------------------------------------------------------------
@@ -306,14 +317,17 @@ StateStore::StateStore(StateStore&& other) noexcept
       key_(std::move(other.key_)),
       gen_(other.gen_),
       term_(other.term_),
-      wal_records_(other.wal_records_),
+      index_(std::move(other.index_)),
+      seed_(other.seed_),
+      snapshot_bytes_(other.snapshot_bytes_),
       chain_tag_(other.chain_tag_),
       recovery_(other.recovery_),
       locked_(other.locked_),
       batching_(other.batching_),
       poisoned_(other.poisoned_),
       pending_(std::move(other.pending_)),
-      unsynced_records_(other.unsynced_records_) {
+      staged_(std::move(other.staged_)),
+      last_sync_append_done_ns_(other.last_sync_append_done_ns_) {
   other.io_ = nullptr;
   other.locked_ = false;
 }
@@ -371,9 +385,7 @@ StateStore StateStore::create(FileIo& io, std::string dir,
   io.fsync_dir(s.dir_);
   io.fsync_dir(dirname_of(s.dir_));
 
-  s.gen_ = 0;
-  s.wal_records_ = 0;
-  s.chain_tag_ = tag;
+  s.start_generation(0, tag, frame.size());
   s.recovery_.generation = 0;
   s.mgr_.set_mutation_recording(true);
   s.mgr_.take_mutation_log();  // discard records from before the store existed
@@ -405,6 +417,7 @@ StateStore StateStore::open(FileIo& io, std::string dir, StoreOptions opts) {
   std::optional<SecurityManager> mgr;
   std::uint64_t gen = 0;
   Sha256::Digest seed{};
+  std::size_t snap_bytes = 0;
   for (const std::uint64_t g : gens) {
     Bytes raw;
     try {
@@ -426,6 +439,7 @@ StateStore StateStore::open(FileIo& io, std::string dir, StoreOptions opts) {
     }
     gen = g;
     seed = info->tag;
+    snap_bytes = raw.size();
     break;
   }
   if (!mgr) {
@@ -435,8 +449,7 @@ StateStore StateStore::open(FileIo& io, std::string dir, StoreOptions opts) {
 
   // Replay the WAL suffix; truncate whatever fails integrity or replay.
   const std::string wal = join(dir, wal_name(gen));
-  Sha256::Digest chain = seed;
-  std::size_t applied = 0;
+  std::vector<WalIndexEntry> index;
   bool rewrote_wal = false;
   if (io.exists(wal)) {
     const Bytes raw = io.read(wal);
@@ -450,6 +463,7 @@ StateStore StateStore::open(FileIo& io, std::string dir, StoreOptions opts) {
     } else {
       std::size_t keep_end = kWalHeader;
       const Group& group = mgr->params().group;
+      std::uint64_t weight = 0;
       std::size_t i = 0;
       for (; i < scan.records.size(); ++i) {
         const WalRecord& rec = scan.records[i];
@@ -458,11 +472,11 @@ StateStore StateStore::open(FileIo& io, std::string dir, StoreOptions opts) {
           const ManagerMutation m = ManagerMutation::deserialize(pr, group);
           pr.expect_end();
           mgr->apply_mutation(m);
+          weight += replay_weight_of(m, mgr->params().v);
         } catch (const Error&) {
           break;  // semantically torn: drop this record and everything after
         }
-        ++applied;
-        chain = rec.tag;
+        index.push_back(WalIndexEntry{rec.end, weight, rec.tag});
         keep_end = rec.end;
       }
       rep.truncated_records += (scan.records.size() - i) + scan.tail_records;
@@ -479,7 +493,7 @@ StateStore StateStore::open(FileIo& io, std::string dir, StoreOptions opts) {
     io.fsync_file(wal);
     rewrote_wal = true;
   }
-  rep.replayed_records = applied;
+  rep.replayed_records = index.size();
 
   // Remove anything that is not the live generation (the LOCK file we are
   // holding is infrastructure, not state — unlinking it would hand a
@@ -510,10 +524,10 @@ StateStore StateStore::open(FileIo& io, std::string dir, StoreOptions opts) {
                   .value = static_cast<std::int64_t>(rep.replayed_records)}););
 
   StateStore s(io, std::move(dir), opts, std::move(*mgr), std::move(key));
-  s.gen_ = gen;
+  s.start_generation(gen, seed, snap_bytes);
+  s.index_ = std::move(index);
+  if (!s.index_.empty()) s.chain_tag_ = s.index_.back().tag;
   s.term_ = read_term_file(io, s.dir_);
-  s.wal_records_ = applied;
-  s.chain_tag_ = chain;
   s.recovery_ = rep;
   s.mgr_.set_mutation_recording(true);
   s.locked_ = true;
@@ -531,16 +545,16 @@ void StateStore::set_term(std::uint64_t t) {
   term_ = t;
 }
 
-void StateStore::append_record(const ManagerMutation& m) {
+void StateStore::stage_record(const ManagerMutation& m) {
   Writer pw;
   m.serialize(pw, mgr_.params().group);
   Sha256::Digest tag{};
   const Bytes frame = encode_record(key_, chain_tag_, pw.bytes(), tag);
-  if (batching_) {
-    pending_.insert(pending_.end(), frame.begin(), frame.end());
-  } else {
-    io_->append(path(wal_name(gen_)), frame);
-  }
+  pending_.insert(pending_.end(), frame.begin(), frame.end());
+  const std::uint64_t weight =
+      (staged_.empty() ? replay_weight() : staged_.back().weight) +
+      replay_weight_of(m, mgr_.params().v);
+  staged_.push_back(WalIndexEntry{wal_bytes() + pending_.size(), weight, tag});
   chain_tag_ = tag;
 }
 
@@ -555,32 +569,16 @@ void StateStore::ensure_usable() const {
 void StateStore::commit() {
   const std::vector<ManagerMutation> muts = mgr_.take_mutation_log();
   if (muts.empty()) return;
-  if (batching_) {
-    // Stage the frames; durability (and the rotation check) waits for the
-    // batch's sync(). The chain tag already advanced, so staged records
-    // and any follow-ups land as one contiguous valid WAL run.
-    for (const ManagerMutation& m : muts) append_record(m);
-    unsynced_records_ += muts.size();
-    return;
-  }
-  try {
-    DFKY_OBS_TIMER(span, "dfky_store_wal_append_ns");
-    for (const ManagerMutation& m : muts) append_record(m);
-    io_->fsync_file(path(wal_name(gen_)));
-  } catch (...) {
-    // The chain tag advanced past frames that may not (all) be on disk;
-    // nothing this process appends afterwards could verify. Fail-stop.
-    poisoned_ = true;
-    DFKY_OBS(obs::counter("dfky_store_poisoned_total").inc(););
-    throw;
-  }
-  wal_records_ += muts.size();
-  DFKY_OBS(obs::counter("dfky_store_wal_appends_total").inc(muts.size()););
-  if (wal_records_ >= opts_.snapshot_every) snapshot();
+  // The chain tag advances past every staged frame, so staged records and
+  // any follow-ups land as one contiguous valid WAL run.
+  for (const ManagerMutation& m : muts) stage_record(m);
+  // Batched: durability (and the rotation check) waits for sync().
+  if (batching_) return;
+  land_staged();
+  if (const char* trigger = rotation_due()) rotate(trigger);
 }
 
-void StateStore::flush_pending() {
-  if (unsynced_records_ == 0) return;
+void StateStore::land_staged() {
   try {
     DFKY_OBS_TIMER(span, "dfky_store_wal_append_ns");
     io_->append(path(wal_name(gen_)), pending_);
@@ -600,20 +598,60 @@ void StateStore::flush_pending() {
     DFKY_OBS(obs::counter("dfky_store_poisoned_total").inc(););
     throw;
   }
-  wal_records_ += unsynced_records_;
-  DFKY_OBS(
-      obs::counter("dfky_store_wal_appends_total").inc(unsynced_records_);
-      obs::counter("dfky_store_group_commits_total").inc();
-      obs::counter("dfky_store_group_commit_records_total")
-          .inc(unsynced_records_););
+  DFKY_OBS(obs::counter("dfky_store_wal_appends_total").inc(staged_.size()););
+  index_.insert(index_.end(), staged_.begin(), staged_.end());
   pending_.clear();
-  unsynced_records_ = 0;
+  staged_.clear();
+}
+
+void StateStore::flush_pending() {
+  const std::size_t records = staged_.size();
+  if (records == 0) return;
+  land_staged();
+  DFKY_OBS(obs::counter("dfky_store_group_commits_total").inc();
+           obs::counter("dfky_store_group_commit_records_total")
+               .inc(records););
 }
 
 void StateStore::sync() {
   ensure_usable();
   flush_pending();
-  if (wal_records_ >= opts_.snapshot_every) snapshot();
+  if (const char* trigger = rotation_due()) rotate(trigger);
+}
+
+std::size_t StateStore::wal_bytes() const {
+  return index_.empty() ? kWalHeader : index_.back().end;
+}
+
+std::uint64_t StateStore::replay_weight() const {
+  return index_.empty() ? 0 : index_.back().weight;
+}
+
+std::uint64_t StateStore::replay_weight_limit() const {
+  return kRotationMinRecords * (mgr_.params().v + 1);
+}
+
+const char* StateStore::rotation_due() const {
+  if (opts_.snapshot_every) {
+    return wal_records() >= *opts_.snapshot_every ? "records" : nullptr;
+  }
+  if (wal_records() < kRotationMinRecords) return nullptr;
+  // Bytes: writing the snapshot costs about what appending the WAL did,
+  // so rotation stays a constant factor of the append work (the AOF-rewrite
+  // rule). Replay: recovery never redoes more group arithmetic than the
+  // fixed 64-record schedule could leave behind.
+  if (wal_bytes() >= snapshot_bytes_) return "bytes";
+  if (replay_weight() >= replay_weight_limit()) return "replay";
+  return nullptr;
+}
+
+void StateStore::start_generation(std::uint64_t gen, const Sha256::Digest& seed,
+                                  std::size_t snapshot_bytes) {
+  gen_ = gen;
+  seed_ = seed;
+  chain_tag_ = seed;
+  snapshot_bytes_ = snapshot_bytes;
+  index_.clear();
 }
 
 void StateStore::set_batching(bool on) {
@@ -652,7 +690,9 @@ SignedResetBundle StateStore::new_period(Rng& rng) {
   return bundle;
 }
 
-void StateStore::snapshot() {
+void StateStore::snapshot() { rotate("manual"); }
+
+void StateStore::rotate([[maybe_unused]] const char* trigger) {
   ensure_usable();
   // Batched frames were chained against the current generation's WAL;
   // land them there before rotating (the records are then superseded by
@@ -673,10 +713,12 @@ void StateStore::snapshot() {
   // Commit point: the new generation's entries become durable together.
   io_->fsync_dir(dir_);
   const std::uint64_t old = gen_;
-  gen_ = next;
-  wal_records_ = 0;
-  chain_tag_ = tag;
-  DFKY_OBS(obs::counter("dfky_store_snapshots_total").inc(););
+  start_generation(next, tag, frame.size());
+  DFKY_OBS(obs::counter("dfky_store_snapshots_total").inc();
+           obs::event({.name = "store_snapshot",
+                       .period = static_cast<std::int64_t>(mgr_.period()),
+                       .detail = trigger,
+                       .value = static_cast<std::int64_t>(payload.size())}););
   // Best-effort cleanup; a crash from here on only leaves stale files that
   // the next open()/fsck removes.
   try {
@@ -712,40 +754,31 @@ std::string StateStore::chain_head_hex() const {
 WalShipment StateStore::read_frames_from(std::uint64_t start_record,
                                          std::size_t max_bytes) const {
   ensure_usable();
-  if (start_record > wal_records_) {
+  if (start_record > index_.size()) {
     throw ContractError("state store: read_frames_from(" +
                         std::to_string(start_record) + ") past the " +
-                        std::to_string(wal_records_) + " durable record(s)");
+                        std::to_string(index_.size()) + " durable record(s)");
   }
   WalShipment out;
   out.generation = gen_;
   out.start_record = start_record;
-  // Staged batch frames live in pending_, never in the file, so the file
-  // holds exactly the durable records — the only ones a replica may see.
-  const Bytes raw = io_->read(path(wal_name(gen_)));
-  if (raw.size() < kWalHeader) {
-    throw DecodeError("state store: " + wal_name(gen_) + " lost its header");
+  // Staged batch frames live in pending_, never in the index, so only
+  // durable records — the only ones a replica may see — are shipped.
+  const std::uint64_t begin =
+      start_record == 0 ? kWalHeader : index_[start_record - 1].end;
+  std::size_t last = start_record;
+  while (last < index_.size() &&
+         (max_bytes == 0 || last == start_record ||
+          index_[last].end - begin <= max_bytes)) {
+    ++last;
   }
-  std::size_t off = kWalHeader;
-  for (std::uint64_t idx = 0; idx < wal_records_; ++idx) {
-    if (raw.size() - off < kFrameHeader) {
-      throw DecodeError("state store: " + wal_name(gen_) + " truncated");
-    }
-    const std::size_t len = read_be32(raw, off);
-    if (len > kMaxRecordBytes || raw.size() - off - kFrameHeader < len) {
-      throw DecodeError("state store: " + wal_name(gen_) + " malformed frame");
-    }
-    const std::size_t end = off + kFrameHeader + len;
-    if (idx >= start_record) {
-      if (max_bytes != 0 && !out.frames.empty() &&
-          out.frames.size() + (end - off) > max_bytes) {
-        break;
-      }
-      out.frames.insert(out.frames.end(), raw.begin() + off, raw.begin() + end);
-      ++out.records;
-    }
-    off = end;
+  if (last == start_record) return out;
+  const std::uint64_t end = index_[last - 1].end;
+  out.frames = io_->read_range(path(wal_name(gen_)), begin, end - begin);
+  if (out.frames.size() != end - begin) {
+    throw DecodeError("state store: " + wal_name(gen_) + " truncated");
   }
+  out.records = last - start_record;
   return out;
 }
 
@@ -766,10 +799,10 @@ std::uint64_t StateStore::replica_apply_frames(std::uint64_t gen,
                       std::to_string(gen) + ", store is at " +
                       std::to_string(gen_));
   }
-  if (start_record > wal_records_) {
+  if (start_record > index_.size()) {
     throw DecodeError("state store: replica shipment starts at record " +
                       std::to_string(start_record) + " past our " +
-                      std::to_string(wal_records_));
+                      std::to_string(index_.size()));
   }
   // Validate the whole shipment before touching disk or state: skip the
   // overlap (records we already hold — dup re-delivery), then CRC-, chain-
@@ -777,6 +810,8 @@ std::uint64_t StateStore::replica_apply_frames(std::uint64_t gen,
   // record) is dropped; the primary re-ships it whole. A record that fails
   // verification, by contrast, means the streams diverged — throw.
   std::vector<ManagerMutation> muts;
+  std::vector<WalIndexEntry> fresh;  // index entries of the new records
+  std::uint64_t weight = replay_weight();
   Sha256::Digest chain = chain_tag_;
   std::uint64_t idx = start_record;
   std::size_t new_begin = 0, new_end = 0;
@@ -789,7 +824,7 @@ std::uint64_t StateStore::replica_apply_frames(std::uint64_t gen,
       break;  // torn payload
     }
     const std::size_t end = off + kFrameHeader + len;
-    if (idx < wal_records_) {  // dup: already durable here, skip structurally
+    if (idx < index_.size()) {  // dup: already durable here, skip structurally
       off = end;
       ++idx;
       continue;
@@ -820,10 +855,13 @@ std::uint64_t StateStore::replica_apply_frames(std::uint64_t gen,
     }
     new_end = end;
     chain = want;
+    weight += replay_weight_of(muts.back(), mgr_.params().v);
+    fresh.push_back(WalIndexEntry{wal_bytes() + (end - new_begin), weight,
+                                  want});
     ++idx;
     off = end;
   }
-  if (!have_new) return wal_records_;  // pure dup (or torn-only) shipment
+  if (!have_new) return index_.size();  // pure dup (or torn-only) shipment
   try {
     DFKY_OBS_TIMER(span, "dfky_store_wal_append_ns");
     io_->append(path(wal_name(gen_)),
@@ -847,10 +885,10 @@ std::uint64_t StateStore::replica_apply_frames(std::uint64_t gen,
       throw;
     }
   }
-  wal_records_ += muts.size();
+  index_.insert(index_.end(), fresh.begin(), fresh.end());
   chain_tag_ = chain;
   DFKY_OBS(obs::counter("dfky_store_replica_frames_total").inc(muts.size()););
-  return wal_records_;
+  return index_.size();
 }
 
 void StateStore::replica_apply_snapshot(std::uint64_t new_gen,
@@ -876,9 +914,7 @@ void StateStore::replica_apply_snapshot(std::uint64_t new_gen,
   io_->fsync_file(path(wal_name(new_gen)));
   io_->fsync_dir(dir_);
   const std::uint64_t old = gen_;
-  gen_ = new_gen;
-  wal_records_ = 0;
-  chain_tag_ = info->tag;
+  start_generation(new_gen, info->tag, frame.size());
   mgr_ = std::move(restored);
   mgr_.set_mutation_recording(true);
   DFKY_OBS(obs::counter("dfky_store_replica_snapshots_total").inc(););
@@ -892,28 +928,12 @@ void StateStore::replica_apply_snapshot(std::uint64_t new_gen,
 }
 
 std::string StateStore::chain_tag_hex_at(std::uint64_t records) const {
-  if (records > wal_records_) {
+  if (records > index_.size()) {
     throw DecodeError("state store: chain_tag_hex_at(" +
                       std::to_string(records) + ") past the " +
-                      std::to_string(wal_records_) + " durable record(s)");
+                      std::to_string(index_.size()) + " durable record(s)");
   }
-  if (records == wal_records_) return chain_head_hex();
-  const Bytes raw = io_->read(path(wal_name(gen_)));
-  if (raw.size() < kWalHeader) {
-    throw DecodeError("state store: " + wal_name(gen_) + " lost its header");
-  }
-  // The header carries the chain seed; scanning from it re-derives every
-  // prefix tag (records = 0 is the seed itself).
-  Sha256::Digest seed{};
-  std::copy(raw.begin() + 4 + 1 + 8, raw.begin() + kWalHeader, seed.begin());
-  if (records == 0) return hex_of(BytesView(seed.data(), seed.size()));
-  const WalScan scan = scan_wal(raw, key_, gen_, seed);
-  if (!scan.header_ok || scan.records.size() < records) {
-    throw DecodeError("state store: " + wal_name(gen_) +
-                      " no longer validates to record " +
-                      std::to_string(records));
-  }
-  const Sha256::Digest& tag = scan.records[records - 1].tag;
+  const Sha256::Digest& tag = records == 0 ? seed_ : index_[records - 1].tag;
   return hex_of(BytesView(tag.data(), tag.size()));
 }
 
@@ -928,27 +948,28 @@ std::uint64_t StateStore::replica_truncate(std::uint64_t gen,
                       std::to_string(gen) + " but the store is at " +
                       std::to_string(gen_));
   }
-  if (records > wal_records_) {
+  if (records > index_.size()) {
     throw DecodeError("state store: replica truncate to " +
                       std::to_string(records) + " record(s) past the " +
-                      std::to_string(wal_records_) + " held");
+                      std::to_string(index_.size()) + " held");
   }
   if (chain_tag_hex_at(records) != expected_tag_hex) {
     throw DecodeError("state store: chain tag mismatch at record " +
                       std::to_string(records) +
                       " — divergence predates the requested prefix");
   }
-  if (records == wal_records_) return wal_records_;  // nothing forked here
+  if (records == index_.size()) return records;  // nothing forked here
 
   // The retained prefix matches the primary's history byte for byte; drop
   // the forked suffix and rebuild memory from what is left on disk.
-  const Bytes raw = io_->read(path(wal_name(gen_)));
-  Sha256::Digest seed{};
-  std::copy(raw.begin() + 4 + 1 + 8, raw.begin() + kWalHeader, seed.begin());
-  const WalScan scan = scan_wal(raw, key_, gen_, seed);
   const std::size_t keep_end =
-      records == 0 ? kWalHeader : scan.records[records - 1].end;
-  [[maybe_unused]] const std::uint64_t dropped = wal_records_ - records;
+      records == 0 ? kWalHeader : index_[records - 1].end;
+  const Bytes kept =
+      io_->read_range(path(wal_name(gen_)), 0, keep_end);
+  if (kept.size() != keep_end) {
+    throw DecodeError("state store: " + wal_name(gen_) + " truncated");
+  }
+  [[maybe_unused]] const std::uint64_t dropped = index_.size() - records;
   io_->truncate(path(wal_name(gen_)), keep_end);
   io_->fsync_file(path(wal_name(gen_)));
   try {
@@ -960,11 +981,15 @@ std::uint64_t StateStore::replica_truncate(std::uint64_t gen,
     }
     SecurityManager restored = SecurityManager::restore_state(info->payload);
     const Group& group = restored.params().group;
+    std::size_t off = kWalHeader;
     for (std::uint64_t i = 0; i < records; ++i) {
-      Reader pr(scan.records[i].payload);
+      const std::size_t end = index_[i].end;
+      Reader pr(BytesView(kept).subspan(off + kFrameHeader,
+                                        end - off - kFrameHeader));
       const ManagerMutation m = ManagerMutation::deserialize(pr, group);
       pr.expect_end();
       restored.apply_mutation(m);
+      off = end;
     }
     mgr_ = std::move(restored);
   } catch (...) {
@@ -973,8 +998,8 @@ std::uint64_t StateStore::replica_truncate(std::uint64_t gen,
     poisoned_ = true;
     throw;
   }
-  wal_records_ = records;
-  chain_tag_ = records == 0 ? seed : scan.records[records - 1].tag;
+  index_.resize(records);
+  chain_tag_ = records == 0 ? seed_ : index_.back().tag;
   mgr_.set_mutation_recording(true);
   mgr_.take_mutation_log();
   poisoned_ = false;  // disk and memory were just re-reconciled
@@ -983,7 +1008,7 @@ std::uint64_t StateStore::replica_truncate(std::uint64_t gen,
                        .period = static_cast<std::int64_t>(mgr_.period()),
                        .detail = dir_,
                        .value = static_cast<std::int64_t>(dropped)}););
-  return wal_records_;
+  return records;
 }
 
 void clone_store_files(FileIo& src, FileIo& dst, const std::string& dir) {

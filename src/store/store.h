@@ -26,15 +26,24 @@
 
 namespace dfky {
 
+/// Fewest WAL records a size-proportional rotation waits for.
+inline constexpr std::size_t kRotationMinRecords = 64;
+
 struct StoreOptions {
-  /// WAL records accumulated before an automatic snapshot rotation.
-  std::size_t snapshot_every = 64;
+  /// Unset (the default): rotate once the WAL holds kRotationMinRecords
+  /// records and either its bytes reach the live snapshot's or its replay
+  /// weight reaches replay_weight_limit() (DESIGN.md Sect. 9.2), so the
+  /// rotations' share of an ack does not grow with the population. Set:
+  /// rotate every `snapshot_every` WAL records.
+  std::optional<std::size_t> snapshot_every;
 };
 
 /// Bytes of framing per WAL record: u32 payload length, u32 CRC32C, and the
 /// 32-byte chained HMAC tag. Shared with the replication transport, which
 /// splits shipments on frame boundaries.
 inline constexpr std::size_t kWalFrameHeaderBytes = 4 + 4 + Sha256::kDigestSize;
+/// Bytes of a WAL file's header: magic, version, generation, chain seed.
+inline constexpr std::size_t kWalHeaderBytes = 4 + 1 + 8 + Sha256::kDigestSize;
 
 /// A slice of a primary's live WAL, framed exactly as on disk, ready to be
 /// appended verbatim by a replica that shares the store's HMAC key.
@@ -106,8 +115,9 @@ class StateStore {
       std::span<const std::uint64_t> ids, Rng& rng);
   SignedResetBundle new_period(Rng& rng);
 
-  /// Forces a snapshot rotation now (also taken automatically every
-  /// `opts.snapshot_every` WAL records). Flushes any batched records first.
+  /// Forces a snapshot rotation now (also taken automatically after a
+  /// commit or sync, by the StoreOptions rule). Flushes any batched
+  /// records first.
   void snapshot();
 
   // -- group commit --------------------------------------------------------------
@@ -125,8 +135,8 @@ class StateStore {
   /// pending.
   void sync();
   /// Records applied to the manager but not yet durable (batching only).
-  std::size_t unsynced_records() const { return unsynced_records_; }
-  /// Steady-clock ns at which the last sync()'s WAL append returned,
+  std::size_t unsynced_records() const { return staged_.size(); }
+  /// Steady-clock ns at which the last WAL append returned,
   /// before its fsync began — the wal_append/fsync split point request
   /// traces use (DESIGN.md Sect. 13). 0 until the first flush, and always
   /// 0 under DFKY_OBS=OFF.
@@ -143,7 +153,19 @@ class StateStore {
   bool poisoned() const { return poisoned_; }
 
   std::uint64_t generation() const { return gen_; }
-  std::size_t wal_records() const { return wal_records_; }
+  /// Durable records in the live WAL.
+  std::size_t wal_records() const { return index_.size(); }
+  /// Bytes of the live WAL file: its header plus the durable records.
+  std::size_t wal_bytes() const;
+  /// Bytes of the live generation's snapshot file.
+  std::size_t snapshot_bytes() const { return snapshot_bytes_; }
+  /// Multiexps a replay of the live WAL redoes: a remove-user record
+  /// weighs 1, a new-period record v + 1 (the fresh public key), an
+  /// add-user record 0.
+  std::uint64_t replay_weight() const;
+  /// kRotationMinRecords * (v + 1): the replay weight at which the
+  /// default rule rotates, so no recovery replays more.
+  std::uint64_t replay_weight_limit() const;
   const RecoveryReport& recovery_report() const { return recovery_; }
   const std::string& dir() const { return dir_; }
   /// Hex of the WAL chain head (the last record's HMAC tag, or the live
@@ -162,7 +184,8 @@ class StateStore {
   /// Reads up to `max_bytes` of whole framed records from the live WAL,
   /// starting at record index `start_record` (0-based; must not exceed
   /// wal_records()). `max_bytes = 0` means no cap. Only durable records are
-  /// shipped — staged batch frames never appear.
+  /// shipped — staged batch frames never appear. The frame index locates
+  /// the slice, so the file read covers the shipped bytes only.
   WalShipment read_frames_from(std::uint64_t start_record,
                                std::size_t max_bytes = 0) const;
   /// The live generation's snapshot file, verbatim. Shipping this exact
@@ -230,13 +253,32 @@ class StateStore {
   StateStore(FileIo& io, std::string dir, StoreOptions opts,
              SecurityManager mgr, Bytes key);
 
+  /// One WAL record's place in the live generation.
+  struct WalIndexEntry {
+    std::uint64_t end = 0;     // file offset one past the record's frame
+    std::uint64_t weight = 0;  // replay weight of this record and all before
+    Sha256::Digest tag{};      // chain tag after this record
+  };
+
   /// Drains the manager's mutation log into the WAL and fsyncs it (or, in
   /// batching mode, stages the frames for the next sync()).
   void commit();
-  void append_record(const ManagerMutation& m);
-  /// The staged batch's single append+fsync (no rotation check). A failed
-  /// append/fsync poisons the store before the exception propagates.
+  /// Frames `m` onto pending_ and advances the chain tag.
+  void stage_record(const ManagerMutation& m);
+  /// One append + fsync of pending_, then the staged entries join the
+  /// index. A failed append/fsync poisons the store before the exception
+  /// propagates.
+  void land_staged();
+  /// The staged batch's land_staged(), counted as a group commit (no
+  /// rotation check).
   void flush_pending();
+  /// Which rule makes a rotation due now ("records", "bytes" or
+  /// "replay"), or nullptr.
+  const char* rotation_due() const;
+  void rotate(const char* trigger);
+  /// Makes `gen`, seeded by `seed`, the live generation with an empty WAL.
+  void start_generation(std::uint64_t gen, const Sha256::Digest& seed,
+                        std::size_t snapshot_bytes);
   /// Throws StorePoisonedError when a previous WAL failure poisoned us.
   void ensure_usable() const;
   std::string path(const std::string& name) const;
@@ -248,14 +290,16 @@ class StateStore {
   Bytes key_;  // HMAC key (never leaves the store directory)
   std::uint64_t gen_ = 0;
   std::uint64_t term_ = 0;  // failover term from <dir>/TERM (0 = absent)
-  std::size_t wal_records_ = 0;
+  std::vector<WalIndexEntry> index_;  // one per durable WAL record
+  Sha256::Digest seed_{};       // the live snapshot's tag, seeding the chain
+  std::size_t snapshot_bytes_ = 0;
   Sha256::Digest chain_tag_{};  // tag of the last WAL record (or the seed)
   RecoveryReport recovery_;
   bool locked_ = false;
   bool batching_ = false;
   bool poisoned_ = false;  // WAL failed mid-write; mutations refused
-  Bytes pending_;  // framed records staged while batching
-  std::size_t unsynced_records_ = 0;
+  Bytes pending_;  // framed records not yet appended (a batch, if batching)
+  std::vector<WalIndexEntry> staged_;  // pending_'s records, offsets as landed
   std::uint64_t last_sync_append_done_ns_ = 0;
 };
 

@@ -183,6 +183,22 @@ SimCluster::SimCluster(std::size_t shards, std::size_t followers,
                           .hb_interval_ms = 0,
                           .on_stale_term = {}});
   primary_->router().attach_replication(sender_);
+  // An ack is gated only on LIVE followers, and the links connect on the
+  // sender's threads: mutations issued before the first connection are
+  // standalone acks a primary kill may lose. The workloads count every ack
+  // as replicated, so start them only once each follower is live (bounded;
+  // a test that times out here fails on its own invariants).
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  const auto all_live = [this] {
+    for (const auto& f : sender_->status()) {
+      if (!f.live) return false;
+    }
+    return true;
+  };
+  while (!all_live() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 SimCluster::~SimCluster() {

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include <unistd.h>
 
 #include "core/receiver.h"
 #include "core/scheme.h"
+#include "obs/metrics.h"
 #include "rng/chacha_rng.h"
 #include "store/store.h"
 #include "test_util.h"
@@ -29,9 +33,9 @@ SecurityManager script_base_manager(ChaChaRng& rng,
 }
 
 /// Runs the script against any object exposing the mutating quartet
-/// (StateStore or SecurityManager), calling `checkpoint` after each op.
-template <typename Ops, typename Fn>
-void run_script(Ops& ops, ChaChaRng& rng, Fn&& checkpoint) {
+/// (StateStore or SecurityManager), calling `checkpoint` after each op. A
+/// lambda, so fixtures and crash matrices can take a script as a value.
+constexpr auto run_script = [](auto& ops, ChaChaRng& rng, auto&& checkpoint) {
   ops.add_user(rng);  // user 1
   checkpoint();
   ops.add_user(rng);  // user 2
@@ -46,7 +50,24 @@ void run_script(Ops& ops, ChaChaRng& rng, Fn&& checkpoint) {
   const std::uint64_t kill2[] = {2, 3};  // saturates period 1 (v = 2)
   ops.remove_users(kill2, rng);
   checkpoint();
-}
+};
+
+/// Long enough for the default rule's first rotation: 70 adds put 64+
+/// records in the WAL, whose bytes then outweigh the one-user snapshot
+/// (add-users weigh nothing, so the trigger can only be "bytes"). A
+/// revoke and a new-period follow in the next generation.
+constexpr auto run_long_script = [](auto& ops, ChaChaRng& rng,
+                                    auto&& checkpoint) {
+  for (int i = 0; i < 70; ++i) {
+    ops.add_user(rng);  // users 1..70
+    checkpoint();
+  }
+  const std::uint64_t kill[] = {5};
+  ops.remove_users(kill, rng);
+  checkpoint();
+  ops.new_period(rng);
+  checkpoint();
+};
 
 struct ScriptFixture {
   MemFileIo base_fs;     // state right after create(), all durable
@@ -59,9 +80,10 @@ struct ScriptFixture {
   StoreOptions opts;
 };
 
-ScriptFixture build_fixture() {
+template <typename Script>
+ScriptFixture build_fixture(StoreOptions opts, Script script) {
   ScriptFixture f;
-  f.opts.snapshot_every = 3;  // force rotations mid-script
+  f.opts = opts;
 
   // Clean reference run, capturing the manager state after every op.
   {
@@ -72,7 +94,7 @@ ScriptFixture build_fixture() {
     StateStore store = StateStore::create(f.base_fs, "store", std::move(mgr),
                                           key_rng, f.opts);
     MemFileIo after_create = f.base_fs;  // fixture starts post-create
-    run_script(store, rng, [&] {
+    script(store, rng, [&] {
       f.op_states.push_back(store.manager().save_state());
     });
     f.base_fs = after_create;
@@ -87,7 +109,7 @@ ScriptFixture build_fixture() {
     f.record_states.push_back(shadow.save_state());
     ChaChaRng rng(kScriptSeed);
     script_base_manager(rng);  // burn the setup draws
-    run_script(mgr, rng, [&] {
+    script(mgr, rng, [&] {
       for (const ManagerMutation& m : mgr.take_mutation_log()) {
         shadow.apply_mutation(m);
         f.record_states.push_back(shadow.save_state());
@@ -108,14 +130,18 @@ ScriptFixture build_fixture() {
     StateStore store = StateStore::open(io, "store", f.opts);
     ChaChaRng rng(kScriptSeed);
     script_base_manager(rng);
-    run_script(store, rng, [] {});
+    script(store, rng, [] {});
     f.total_io_ops = io.fault_counters().mutating_ops;
   }
   return f;
 }
 
 const ScriptFixture& fixture() {
-  static const ScriptFixture f = build_fixture();
+  static const ScriptFixture f = [] {
+    StoreOptions opts;
+    opts.snapshot_every = 3;  // force rotations mid-script
+    return build_fixture(opts, run_script);
+  }();
   return f;
 }
 
@@ -309,8 +335,8 @@ TEST(StateStore, CorruptOnlySnapshotIsUnrecoverable) {
 // record-prefix of the mutation sequence, at least as new as the last
 // acknowledged operation; fsck must pass; and the pre-crash survivor
 // (user 0) must still be able to decrypt after catching up.
-TEST(StateStore, CrashMatrixRecoversAPrefixAtEveryCrashPoint) {
-  const ScriptFixture& f = fixture();
+template <typename Script>
+void check_crash_matrix(const ScriptFixture& f, Script script) {
   ASSERT_GT(f.total_io_ops, 0u);
   for (std::uint64_t crash_at = 0; crash_at < f.total_io_ops; ++crash_at) {
     MemFileIo fs = f.base_fs;
@@ -325,7 +351,7 @@ TEST(StateStore, CrashMatrixRecoversAPrefixAtEveryCrashPoint) {
       StateStore store = StateStore::open(io, "store", f.opts);
       ChaChaRng rng(kScriptSeed);
       script_base_manager(rng);
-      run_script(store, rng, [&] { ++acked_ops; });
+      script(store, rng, [&] { ++acked_ops; });
     } catch (const CrashPoint&) {
       crashed = true;
     }
@@ -362,6 +388,27 @@ TEST(StateStore, CrashMatrixRecoversAPrefixAtEveryCrashPoint) {
         encrypt(mgr.params(), mgr.public_key(), m, enc_rng);
     EXPECT_EQ(survivor.decrypt(ct), m) << "crash_at " << crash_at;
   }
+}
+
+TEST(StateStore, CrashMatrixRecoversAPrefixAtEveryCrashPoint) {
+  check_crash_matrix(fixture(), run_script);
+}
+
+// The same matrix under the default rule, across its first (size-
+// triggered) rotation: every crash inside the snapshot write, the WAL
+// switch and the old generation's removal recovers an exact prefix.
+TEST(StateStore, CrashMatrixDefaultRuleCrossesASizeRotation) {
+  static const ScriptFixture f =
+      build_fixture(StoreOptions{}, run_long_script);
+  {
+    MemFileIo fs = f.base_fs;
+    StateStore store = StateStore::open(fs, "store", f.opts);
+    ChaChaRng rng(kScriptSeed);
+    script_base_manager(rng);
+    run_long_script(store, rng, [] {});
+    ASSERT_EQ(store.generation(), 1u);  // the script crosses one rotation
+  }
+  check_crash_matrix(f, run_long_script);
 }
 
 TEST(StateStore, SecondOpenIsLockedOutWithoutTouchingTheStore) {
@@ -599,6 +646,210 @@ TEST(StateStore, GroupCommitCrashMatrixKeepsEveryAckedBatch) {
     const FsckReport fsck = fsck_store(fs, "store", /*repair=*/false);
     EXPECT_TRUE(fsck.ok) << "crash_at " << crash_at;
   }
+}
+
+// ---- the rotation rule (DESIGN.md Sect. 9.2) ---------------------------------
+
+/// Forwards to a MemFileIo, counting the bytes reads return and noting the
+/// size each append leaves its file at.
+class CountingFileIo final : public FileIo {
+ public:
+  explicit CountingFileIo(MemFileIo& inner) : inner_(inner) {}
+
+  std::size_t bytes_read() const { return bytes_read_; }
+  std::size_t last_append_bytes() const { return last_append_bytes_; }
+  std::size_t last_append_file_bytes() const { return last_append_file_; }
+
+  bool exists(const std::string& p) const override { return inner_.exists(p); }
+  bool is_dir(const std::string& p) const override { return inner_.is_dir(p); }
+  std::vector<std::string> list(const std::string& d) const override {
+    return inner_.list(d);
+  }
+  Bytes read(const std::string& p) const override {
+    Bytes out = inner_.read(p);
+    bytes_read_ += out.size();
+    return out;
+  }
+  Bytes read_range(const std::string& p, std::size_t off,
+                   std::size_t len) const override {
+    Bytes out = inner_.read_range(p, off, len);
+    bytes_read_ += out.size();
+    return out;
+  }
+  void write(const std::string& p, BytesView d) override { inner_.write(p, d); }
+  void append(const std::string& p, BytesView d) override {
+    inner_.append(p, d);
+    last_append_bytes_ = d.size();
+    last_append_file_ = inner_.read(p).size();
+  }
+  void truncate(const std::string& p, std::size_t n) override {
+    inner_.truncate(p, n);
+  }
+  void rename(const std::string& f, const std::string& t) override {
+    inner_.rename(f, t);
+  }
+  void remove(const std::string& p) override { inner_.remove(p); }
+  void mkdir(const std::string& p) override { inner_.mkdir(p); }
+  void fsync_file(const std::string& p) override { inner_.fsync_file(p); }
+  void fsync_dir(const std::string& d) override { inner_.fsync_dir(d); }
+  bool lock(const std::string& p, std::uint64_t* h) override {
+    return inner_.lock(p, h);
+  }
+  void unlock(const std::string& p) override { inner_.unlock(p); }
+
+ private:
+  MemFileIo& inner_;
+  mutable std::size_t bytes_read_ = 0;
+  std::size_t last_append_bytes_ = 0;
+  std::size_t last_append_file_ = 0;
+};
+
+/// Triggers of the rotations in the event ring, oldest first.
+std::vector<std::string> rotation_triggers() {
+  std::vector<std::string> out;
+  for (const obs::Event& e : obs::MetricsRegistry::instance().events()) {
+    if (e.name == "store_snapshot") out.push_back(e.detail);
+  }
+  return out;
+}
+
+TEST(StateStore, DefaultRuleRotatesLogarithmicallyInThePopulation) {
+  // 4096 add-users from an empty store. The count rule rotates every 64
+  // records; the default rule only once the WAL has caught up with the
+  // snapshot, i.e. each time the population grew by a constant factor.
+  const auto run = [](StoreOptions opts) {
+    MemFileIo fs;
+    ChaChaRng rng(kScriptSeed);
+    SecurityManager mgr(test::test_params(2, kScriptSeed), rng);
+    StateStore store =
+        StateStore::create(fs, "store", std::move(mgr), rng, opts);
+    for (int i = 0; i < 4096; ++i) store.add_user(rng);
+    return store.generation();
+  };
+  StoreOptions count64;
+  count64.snapshot_every = 64;
+  EXPECT_EQ(run(count64), 64u);
+  obs::MetricsRegistry::instance().reset();
+  const std::uint64_t rotations = run(StoreOptions{});
+  EXPECT_GE(rotations, 1u);
+  EXPECT_LE(rotations, 12u);  // log2(4096)
+#if DFKY_OBS_ENABLED
+  const std::vector<std::string> triggers = rotation_triggers();
+  EXPECT_EQ(triggers.size(), rotations);
+  for (const std::string& t : triggers) EXPECT_EQ(t, "bytes");
+#endif
+}
+
+TEST(StateStore, DefaultRuleBoundsWalBytesAndReplayWeight) {
+  // A population whose snapshot outweighs any 64 records, then a seeded
+  // batched mix of adds, revokes and new-periods. At its largest (the
+  // batch landed, the rotation not yet taken) the WAL holds at most the
+  // snapshot's bytes plus that batch; after every sync a replay redoes
+  // fewer multiexps than the limit, also as reopened from disk.
+  MemFileIo fs;
+  CountingFileIo io(fs);
+  ChaChaRng rng(kScriptSeed);
+  SecurityManager mgr(test::test_params(2, kScriptSeed), rng);
+  for (int i = 0; i < 1500; ++i) mgr.add_user(rng);
+  StateStore store = StateStore::create(io, "store", std::move(mgr), rng);
+  ASSERT_EQ(store.replay_weight_limit(), kRotationMinRecords * 3);
+  obs::MetricsRegistry::instance().reset();
+  store.set_batching(true);
+  std::uint64_t victim = 1;
+  for (int batch = 0; batch < 300; ++batch) {
+    const std::size_t snap_bytes = store.snapshot_bytes();
+    const std::size_t ops = 1 + rng.u64() % 8;
+    for (std::size_t i = 0; i < ops; ++i) {
+      const std::uint64_t roll = rng.u64() % 10;
+      if (roll < 5) {
+        store.add_user(rng);
+      } else if (roll < 9) {
+        const std::uint64_t ids[] = {victim++};
+        store.remove_users(ids, rng);
+      } else {
+        store.new_period(rng);
+      }
+    }
+    store.sync();
+    EXPECT_LE(io.last_append_file_bytes(),
+              snap_bytes + io.last_append_bytes())
+        << "batch " << batch;
+    EXPECT_LT(store.replay_weight(), store.replay_weight_limit())
+        << "batch " << batch;
+    EXPECT_LT(store.wal_bytes(), store.snapshot_bytes()) << "batch " << batch;
+    if (batch % 50 == 49) {
+      MemFileIo cut = fs;
+      cut.crash();
+      const StateStore reopened = StateStore::open(cut, "store");
+      EXPECT_EQ(reopened.replay_weight(), store.replay_weight());
+      EXPECT_EQ(reopened.wal_bytes(), store.wal_bytes());
+      EXPECT_EQ(reopened.snapshot_bytes(), store.snapshot_bytes());
+    }
+  }
+  EXPECT_GE(store.generation(), 2u);
+#if DFKY_OBS_ENABLED
+  const std::vector<std::string> triggers = rotation_triggers();
+  EXPECT_EQ(triggers.size(), store.generation());
+  for (const std::string& t : triggers) EXPECT_EQ(t, "replay");
+#endif
+}
+
+TEST(StateStore, ReopenMidWalRotatesAtTheSameRecord) {
+  // open() re-derives WAL bytes, replay weight and snapshot bytes from the
+  // files, so a store reopened every 37 ops keeps the uninterrupted run's
+  // rotation schedule record for record.
+  const auto run = [](std::size_t reopen_every) {
+    MemFileIo fs;
+    ChaChaRng rng(kScriptSeed);
+    SecurityManager mgr(test::test_params(2, kScriptSeed), rng);
+    std::optional<StateStore> store;
+    store.emplace(StateStore::create(fs, "store", std::move(mgr), rng));
+    std::vector<std::uint64_t> gens;
+    std::uint64_t victim = 0;
+    for (std::size_t op = 0; op < 600; ++op) {
+      if (reopen_every != 0 && op % reopen_every == 0) {
+        store.reset();
+        store.emplace(StateStore::open(fs, "store"));
+      }
+      if (op % 5 == 4) {
+        const std::uint64_t ids[] = {victim++};
+        store->remove_users(ids, rng);
+      } else {
+        store->add_user(rng);
+      }
+      gens.push_back(store->generation());
+    }
+    return std::make_pair(gens, store->manager().save_state());
+  };
+  const auto straight = run(0);
+  EXPECT_GE(straight.first.back(), 3u);
+  const auto reopened = run(37);
+  EXPECT_EQ(reopened.first, straight.first);
+  EXPECT_EQ(reopened.second, straight.second);
+}
+
+TEST(StateStore, ExplicitSnapshotEveryKeepsTheCountRule) {
+  // snapshot_every = 3: rotate after the commit that brings the WAL to 3
+  // or more records, exactly as the fixed schedule always did.
+  const ScriptFixture& f = fixture();
+  MemFileIo fs = f.base_fs;
+  StateStore store = StateStore::open(fs, "store", f.opts);
+  ChaChaRng rng(kScriptSeed);
+  script_base_manager(rng);
+  std::size_t op = 0, records_before = 0, held = 0;
+  std::uint64_t gen = 0;
+  run_script(store, rng, [&] {
+    held += f.records_after_op[op] - records_before;
+    records_before = f.records_after_op[op];
+    if (held >= 3) {
+      ++gen;
+      held = 0;
+    }
+    EXPECT_EQ(store.generation(), gen) << "op " << op;
+    EXPECT_EQ(store.wal_records(), held) << "op " << op;
+    ++op;
+  });
+  EXPECT_GE(gen, 2u);
 }
 
 TEST(Fsck, CleanStoreChecksOut) {
@@ -1000,6 +1251,144 @@ TEST(Replication, InspectStoreWalComparesReplicas) {
   EXPECT_FALSE(std::equal(forked.frames.begin(),
                           forked.frames.begin() + shorter,
                           wp.frames.begin()));
+}
+
+/// Frames [k, end) of a WAL file, found by walking every length prefix.
+Bytes full_scan_slice(const Bytes& wal, std::size_t k) {
+  std::size_t off = kWalHeaderBytes;
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t len = (std::size_t{wal[off]} << 24) |
+                            (std::size_t{wal[off + 1]} << 16) |
+                            (std::size_t{wal[off + 2]} << 8) |
+                            std::size_t{wal[off + 3]};
+    off += kWalFrameHeaderBytes + len;
+  }
+  return Bytes(wal.begin() + static_cast<std::ptrdiff_t>(off), wal.end());
+}
+
+TEST(Replication, ReadFramesFromReadsOnlyTheShippedBytes) {
+  // The frame index locates a shipment, so read_frames_from(k) on a long
+  // WAL reads the shipped frames and nothing else, and chain_tag_hex_at
+  // reads nothing. Both agree with a full scan of the file, also in a
+  // fresh generation and after replica_truncate.
+  MemFileIo fs;
+  CountingFileIo io(fs);
+  ChaChaRng rng(kScriptSeed);
+  SecurityManager mgr = script_base_manager(rng);
+  StoreOptions opts;
+  opts.snapshot_every = 1000;  // one long WAL
+  StateStore store = StateStore::create(io, "store", std::move(mgr), rng, opts);
+  const auto check = [&](const char* when) {
+    SCOPED_TRACE(when);
+    const std::size_t n = store.wal_records();
+    const Bytes wal =
+        fs.read("store/wal." + std::to_string(store.generation()));
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1}, n / 2, n - 1,
+                                n}) {
+      std::size_t before = io.bytes_read();
+      const WalShipment ship = store.read_frames_from(k);
+      EXPECT_LE(io.bytes_read() - before, kWalHeaderBytes + ship.frames.size());
+      EXPECT_EQ(ship.frames, full_scan_slice(wal, k)) << "k " << k;
+      EXPECT_EQ(ship.records, n - k);
+      EXPECT_EQ(ship.start_record, k);
+
+      // A capped shipment is the whole-frame prefix the cap admits.
+      before = io.bytes_read();
+      const WalShipment capped = store.read_frames_from(k, 300);
+      EXPECT_LE(io.bytes_read() - before,
+                kWalHeaderBytes + capped.frames.size());
+      EXPECT_EQ(capped.frames,
+                Bytes(ship.frames.begin(),
+                      ship.frames.begin() + static_cast<std::ptrdiff_t>(
+                                                capped.frames.size())));
+      if (k < n) {
+        EXPECT_GE(capped.records, 1u);
+        const Bytes rest = full_scan_slice(wal, k + capped.records);
+        EXPECT_EQ(capped.frames.size() + rest.size(), ship.frames.size());
+      }
+      before = io.bytes_read();
+      store.chain_tag_hex_at(k);
+      EXPECT_EQ(io.bytes_read(), before);
+    }
+  };
+
+  std::uint64_t victim = 1;
+  for (int i = 0; i < 200; ++i) {
+    store.add_user(rng);
+    if (i % 10 == 9) {
+      const std::uint64_t ids[] = {victim++};
+      store.remove_users(ids, rng);
+    }
+  }
+  check("long WAL");
+  store.snapshot();
+  for (int i = 0; i < 40; ++i) store.add_user(rng);
+  check("after a rotation");
+  const std::uint64_t keep = store.wal_records() - 7;
+  store.replica_truncate(store.generation(), keep,
+                         store.chain_tag_hex_at(keep));
+  ASSERT_EQ(store.wal_records(), keep);
+  check("after replica_truncate");
+  for (int i = 0; i < 5; ++i) store.add_user(rng);
+  check("after appending to a truncated WAL");
+}
+
+TEST(Replication, ReplicaKeepsThePrimaryRotationSchedule) {
+  // A follower's WAL bytes, replay weight and snapshot bytes track the
+  // primary's through frame ingest and snapshot installs, so a promoted
+  // follower rotates where the primary would have.
+  MemFileIo pfs, ffs;
+  ChaChaRng rng(kScriptSeed);
+  SecurityManager mgr = script_base_manager(rng);
+  ChaChaRng key_rng(1);
+  StateStore prim = StateStore::create(pfs, "store", std::move(mgr), key_rng);
+  clone_store_files(pfs, ffs, "store");
+  StateStore foll = StateStore::open(ffs, "store");
+  std::uint64_t victim = 1;
+  for (int i = 0; i < 400; ++i) {
+    if (i % 4 == 3) {
+      const std::uint64_t ids[] = {victim++};
+      prim.remove_users(ids, rng);
+    } else {
+      prim.add_user(rng);
+    }
+    if (foll.generation() != prim.generation()) {
+      foll.replica_apply_snapshot(prim.generation(),
+                                  prim.read_snapshot_frame());
+    }
+    const WalShipment ship = prim.read_frames_from(foll.wal_records());
+    foll.replica_apply_frames(ship.generation, ship.start_record, ship.frames);
+    ASSERT_EQ(foll.wal_bytes(), prim.wal_bytes()) << "op " << i;
+    ASSERT_EQ(foll.replay_weight(), prim.replay_weight()) << "op " << i;
+    ASSERT_EQ(foll.snapshot_bytes(), prim.snapshot_bytes()) << "op " << i;
+  }
+  EXPECT_GE(prim.generation(), 2u);
+}
+
+TEST(Replication, UserCountsMatchAScanAfterScriptReopenAndIngest) {
+  // active_users()/revoked_users() are kept as counts; they must agree
+  // with a scan of users() however the manager was reached.
+  const auto expect_counts = [](const SecurityManager& m, const char* where) {
+    std::size_t active = 0, revoked = 0;
+    for (const UserRecord& u : m.users()) (u.revoked ? revoked : active) += 1;
+    EXPECT_EQ(m.active_users(), active) << where;
+    EXPECT_EQ(m.revoked_users(), revoked) << where;
+  };
+  ReplicaPair p(/*snapshot_every=*/3);
+  ChaChaRng rng(kScriptSeed);
+  script_base_manager(rng);
+  run_script(*p.prim, rng, [&] {
+    expect_counts(p.prim->manager(), "primary");
+    p.ship_all();  // snapshot installs and frame ingest
+    expect_counts(p.foll->manager(), "replica");
+  });
+  EXPECT_GT(p.prim->manager().revoked_users(), 0u);
+  MemFileIo cut = p.pfs;
+  cut.crash();
+  const StateStore reopened = StateStore::open(cut, "store");
+  expect_counts(reopened.manager(), "reopened");
+  EXPECT_EQ(reopened.manager().revoked_users(),
+            p.prim->manager().revoked_users());
 }
 
 TEST(Term, PersistsMonotonicallyAcrossReopen) {

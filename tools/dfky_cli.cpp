@@ -295,9 +295,8 @@ int shard_set_status(const std::string& path) {
   }
   std::size_t active = 0, revoked = 0;
   for (const StateStore& s : stores) {
-    for (const UserRecord& u : s.manager().users()) {
-      (u.revoked ? revoked : active) += 1;
-    }
+    active += s.manager().active_users();
+    revoked += s.manager().revoked_users();
   }
   std::printf("shards:            %zu\n", rep.shards);
   std::printf("period:            %llu%s\n",
@@ -310,14 +309,11 @@ int shard_set_status(const std::string& path) {
   }
   for (std::size_t i = 0; i < stores.size(); ++i) {
     const StateStore& s = stores[i];
-    std::size_t a = 0, r = 0;
-    for (const UserRecord& u : s.manager().users()) {
-      (u.revoked ? r : a) += 1;
-    }
     std::printf(
         "shard %zu:           period %llu, %zu active, %zu revoked, "
         "generation %llu, %zu WAL record(s)\n",
-        i, static_cast<unsigned long long>(s.manager().period()), a, r,
+        i, static_cast<unsigned long long>(s.manager().period()),
+        s.manager().active_users(), s.manager().revoked_users(),
         static_cast<unsigned long long>(s.generation()), s.wal_records());
   }
   return 0;
@@ -331,15 +327,12 @@ int cmd_status(std::vector<std::string> args) {
   }
   const StateHandle h = load_state(args[0]);
   const SecurityManager& mgr = h.mgr();
-  std::size_t active = 0, revoked = 0;
-  for (const UserRecord& u : mgr.users()) {
-    (u.revoked ? revoked : active) += 1;
-  }
   std::printf("period:            %llu\n",
               static_cast<unsigned long long>(mgr.period()));
   std::printf("saturation:        %zu / %zu\n", mgr.saturation_level(),
               mgr.saturation_limit());
-  std::printf("users:             %zu active, %zu revoked\n", active, revoked);
+  std::printf("users:             %zu active, %zu revoked\n",
+              mgr.active_users(), mgr.revoked_users());
   std::printf("group:             %s, %zu-bit order\n",
               mgr.params().group.is_elliptic() ? "elliptic-curve" : "Z_p*",
               mgr.params().group.order().bit_length());

@@ -33,6 +33,13 @@ int usage(std::FILE* out) {
                "(default 10000; 0 disables) are kept in the slow-request log\n"
                "served by the `trace` verb and GET /trace.\n"
                "\n"
+               "Snapshots (DESIGN.md Sect. 9.2): by default a shard rotates\n"
+               "its snapshot once its WAL holds 64 records and either its\n"
+               "bytes reach the snapshot's or a replay would redo 64*(v+1)\n"
+               "multiexps, so an ack's share of rotation cost does not grow\n"
+               "with the user population. --snapshot-every N rotates every\n"
+               "N WAL records instead.\n"
+               "\n"
                "Front end (DESIGN.md Sect. 15): connections are served by an\n"
                "epoll reactor; requests execute on --workers threads (default:\n"
                "hardware, clamped to 4..16). --backlog sets the listen(2)\n"
