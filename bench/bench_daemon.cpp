@@ -334,7 +334,11 @@ ReactorResult run_reactor(FileIo& io, const std::string& dir,
       lat[c].reserve(per);
       for (std::size_t i = 0; i < per; ++i) {
         const auto s = Clock::now();
+        // GCC 12 -Wrestrict false positive inside libstdc++'s char_traits.h.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
         if (!send_line(fd, "@" + std::to_string(i) + " add-user")) break;
+#pragma GCC diagnostic pop
         if (!recv_line(fd, buf, resp)) break;
         lat[c].push_back(static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(

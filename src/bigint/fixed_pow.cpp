@@ -25,7 +25,8 @@ class SizedMpz {
 }  // namespace
 
 FixedPowTable::FixedPowTable(const Bigint& base, const Bigint& mod,
-                             std::size_t exp_bits, std::size_t window_bits)
+                             std::size_t exp_bits, std::size_t window_bits,
+                             const std::function<bool()>& stop)
     : mod_(mod), window_bits_(window_bits), width_(mpz_size(mod.raw())) {
   require(window_bits >= 1 && window_bits <= 8,
           "FixedPowTable: window_bits must be in [1, 8]");
@@ -36,6 +37,7 @@ FixedPowTable::FixedPowTable(const Bigint& base, const Bigint& mod,
   SizedMpz step(width_ + 1), acc(width_ + 1), prod(2 * width_ + 1);
   mpz_mod(step.get(), base.raw(), mod_.raw());  // base^(2^(row * w))
   for (std::size_t row = 0; row < rows_; ++row) {
+    if (stop && stop()) throw BuildStopped();
     mpz_set(acc.get(), step.get());
     for (std::size_t d = 1; d <= per_row(); ++d) {
       std::copy_n(mpz_limbs_read(acc.get()), mpz_size(acc.get()),

@@ -9,18 +9,29 @@
 // temporaries sized once per call, so no step allocates.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "bigint/bigint.h"
 
 namespace dfky {
 
+/// Thrown by a table constructor whose `stop` answered true: the build was
+/// abandoned and no table exists.
+class BuildStopped : public Error {
+ public:
+  BuildStopped() : Error("fixed-base table build stopped") {}
+};
+
 class FixedPowTable {
  public:
   /// Tables for `base` mod `mod` covering exponents below 2^exp_bits.
-  /// Requires mod > 1 and window_bits in [1, 8].
+  /// Requires mod > 1 and window_bits in [1, 8]. `stop`, when given, is
+  /// asked before each row; once it answers true the constructor throws
+  /// BuildStopped.
   FixedPowTable(const Bigint& base, const Bigint& mod, std::size_t exp_bits,
-                std::size_t window_bits);
+                std::size_t window_bits,
+                const std::function<bool()>& stop = {});
 
   /// base^e mod m. Throws ContractError unless 0 <= e < 2^exp_bits.
   Bigint pow(const Bigint& e) const;

@@ -71,11 +71,16 @@ Encryptor::Encryptor(const Encryptor& prev, PublicKey pk)
   }
 }
 
-Encryptor Encryptor::with_tables() const {
+Encryptor Encryptor::with_tables(const std::function<bool()>& stop) const {
   Encryptor out = *this;
   for (std::size_t i = 0; i < out.tables_.size(); ++i) {
     if (!out.tables_[i]) {
-      out.tables_[i] = std::make_shared<const FixedBaseTable>(sp_.group, base(i));
+      try {
+        out.tables_[i] = std::make_shared<const FixedBaseTable>(
+            sp_.group, base(i), kFixedBaseWindow, stop);
+      } catch (const BuildStopped&) {
+        break;
+      }
     }
   }
   return out;

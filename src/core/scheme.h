@@ -4,6 +4,7 @@
 // registry) lives in SecurityManager / Receiver.
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "core/ciphertext.h"
@@ -55,8 +56,10 @@ class Encryptor {
   Encryptor(const Encryptor& prev, PublicKey pk);
 
   /// A copy with a table on every base, building the missing ones at
-  /// kFixedBaseWindow.
-  Encryptor with_tables() const;
+  /// kFixedBaseWindow. `stop` is asked before each row of a build; once it
+  /// answers true the table in hand is dropped and the copy comes back
+  /// with only the tables finished so far.
+  Encryptor with_tables(const std::function<bool()>& stop = {}) const;
 
   const SystemParams& params() const { return sp_; }
   const PublicKey& public_key() const { return pk_; }

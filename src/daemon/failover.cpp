@@ -27,7 +27,11 @@ struct Position {
 Position parse_position(const Response& r) {
   Position p;
   for (std::size_t k = 0;; ++k) {
+    // GCC 12 -Wrestrict false positive inside libstdc++'s char_traits.h.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
     const auto it = r.fields.find("s" + std::to_string(k));
+#pragma GCC diagnostic pop
     if (it == r.fields.end()) break;
     const std::size_t colon = it->second.find(':');
     if (colon == std::string::npos) continue;

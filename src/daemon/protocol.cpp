@@ -82,7 +82,11 @@ TaggedLine split_request_tag(std::string_view line) {
 std::string tag_response(std::optional<std::uint64_t> id,
                          std::string response) {
   if (!id) return response;
+  // GCC 12 -Wrestrict false positive inside libstdc++'s char_traits.h.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
   return "@" + std::to_string(*id) + " " + std::move(response);
+#pragma GCC diagnostic pop
 }
 
 std::string ok_response(

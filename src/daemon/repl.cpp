@@ -138,7 +138,8 @@ void ReplicationSender::note_contact(Follower& f) {
   ack_cv_.notify_all();  // the lease just got fresher
 }
 
-void ReplicationSender::note_nack(const Follower& f, const std::string& error) {
+void ReplicationSender::note_nack([[maybe_unused]] const Follower& f,
+                                  const std::string& error) {
   const auto newer = parse_stale_term(error);
   if (!newer) return;
   // Keep the largest term any follower reported, then signal exactly once:
@@ -232,7 +233,11 @@ bool ReplicationSender::establish(Follower& f) {
     for (std::size_t k = 0; k < router_.shards(); ++k) {
       // s<k> = "<generation>:<records>[:<chain-head-hex>]" (the chain head
       // is new in Sect. 14; absent from pre-failover followers).
+      // GCC 12 -Wrestrict false positive inside libstdc++'s char_traits.h.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
       const auto it = resp->fields.find("s" + std::to_string(k));
+#pragma GCC diagnostic pop
       f.gen[k] = 0;
       f.acked[k] = 0;
       if (it == resp->fields.end()) continue;

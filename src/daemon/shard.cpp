@@ -47,6 +47,12 @@ ShardRouter::ShardRouter(std::vector<StateStore> stores,
   std::uint64_t term = 0;
   for (const auto& sh : shards_) term = std::max(term, sh->store.term());
   term_.store(term);
+  // Round-robin placement resumes where the set's user count leaves it,
+  // so a reopened set (a restart, or one offline `dfky_cli add` per
+  // process) keeps filling the shards evenly instead of from shard 0.
+  std::uint64_t users = 0;
+  for (const auto& sh : shards_) users += sh->store.manager().users().size();
+  next_add_.store(users);
   // A follower runs no committers: its stores must stay in
   // fsync-per-mutation mode so replica ingest appends land directly.
   if (!follower) start_committers();
@@ -127,7 +133,7 @@ void ShardRouter::note_term(Shard& sh, std::uint64_t term, const char* verb) {
   if (term > ours) adopt_term(term);
 }
 
-void ShardRouter::stamp_trace(Shard& sh) {
+void ShardRouter::stamp_trace([[maybe_unused]] Shard& sh) {
   DFKY_OBS(if (const obs::TraceContext* t = obs::current_trace()) {
     sh.last_trace_id.store(t->id, std::memory_order_relaxed);
   });
@@ -183,7 +189,7 @@ ShardRouter::~ShardRouter() {
     build_stop_ = true;
   }
   build_cv_.notify_all();
-  builder_.join();  // lets a build in hand finish: one key's tables
+  builder_.join();  // waits out at most one table row
   stop_commits();
 }
 
@@ -209,10 +215,14 @@ void ShardRouter::build_tables() {
     lk.unlock();
     const std::shared_ptr<const Encryptor> from = sh.cached_encryptor();
     if (from && !from->complete()) {
+      // Checks for shutdown between table rows and drops an unfinished
+      // build, so neither ~ShardRouter nor a one-shot process waits for a
+      // key's tables.
+      auto next = std::make_shared<const Encryptor>(
+          from->with_tables([this] { return build_stop_.load(); }));
       // Fails if an encrypt swapped in a newer key's Encryptor meanwhile;
       // that encrypt queued the shard again.
-      sh.swap_encryptor(from,
-                        std::make_shared<const Encryptor>(from->with_tables()));
+      if (next->complete()) sh.swap_encryptor(from, std::move(next));
     }
     lk.lock();
   }

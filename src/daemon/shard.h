@@ -368,10 +368,10 @@ class ShardRouter {
   std::atomic<std::uint64_t> next_add_{0};  // round-robin placement
   std::mutex barrier_mu_;  // serializes new_period_all (and promote)
   std::mutex term_mu_;     // serializes TERM-file persistence
-  std::mutex build_mu_;    // guards build_queue_ and build_stop_
+  std::mutex build_mu_;    // guards build_queue_; build_stop_ is set under it
   std::condition_variable build_cv_;
   std::deque<std::size_t> build_queue_;
-  bool build_stop_ = false;
+  std::atomic<bool> build_stop_{false};  // also read between table rows
   std::thread builder_;  // started last in the constructor, joined first
 };
 

@@ -5,14 +5,15 @@
 namespace dfky {
 
 FixedBaseTable::FixedBaseTable(const Group& group, const Gelt& base,
-                               std::size_t window_bits)
+                               std::size_t window_bits,
+                               const std::function<bool()>& stop)
     : window_bits_(window_bits) {
   require(window_bits >= 1 && window_bits <= 8,
           "FixedBaseTable: window_bits must be in [1, 8]");
   DFKY_OBS_TIMER(obs_span, "dfky_fixedbase_precompute_ns");
   const std::size_t exp_bits = group.order().bit_length();
   if (!group.is_elliptic()) {
-    zp_.emplace(base.value(), group.p(), exp_bits, window_bits);
+    zp_.emplace(base.value(), group.p(), exp_bits, window_bits, stop);
     return;
   }
   const std::size_t digits = (exp_bits + window_bits - 1) / window_bits;
@@ -20,6 +21,7 @@ FixedBaseTable::FixedBaseTable(const Group& group, const Gelt& base,
   ec_rows_.reserve(digits);
   Gelt window_base = base;  // base^(2^(i * w)) at digit i
   for (std::size_t i = 0; i < digits; ++i) {
+    if (stop && stop()) throw BuildStopped();
     std::vector<Gelt> row;
     row.reserve(radix - 1);
     Gelt acc = window_base;

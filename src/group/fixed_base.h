@@ -9,6 +9,7 @@
 // holds one table per base.
 #pragma once
 
+#include <functional>
 #include <optional>
 
 #include "bigint/fixed_pow.h"
@@ -25,9 +26,12 @@ inline constexpr std::size_t kFixedBaseWindow = 6;
 class FixedBaseTable {
  public:
   /// Precomputes tables for `base` covering exponents below the group
-  /// order. `window_bits` in [1, 8].
+  /// order. `window_bits` in [1, 8]. `stop`, when given, is asked before
+  /// each digit row; once it answers true the constructor throws
+  /// BuildStopped.
   FixedBaseTable(const Group& group, const Gelt& base,
-                 std::size_t window_bits = kFixedBaseWindow);
+                 std::size_t window_bits = kFixedBaseWindow,
+                 const std::function<bool()>& stop = {});
 
   /// base^e (e reduced mod q).
   Gelt pow(const Group& group, const Bigint& e) const;

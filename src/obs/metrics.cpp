@@ -58,7 +58,11 @@ std::string labels_json(const Labels& labels) {
   for (const auto& [k, v] : labels) {
     if (!first) out += ",";
     first = false;
+    // GCC 12 -Wrestrict false positive inside libstdc++'s char_traits.h.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
     out += "\"" + json::escape(k) + "\":\"" + json::escape(v) + "\"";
+#pragma GCC diagnostic pop
   }
   out += "}";
   return out;

@@ -1204,6 +1204,23 @@ std::vector<StateStore> open_shard_set(FileIo& io, const std::string& root,
   return shards;
 }
 
+std::vector<StateStore> open_deployment(FileIo& io, const std::string& dir,
+                                        Rng& rng, StoreOptions opts,
+                                        ShardSetReport* report) {
+  if (is_shard_root(io, dir)) {
+    return open_shard_set(io, dir, rng, opts, report);
+  }
+  std::vector<StateStore> stores;
+  stores.push_back(StateStore::open(io, dir, opts));
+  if (report != nullptr) {
+    report->shards = 1;
+    report->epoch = stores[0].manager().period();
+    report->rolled_forward = 0;
+    report->recoveries = {stores[0].recovery_report()};
+  }
+  return stores;
+}
+
 // ---- fsck ----------------------------------------------------------------------
 
 FsckReport fsck_store(FileIo& io, const std::string& dir, bool repair) {

@@ -349,6 +349,15 @@ std::vector<StateStore> open_shard_set(FileIo& io, const std::string& root,
                                        Rng& rng, StoreOptions opts = {},
                                        ShardSetReport* report = nullptr);
 
+/// Opens a deployment the way a primary does: a shard root through
+/// open_shard_set (lagging shards rolled forward with `rng`), a plain
+/// store through StateStore::open as a one-element set. dfkyd and
+/// dfky_cli's offline verbs both open through here. `report`, when given,
+/// describes a plain store as a set of one.
+std::vector<StateStore> open_deployment(FileIo& io, const std::string& dir,
+                                        Rng& rng, StoreOptions opts = {},
+                                        ShardSetReport* report = nullptr);
+
 /// File-system check for a store directory. In check mode (repair = false)
 /// nothing is written and `ok` reports whether the store is pristine: a
 /// valid key file, exactly one generation, a clean WAL, no stale files.

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # End-to-end exercise of tools/dfky_cli: init -> subscribe -> broadcast ->
-# revoke -> period change -> key update -> pirate -> trace; once against a
-# legacy state file and once against a durable store directory (plus
-# dfky_fsck when its binary is passed as $2).
+# revoke -> period change -> key update -> pirate -> trace on a store
+# directory, the same offline verbs on a shard root, and dfky_fsck when
+# its binary is passed as $2. The offline verbs run through the daemon's
+# request handler in process, so the metrics check below also proves
+# they took that path.
 set -euo pipefail
 
 CLI="$1"
@@ -13,19 +15,20 @@ cd "$WORK"
 
 fail() { echo "cli_e2e: $1" >&2; exit 1; }
 
-"$CLI" init sys.state --v 4 --group test128 >/dev/null
-"$CLI" add sys.state alice.key >/dev/null
-"$CLI" add sys.state bob.key >/dev/null
-"$CLI" add sys.state carol.key >/dev/null
+"$CLI" init sys.d --v 4 --group test128 >/dev/null
+[ -f sys.d/store.key ] || fail "init did not create a store directory"
+"$CLI" add sys.d alice.key >/dev/null
+"$CLI" add sys.d bob.key >/dev/null
+"$CLI" add sys.d carol.key >/dev/null
 
 printf 'the midnight broadcast' > payload.bin
-"$CLI" encrypt sys.state payload.bin b1.bin >/dev/null
+"$CLI" encrypt sys.d payload.bin b1.bin >/dev/null
 [ "$("$CLI" decrypt alice.key b1.bin)" = "the midnight broadcast" ] \
   || fail "alice cannot decrypt"
 
 # Revoke carol (id 2): she must be barred, alice unaffected.
-"$CLI" revoke sys.state 2 >/dev/null
-"$CLI" encrypt sys.state payload.bin b2.bin >/dev/null
+"$CLI" revoke sys.d 2 >/dev/null
+"$CLI" encrypt sys.d payload.bin b2.bin >/dev/null
 [ "$("$CLI" decrypt alice.key b2.bin)" = "the midnight broadcast" ] \
   || fail "alice broken after revocation"
 if "$CLI" decrypt carol.key b2.bin >/dev/null 2>&1; then
@@ -33,16 +36,16 @@ if "$CLI" decrypt carol.key b2.bin >/dev/null 2>&1; then
 fi
 
 # Trace an alice+bob pirate key.
-"$CLI" pirate sys.state pirate.rep alice.key bob.key >/dev/null
-"$CLI" trace sys.state pirate.rep | grep -q '#0' || fail "trace missed alice"
-"$CLI" trace sys.state pirate.rep | grep -q '#1' || fail "trace missed bob"
+"$CLI" pirate sys.d pirate.rep alice.key bob.key >/dev/null
+"$CLI" trace sys.d pirate.rep | grep -q '#0' || fail "trace missed alice"
+"$CLI" trace sys.d pirate.rep | grep -q '#1' || fail "trace missed bob"
 
 # Force a period change (4 more revocations with v = 4), apply the reset.
-for i in 1 2 3 4; do "$CLI" add sys.state "u$i.key" >/dev/null; done
-"$CLI" revoke sys.state 3 4 5 6 --reset-out reset >/dev/null
+for i in 1 2 3 4; do "$CLI" add sys.d "u$i.key" >/dev/null; done
+"$CLI" revoke sys.d 3 4 5 6 --reset-out reset >/dev/null
 [ -f reset.0.bin ] || fail "no reset bundle emitted"
 "$CLI" apply-reset alice.key reset.0.bin >/dev/null
-"$CLI" encrypt sys.state payload.bin b3.bin >/dev/null
+"$CLI" encrypt sys.d payload.bin b3.bin >/dev/null
 [ "$("$CLI" decrypt alice.key b3.bin)" = "the midnight broadcast" ] \
   || fail "alice cannot decrypt after period change"
 
@@ -51,14 +54,14 @@ if "$CLI" decrypt bob.key b3.bin >/dev/null 2>&1; then
   fail "stale bob still decrypts"
 fi
 
-"$CLI" status sys.state | grep -q 'period: *1' || fail "period not advanced"
+"$CLI" status sys.d | grep -q 'period: *1' || fail "period not advanced"
 
 # ---- exit codes and usage routing --------------------------------------------
 if "$CLI" frobnicate >/dev/null 2>err.txt; then
   fail "unknown command exited 0"
 fi
 grep -q '^usage:' err.txt || fail "unknown command: no usage on stderr"
-if "$CLI" status sys.state --frob 2>/dev/null; then
+if "$CLI" status sys.d --frob 2>/dev/null; then
   fail "unknown flag exited 0"
 fi
 if "$CLI" >/dev/null 2>err.txt; then
@@ -81,14 +84,14 @@ check_usage_error() {
     fail "'$*' died by uncaught exception: $(cat err.txt)"
   fi
 }
-check_usage_error revoke sys.state banana
-check_usage_error revoke sys.state -5
-check_usage_error revoke sys.state 18446744073709551616
-check_usage_error revoke sys.state 99999999999999999999999999
-check_usage_error init never.state --v banana
-check_usage_error init never.state --v -1
-check_usage_error init never.state --v 18446744073709551616
-[ ! -e never.state ] || fail "malformed --v still created the state file"
+check_usage_error revoke sys.d banana
+check_usage_error revoke sys.d -5
+check_usage_error revoke sys.d 18446744073709551616
+check_usage_error revoke sys.d 99999999999999999999999999
+check_usage_error init never.d --v banana
+check_usage_error init never.d --v -1
+check_usage_error init never.d --v 18446744073709551616
+[ ! -e never.d ] || fail "malformed --v still created the store"
 check_usage_error stats nothing.jsonl --since banana
 # client-mode ids go through the same parser.
 check_usage_error client nowhere.sock revoke banana
@@ -101,13 +104,13 @@ grep -q 'cannot connect' err.txt || fail "client: unclear connect error"
 
 # ---- metrics: --metrics-out snapshots merged by `stats` ----------------------
 M="metrics.jsonl"
-"$CLI" init sys2.state --v 2 --group test128 --metrics-out "$M" >/dev/null
-"$CLI" add sys2.state dora.key --metrics-out "$M" >/dev/null
-for i in 1 2 3; do "$CLI" add sys2.state "w$i.key" --metrics-out "$M" >/dev/null; done
-"$CLI" revoke sys2.state 1 2 3 --reset-out r2 --metrics-out "$M" >/dev/null
+"$CLI" init sys2.d --v 2 --group test128 --metrics-out "$M" >/dev/null
+"$CLI" add sys2.d dora.key --metrics-out "$M" >/dev/null
+for i in 1 2 3; do "$CLI" add sys2.d "w$i.key" --metrics-out "$M" >/dev/null; done
+"$CLI" revoke sys2.d 1 2 3 --reset-out r2 --metrics-out "$M" >/dev/null
 [ -f r2.0.bin ] || fail "no reset bundle from sys2 revocations"
 "$CLI" apply-reset dora.key r2.0.bin --metrics-out "$M" >/dev/null
-"$CLI" encrypt sys2.state payload.bin b4.bin --metrics-out "$M" >/dev/null
+"$CLI" encrypt sys2.d payload.bin b4.bin --metrics-out "$M" >/dev/null
 [ "$("$CLI" decrypt dora.key b4.bin --metrics-out "$M")" = "the midnight broadcast" ] \
   || fail "dora cannot decrypt after period change"
 
@@ -116,13 +119,18 @@ head -n 1 "$M" | grep -q '"kind":"meta"' || fail "metrics file: no meta line"
 if grep -q '"obs":"on"' "$M"; then
   # Obs layer compiled in: the scripted session must have left real numbers.
   grep -q 'obs layer: on' stats.txt || fail "stats: obs layer not reported on"
-  grep -Eq 'dfky_bus_publish_bytes_total\{type="change_period"\} +[1-9]' stats.txt \
-    || fail "stats: no publish bytes for the period change"
+  grep -Eq 'dfky_resets_generated_total\{mode="[a-z]+"\} +[1-9]' stats.txt \
+    || fail "stats: no reset generated for the period change"
+  # The offline revoke went through the daemon's request handler.
+  grep -Eq 'dfkyd_requests_total\{outcome="ok",verb="revoke"\} +[1-9]' stats.txt \
+    || fail "stats: offline revoke did not run through the request handler"
   grep -Eq 'dfky_reset_apply_total\{outcome="applied"\} +[1-9]' stats.txt \
     || fail "stats: reset apply not counted"
   grep -Eq 'dfky_decrypt_ns\{path="user"\} +count=[1-9]' stats.txt \
     || fail "stats: no decrypt timings"
-  "$CLI" stats "$M" --format prom | grep -q 'dfky_users_added_total' \
+  # No grep -q on a long output: it exits at the first match and SIGPIPEs
+  # the writer, which pipefail turns into a failure.
+  "$CLI" stats "$M" --format prom | grep 'dfky_users_added_total' >/dev/null \
     || fail "stats --format prom missing counters"
 else
   # DFKY_OBS=OFF build: snapshots are meta-only and stats must say so.
@@ -134,9 +142,9 @@ fi
 
 # ---- stats --since windows snapshots by their meta timestamp -----------------
 grep -q '"ts":' "$M" || fail "metrics meta lines carry no timestamp"
-"$CLI" stats "$M" --since 0 | grep -q 'snapshots: [1-9]' \
+"$CLI" stats "$M" --since 0 | grep 'snapshots: [1-9]' >/dev/null \
   || fail "stats --since 0 dropped everything"
-"$CLI" stats "$M" --since 99999999999 | grep -q 'snapshots: 0' \
+"$CLI" stats "$M" --since 99999999999 | grep 'snapshots: 0' >/dev/null \
   || fail "stats --since far-future kept snapshots"
 if "$CLI" stats "$M" --since yesterday >/dev/null 2>&1; then
   fail "stats --since accepted a non-numeric timestamp"
@@ -165,22 +173,25 @@ fi
 check_usage_error stats "$M" --user banana
 check_usage_error stats "$M" --name ''
 
-# ---- corrupt state files die with a clear message ----------------------------
-printf 'not a dfky state file' > bogus.state
+# ---- unreadable stores die with a clear message ------------------------------
+printf 'not a dfky store' > bogus.state
 if "$CLI" status bogus.state >/dev/null 2>err.txt; then
-  fail "corrupt state file exited 0"
+  fail "a plain file opened as a store"
 fi
-grep -q "corrupt or not a dfky state file" err.txt \
-  || fail "corrupt state: unclear message: $(cat err.txt)"
-head -c 100 sys.state > truncated.state
-if "$CLI" add truncated.state never.key >/dev/null 2>err.txt; then
-  fail "truncated state file exited 0"
+grep -q "is not a store directory" err.txt \
+  || fail "plain file: unclear message: $(cat err.txt)"
+"$CLI" init trunc.d --v 2 --group test128 >/dev/null
+snapfile=(trunc.d/snap.*)
+head -c 100 "${snapfile[0]}" > snap.part && mv snap.part "${snapfile[0]}"
+if "$CLI" add trunc.d never.key >/dev/null 2>err.txt; then
+  fail "a store with a truncated snapshot exited 0"
 fi
-grep -q "corrupt" err.txt || fail "truncated state: unclear message"
+grep -q "corrupt" err.txt || fail "truncated snapshot: unclear message: $(cat err.txt)"
+[ ! -e never.key ] || fail "a corrupt store still issued a key"
 
-# ---- the same lifecycle on a durable store directory -------------------------
-"$CLI" init store.sys --v 4 --group test128 --store >/dev/null
-[ -d store.sys ] || fail "init --store did not create a directory"
+# ---- new-period, status and fsck on a store directory ------------------------
+"$CLI" init store.sys --v 4 --group test128 >/dev/null
+[ -d store.sys ] || fail "init did not create a directory"
 [ -f store.sys/store.key ] || fail "store missing store.key"
 "$CLI" add store.sys s_alice.key >/dev/null
 "$CLI" add store.sys s_bob.key >/dev/null
@@ -199,10 +210,13 @@ fi
 [ "$("$CLI" decrypt s_alice.key sb3.bin)" = "the midnight broadcast" ] \
   || fail "store: alice cannot decrypt after new-period"
 "$CLI" status store.sys | grep -q 'period: *1' || fail "store: period not advanced"
-"$CLI" status store.sys | grep -q 'store: *generation' \
-  || fail "store: status does not report the store line"
-if "$CLI" init store.sys --v 4 --group test128 --store >/dev/null 2>&1; then
-  fail "init --store over an existing store exited 0"
+"$CLI" status store.sys | grep -q '^wal_records: *[1-9]' \
+  || fail "store: status does not report the WAL"
+if "$CLI" init store.sys --v 4 --group test128 >/dev/null 2>&1; then
+  fail "init over an existing store exited 0"
+fi
+if "$CLI" init legacy.d --store >/dev/null 2>&1; then
+  fail "init accepted the removed --store flag"
 fi
 
 if [ -n "$FSCK" ]; then
@@ -227,5 +241,40 @@ if [ -n "$FSCK" ]; then
   set -e
   [ "$rc" = 2 ] || fail "fsck: corrupt snapshot exit code $rc, want 2"
 fi
+
+# ---- the offline verbs on a shard root ----------------------------------------
+"$CLI" init shards.d --v 4 --group test128 --shards 2 | grep -q '(2 shards)' \
+  || fail "init --shards 2 did not report 2 shards"
+# One process per add: placement still alternates, ids 0..3 -> shard id % 2.
+for u in 0 1 2 3; do
+  "$CLI" add shards.d "h$u.key" | grep -q "added user #$u " \
+    || fail "shard root: add $u did not get id $u"
+done
+"$CLI" revoke shards.d 3 | grep -q 'revoked 1 user' \
+  || fail "shard root: revoke failed"
+"$CLI" encrypt shards.d payload.bin hb1.bin --shard 1 >/dev/null
+[ "$("$CLI" decrypt h1.key hb1.bin)" = "the midnight broadcast" ] \
+  || fail "shard root: h1 cannot decrypt shard 1's broadcast"
+if "$CLI" decrypt h3.key hb1.bin >/dev/null 2>&1; then
+  fail "shard root: revoked h3 still decrypts"
+fi
+"$CLI" new-period shards.d --reset-out shp >/dev/null
+[ -f shp.0.bin ] && [ -f shp.1.bin ] \
+  || fail "shard root: new-period did not emit one bundle per shard"
+"$CLI" apply-reset h0.key shp.0.bin >/dev/null
+"$CLI" apply-reset h1.key shp.1.bin >/dev/null
+for k in 0 1; do
+  "$CLI" encrypt shards.d payload.bin "hb2.$k.bin" --shard "$k" >/dev/null
+  [ "$("$CLI" decrypt "h$k.key" "hb2.$k.bin")" = "the midnight broadcast" ] \
+    || fail "shard root: h$k cannot decrypt after new-period"
+done
+"$CLI" status shards.d > sstatus.txt
+for want in 'shards: 2' 'period: 1' 'periods: 1,1' 'active: 3' 'revoked: 1'; do
+  grep -qx "$want" sstatus.txt || fail "shard root status: no '$want': $(cat sstatus.txt)"
+done
+if "$CLI" trace shards.d pirate.rep >/dev/null 2>err.txt; then
+  fail "trace accepted a shard root"
+fi
+grep -q 'is a shard set' err.txt || fail "trace on a shard root: unclear message"
 
 echo "cli_e2e: ok"

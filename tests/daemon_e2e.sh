@@ -70,7 +70,7 @@ if "$DFKYD" store.d --socket "$SOCK" --workers 0 2>/dev/null; then
 fi
 [ ! -d store.d ] || fail "a rejected invocation created the store dir"
 
-"$CLI" init store.d --v 4 --group test128 --store >/dev/null
+"$CLI" init store.d --v 4 --group test128 >/dev/null
 start_daemon
 
 # ---- the daemon's lock shuts everyone else out --------------------------------
@@ -267,13 +267,23 @@ PID=""
 [ "$rc" = 0 ] || fail "SIGTERM shutdown exited $rc"
 grep -q 'shutdown complete' dfkyd.log || fail "no shutdown message"
 [ ! -e "$SOCK" ] || fail "socket file left behind"
-"$CLI" status store.d >/dev/null || fail "store still locked after shutdown"
+"$CLI" status store.d > offline_status.txt \
+  || fail "store still locked after shutdown"
 if [ -n "$FSCK" ]; then
   "$FSCK" store.d >/dev/null || fail "fsck dirty after graceful shutdown"
 fi
 
 # ---- SIGKILL mid-load: every acked mutation survives the restart --------------
 start_daemon
+# Offline `status` and `client status` read the released store alike: both
+# run the same request through the same handler.
+"$CLI" client "$SOCK" status > served_status.txt
+for f in period active revoked; do
+  v=$(sed -n "s/^$f: //p" offline_status.txt)
+  [ -n "$v" ] || fail "offline status has no $f: $(cat offline_status.txt)"
+  [ "$v" = "$(sed -n "s/^$f: //p" served_status.txt)" ] \
+    || fail "offline and served status disagree on $f"
+done
 users_before=$("$CLI" client "$SOCK" status | sed -n 's/^active: //p')
 : > acked.txt
 pids=()
@@ -313,7 +323,7 @@ fi
 # slow threshold well below the stall, the mutation must surface as a
 # slow_trace that attributes the time to its fsync span (DESIGN.md 13.3).
 if [ "$OBS_ON" = 1 ]; then
-  "$CLI" init slow.d --v 4 --group test128 --store >/dev/null
+  "$CLI" init slow.d --v 4 --group test128 >/dev/null
   : > slow.log
   DFKYD_TEST_FSYNC_STALL_US=20000 "$DFKYD" slow.d --socket "$WORK/slow.sock" \
     --trace-slow-us 5000 >> slow.log 2>&1 &
@@ -343,7 +353,7 @@ fi
 # more connections than that leaves room for. accept() hitting EMFILE must
 # shed (reserve-fd accept-then-close with `err busy`, log once, back off) —
 # not exit, not spin — and serve normally once the herd drains.
-"$CLI" init fe.d --v 4 --group test128 --store >/dev/null
+"$CLI" init fe.d --v 4 --group test128 >/dev/null
 FESOCK="$WORK/fe.sock"
 : > fe.log
 ( ulimit -n 64 && exec "$DFKYD" fe.d --socket "$FESOCK" ) >> fe.log 2>&1 &
@@ -380,7 +390,7 @@ HARD=$(ulimit -Hn); [ "$HARD" = unlimited ] && HARD=1048576
 IDLE=1000
 [ $((HARD / 2 - 100)) -lt "$IDLE" ] && IDLE=$((HARD / 2 - 100))
 if [ "$IDLE" -ge 100 ]; then
-  "$CLI" init soakst.d --v 4 --group test128 --store >/dev/null
+  "$CLI" init soakst.d --v 4 --group test128 >/dev/null
   SKSOCK="$WORK/soak.sock"
   : > soakd.log
   "$DFKYD" soakst.d --socket "$SKSOCK" --metrics-port 0 \
@@ -443,7 +453,7 @@ sharded_field() {  # sharded_field <field>: read one field off client status
   "$CLI" client "$SSOCK" status | sed -n "s/^$1: //p"
 }
 
-"$CLI" init shards.d --v 4 --group test128 --store --shards 3 \
+"$CLI" init shards.d --v 4 --group test128 --shards 3 \
   | grep -q '(3 shards)' || fail "init --shards 3 did not report 3 shards"
 for i in 0 1 2; do
   [ -d "shards.d/shard.$i" ] || fail "shard.$i directory missing"
@@ -557,7 +567,7 @@ PSOCK_REAL="$WORK/repl_primary.sock"
 FSOCK="$WORK/repl_follower.sock"
 CSOCK="$WORK/cluster.sock"
 
-"$CLI" init repl_primary.d --v 4 --group test128 --store --shards 2 >/dev/null
+"$CLI" init repl_primary.d --v 4 --group test128 --shards 2 >/dev/null
 # A replica bootstraps from a byte-for-byte backup of the primary (shares
 # the WAL HMAC keys, so shipped frames chain-verify).
 cp -r repl_primary.d repl_follower.d
@@ -724,7 +734,7 @@ if "$DFKYD" fo_a.d --socket "$ABSOCK" --auto-failover 2>af_err.txt; then
   fail "dfkyd accepted --auto-failover without peers"
 fi
 
-"$CLI" init fo_a.d --v 4 --group test128 --store --shards 2 >/dev/null
+"$CLI" init fo_a.d --v 4 --group test128 --shards 2 >/dev/null
 cp -r fo_a.d fo_b.d
 cp -r fo_a.d fo_c.d
 
@@ -786,11 +796,16 @@ done
   || fail "fo_c missing acked users the instant the ack returned"
 
 # ---- SIGKILL the primary: the cluster heals itself ----------------------------
+kill -9 "$APID"
+# The healing client starts only once the killed pid is gone: its first
+# connect then fails on the stale socket and its retries carry it to the
+# winner. A request already in flight at the kill would die with its
+# connection, since the client retries connects, not requests.
+for _ in $(seq 1 100); do kill -0 "$APID" 2>/dev/null || break; sleep 0.05; done
+APID=""
 ( "$CLI" client "$FOSOCK" add healed.key >/dev/null 2>&1 \
     && : > healed.ok ) &
 HEAL_CLIENT=$!
-kill -9 "$APID"
-APID=""
 WSOCK=""; WLOG=""; LSOCK=""
 for _ in $(seq 1 400); do
   if grep -q 'auto-failover: promoted' fo_b.log 2>/dev/null; then

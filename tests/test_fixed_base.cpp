@@ -151,6 +151,31 @@ TEST(Encryptor, NewKeyKeepsOnlyTheGeneratorTables) {
   EXPECT_EQ(Encryptor(sp, a.pk).tables(), 0u);
 }
 
+TEST(Encryptor, StoppedBuildKeepsTheTablesFinishedSoFar) {
+  // The shard's table builder passes its shutdown check as `stop`: asked
+  // before each digit row, and once it answers true the table in hand is
+  // dropped and the copy keeps only the finished ones.
+  const SystemParams sp = test::test_params(4, 30012);
+  ChaChaRng rng(30013);
+  const SetupResult s = setup(sp, rng);
+  const std::size_t rows =
+      (sp.group.order().bit_length() + kFixedBaseWindow - 1) / kFixedBaseWindow;
+  const Encryptor none(sp, s.pk);
+  std::size_t asked = 0;
+  const Encryptor two = none.with_tables([&] { return ++asked > 2 * rows + 1; });
+  EXPECT_EQ(asked, 2 * rows + 2);  // stopped on the third table's second row
+  EXPECT_EQ(two.tables(), 2u);
+  EXPECT_EQ(none.with_tables([] { return true; }).tables(), 0u);
+  EXPECT_THROW(FixedBaseTable(sp.group, s.pk.g, kFixedBaseWindow,
+                              [] { return true; }),
+               BuildStopped);
+  // A stopped copy encrypts like any partial one, and can be finished.
+  const Gelt m = sp.group.pow_g(Bigint(99));
+  ChaChaRng r0(556), r1(556);
+  expect_same(encrypt(sp, s.pk, m, r0), two.encrypt(m, r1));
+  EXPECT_TRUE(two.with_tables().complete());
+}
+
 TEST(Encryptor, RejectsANonElementMessage) {
   const SystemParams sp = test::test_params(2, 30010);
   ChaChaRng rng(30011);

@@ -704,8 +704,9 @@ class CountingFileIo final : public FileIo {
   std::size_t last_append_file_ = 0;
 };
 
-/// Triggers of the rotations in the event ring, oldest first.
-std::vector<std::string> rotation_triggers() {
+/// Triggers of the rotations in the event ring, oldest first. Only
+/// referenced from DFKY_OBS blocks, hence unused in OFF builds.
+[[maybe_unused]] std::vector<std::string> rotation_triggers() {
   std::vector<std::string> out;
   for (const obs::Event& e : obs::MetricsRegistry::instance().events()) {
     if (e.name == "store_snapshot") out.push_back(e.detail);

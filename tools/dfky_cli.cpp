@@ -1,8 +1,8 @@
 // dfky_cli — command-line management tool for the scalable trace-and-revoke
-// system. State lives in files, so a whole deployment can be driven from a
+// system. A deployment lives in a directory, so it can be driven from a
 // shell:
 //
-//   dfky_cli init sys --v 8 --group sec512 --store
+//   dfky_cli init sys --v 8 --group sec512
 //   dfky_cli status sys
 //   dfky_cli add sys alice.key
 //   dfky_cli add sys bob.key
@@ -14,11 +14,14 @@
 //   dfky_cli pirate sys pirate.rep 0 1           (demo: forge a pirate key)
 //   dfky_cli trace sys pirate.rep
 //
-// `<state>` is either a crash-consistent store DIRECTORY (created with
-// `init --store`; WAL + checksummed snapshots, every mutation durable
-// before the command acknowledges — see DESIGN.md Sect. 9 and dfky_fsck)
-// or a legacy single state FILE (rewritten whole on every mutation). The
-// commands auto-detect which one they were given.
+// `<dir>` is a crash-consistent store directory (WAL + checksummed
+// snapshots, every mutation durable before the command acknowledges — see
+// DESIGN.md Sect. 9 and dfky_fsck) or a shard root (`init --shards N`).
+// status, add, revoke, new-period and encrypt are the daemon's verbs: the
+// offline form opens `<dir>` and hands the request line to the same
+// RequestHandler dfkyd serves, and `client <socket> <verb>` sends that
+// line to a running dfkyd instead. Both forms build the request and print
+// the response with the same code.
 //
 // Key files bundle the group description with the user key so the receiver
 // side needs no other configuration.
@@ -51,11 +54,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "broadcast/bus.h"
 #include "core/content.h"
 #include "core/keyfile.h"
 #include "core/manager.h"
 #include "core/receiver.h"
+#include "daemon/daemon.h"
 #include "daemon/protocol.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -114,12 +117,6 @@ void write_file(const std::string& path, BytesView data) {
 
 using KeyFile = KeyFileData;
 
-void write_key_file(const std::string& path, const SecurityManager& mgr,
-                    const UserKey& key) {
-  write_file(path,
-             encode_key_file(mgr.params(), mgr.verification_key(), key));
-}
-
 KeyFile read_key_file(const std::string& path) {
   return decode_key_file(read_file(path));
 }
@@ -129,44 +126,27 @@ RealFileIo& real_io() {
   return io;
 }
 
-/// A loaded deployment: either a durable store directory or a legacy
-/// single-file state. Mutating commands go through the store (durable
-/// before they return) or mutate the legacy manager and save() it whole.
-struct StateHandle {
-  std::string path;
-  std::optional<StateStore> store;        // directory deployments
-  std::optional<SecurityManager> legacy;  // single-file deployments
-
-  const SecurityManager& mgr() const {
-    return store ? store->manager() : *legacy;
+/// Opens the deployment at `path` through the opener dfkyd uses, taking
+/// every LOCK, and turns the failures an operator can act on into one-line
+/// errors.
+std::vector<StateStore> open_stores(const std::string& path) {
+  if (!real_io().is_dir(path)) {
+    die("'" + path + "' is not a store directory (`dfky_cli init " + path +
+        "` creates one)");
   }
-  bool is_store() const { return store.has_value(); }
-  /// Legacy only: rewrites the whole state file (the crash-unsafe path the
-  /// store replaces). Store mutations are already durable.
-  void save_legacy() {
-    if (legacy) write_file(path, legacy->save_state());
+  SystemRng rng;
+  ShardSetReport rep;
+  std::vector<StateStore> stores;
+  try {
+    stores = open_deployment(real_io(), path, rng, {}, &rep);
+  } catch (const StoreLockedError& e) {
+    die(std::string(e.what()) +
+        " — use `dfky_cli client` to talk to the daemon that holds it");
+  } catch (const Error& e) {
+    die("state store '" + path + "' is corrupt or unreadable: " + e.what() +
+        " — run `dfky_fsck " + path + "` for a diagnosis");
   }
-};
-
-StateHandle load_state(const std::string& path) {
-  StateHandle h;
-  h.path = path;
-  if (real_io().is_dir(path)) {
-    if (is_shard_root(real_io(), path)) {
-      die("state store '" + path +
-          "' is a shard set — serve it with dfkyd and use `dfky_cli client` "
-          "(`dfky_cli status` prints an offline summary)");
-    }
-    try {
-      h.store.emplace(StateStore::open(real_io(), path));
-    } catch (const StoreLockedError& e) {
-      die(std::string(e.what()) +
-          " — use `dfky_cli client` to talk to the daemon that holds it");
-    } catch (const Error& e) {
-      die("state store '" + path + "' is corrupt or unreadable: " + e.what() +
-          " — run `dfky_fsck " + path + "` for a diagnosis");
-    }
-    const RecoveryReport& r = h.store->recovery_report();
+  for (const RecoveryReport& r : rep.recoveries) {
     if (r.truncated_records > 0 || r.skipped_snapshots > 0) {
       std::fprintf(stderr,
                    "dfky_cli: recovered %s: dropped %zu torn record(s) "
@@ -174,15 +154,25 @@ StateHandle load_state(const std::string& path) {
                    path.c_str(), r.truncated_records, r.truncated_bytes,
                    r.skipped_snapshots);
     }
-  } else {
-    try {
-      h.legacy.emplace(SecurityManager::restore_state(read_file(path)));
-    } catch (const Error& e) {
-      die("state file '" + path +
-          "' is corrupt or not a dfky state file: " + e.what());
-    }
   }
-  return h;
+  if (rep.rolled_forward > 0) {
+    std::fprintf(stderr,
+                 "dfky_cli: shard set %s recovered to epoch %llu "
+                 "(%zu roll-forward(s))\n",
+                 path.c_str(), static_cast<unsigned long long>(rep.epoch),
+                 rep.rolled_forward);
+  }
+  return stores;
+}
+
+/// `pirate` and `trace` work on one manager, so they take a plain store.
+StateStore open_one_store(const std::string& path) {
+  if (is_shard_root(real_io(), path)) {
+    die("state store '" + path +
+        "' is a shard set — pirate and trace read one store (pass " + path +
+        "/" + shard_dir_name(0) + " for shard 0)");
+  }
+  return std::move(open_stores(path).front());
 }
 
 std::optional<std::string> flag_value(std::vector<std::string>& args,
@@ -225,8 +215,8 @@ Group group_by_name(const std::string& name) {
 // ---- commands -----------------------------------------------------------------
 
 int cmd_init(std::vector<std::string> args) {
-  if (args.empty()) die("init: missing state file");
-  const std::string state_path = args[0];
+  if (args.empty()) die("init: missing store directory");
+  const std::string dir = args[0];
   args.erase(args.begin());
   const std::size_t v = static_cast<std::size_t>(
       parse_count("init", "--v", flag_value(args, "--v").value_or("8")));
@@ -234,211 +224,28 @@ int cmd_init(std::vector<std::string> args) {
       flag_value(args, "--group").value_or("sec512");
   const std::size_t shards = static_cast<std::size_t>(parse_count(
       "init", "--shards", flag_value(args, "--shards").value_or("1")));
-  bool as_store = false;
-  for (auto it = args.begin(); it != args.end();) {
-    if (*it == "--store") {
-      as_store = true;
-      it = args.erase(it);
-    } else {
-      ++it;
-    }
-  }
   reject_unknown_flags(args, "init");
   if (shards == 0) die("init: --shards must be positive");
-  if (shards > 1 && !as_store) die("init: --shards requires --store");
   SystemRng rng;
   const SystemParams sp =
       SystemParams::create(group_by_name(group_name), v, rng);
   if (shards > 1) {
     // A shard set: shard.<k> subdirectories, one independent manager (and
-    // LOCK, WAL, snapshot chain) per shard — served by a sharded dfkyd.
+    // LOCK, WAL, snapshot chain) per shard.
     std::vector<SecurityManager> managers;
     for (std::size_t i = 0; i < shards; ++i) managers.emplace_back(sp, rng);
-    create_shard_set(real_io(), state_path, std::move(managers), rng);
+    create_shard_set(real_io(), dir, std::move(managers), rng);
     std::printf("initialized: group=%s v=%zu m=%zu store=%s/ (%zu shards)\n",
-                group_name.c_str(), v, sp.max_collusion(), state_path.c_str(),
+                group_name.c_str(), v, sp.max_collusion(), dir.c_str(),
                 shards);
     return 0;
   }
   SecurityManager mgr(sp, rng);
-  if (as_store) {
-    const std::size_t state_bytes = mgr.save_state().size();
-    StateStore::create(real_io(), state_path, std::move(mgr), rng);
-    std::printf(
-        "initialized: group=%s v=%zu m=%zu store=%s/ (snapshot %zu bytes)\n",
-        group_name.c_str(), v, sp.max_collusion(), state_path.c_str(),
-        state_bytes);
-  } else {
-    write_file(state_path, mgr.save_state());
-    std::printf("initialized: group=%s v=%zu m=%zu state=%s (%zu bytes)\n",
-                group_name.c_str(), v, sp.max_collusion(), state_path.c_str(),
-                mgr.save_state().size());
-  }
-  return 0;
-}
-
-/// Offline summary of a shard set. Opening takes every shard's LOCK for
-/// the duration and equalizes a torn epoch (the same roll-forward a
-/// daemon restart performs), so this doubles as an offline repair.
-int shard_set_status(const std::string& path) {
-  SystemRng rng;
-  ShardSetReport rep;
-  std::vector<StateStore> stores;
-  try {
-    stores = open_shard_set(real_io(), path, rng, {}, &rep);
-  } catch (const StoreLockedError& e) {
-    die(std::string(e.what()) +
-        " — use `dfky_cli client` to talk to the daemon that holds it");
-  } catch (const Error& e) {
-    die("shard set '" + path + "' is corrupt or unreadable: " + e.what() +
-        " — run `dfky_fsck " + path + "` for a diagnosis");
-  }
-  std::size_t active = 0, revoked = 0;
-  for (const StateStore& s : stores) {
-    active += s.manager().active_users();
-    revoked += s.manager().revoked_users();
-  }
-  std::printf("shards:            %zu\n", rep.shards);
-  std::printf("period:            %llu%s\n",
-              static_cast<unsigned long long>(rep.epoch),
-              rep.rolled_forward > 0 ? " (equalized at open)" : "");
-  std::printf("users:             %zu active, %zu revoked\n", active, revoked);
-  if (rep.rolled_forward > 0) {
-    std::printf("roll-forwards:     %zu (torn cross-shard new-period)\n",
-                rep.rolled_forward);
-  }
-  for (std::size_t i = 0; i < stores.size(); ++i) {
-    const StateStore& s = stores[i];
-    std::printf(
-        "shard %zu:           period %llu, %zu active, %zu revoked, "
-        "generation %llu, %zu WAL record(s)\n",
-        i, static_cast<unsigned long long>(s.manager().period()),
-        s.manager().active_users(), s.manager().revoked_users(),
-        static_cast<unsigned long long>(s.generation()), s.wal_records());
-  }
-  return 0;
-}
-
-int cmd_status(std::vector<std::string> args) {
-  reject_unknown_flags(args, "status");
-  if (args.empty()) die("status: missing state file");
-  if (real_io().is_dir(args[0]) && is_shard_root(real_io(), args[0])) {
-    return shard_set_status(args[0]);
-  }
-  const StateHandle h = load_state(args[0]);
-  const SecurityManager& mgr = h.mgr();
-  std::printf("period:            %llu\n",
-              static_cast<unsigned long long>(mgr.period()));
-  std::printf("saturation:        %zu / %zu\n", mgr.saturation_level(),
-              mgr.saturation_limit());
-  std::printf("users:             %zu active, %zu revoked\n",
-              mgr.active_users(), mgr.revoked_users());
-  std::printf("group:             %s, %zu-bit order\n",
-              mgr.params().group.is_elliptic() ? "elliptic-curve" : "Z_p*",
-              mgr.params().group.order().bit_length());
-  std::printf("element size:      %zu bytes\n",
-              mgr.params().group.element_size());
-  if (h.is_store()) {
-    std::printf("store:             generation %llu, %zu WAL record(s)\n",
-                static_cast<unsigned long long>(h.store->generation()),
-                h.store->wal_records());
-  }
-  return 0;
-}
-
-int cmd_add(std::vector<std::string> args) {
-  reject_unknown_flags(args, "add");
-  if (args.size() < 2) die("add: usage: add <state> <key-out>");
-  StateHandle h = load_state(args[0]);
-  SystemRng rng;
-  const auto added =
-      h.is_store() ? h.store->add_user(rng) : h.legacy->add_user(rng);
-  write_key_file(args[1], h.mgr(), added.key);
-  h.save_legacy();
-  std::printf("added user #%llu -> %s\n",
-              static_cast<unsigned long long>(added.id), args[1].c_str());
-  return 0;
-}
-
-/// Serializes and "broadcasts" the reset bundles a mutation produced.
-/// File-based deployments have no live subscribers, but the reset still
-/// goes over the broadcast channel so the dfky_bus_* accounting matches
-/// what a wired deployment would report.
-void emit_reset_bundles(const std::vector<SignedResetBundle>& bundles,
-                        const Group& group, const std::string& reset_prefix) {
-  BroadcastBus bus;
-  for (std::size_t i = 0; i < bundles.size(); ++i) {
-    Writer w;
-    bundles[i].serialize(w, group);
-    const std::string path = reset_prefix + "." + std::to_string(i) + ".bin";
-    write_file(path, w.bytes());
-    bus.publish({MsgType::kChangePeriod, w.bytes()});
-    std::printf("period change -> broadcast %s (%zu bytes) to subscribers\n",
-                path.c_str(), w.size());
-  }
-}
-
-int cmd_revoke(std::vector<std::string> args) {
-  if (args.size() < 2) die("revoke: usage: revoke <state> <id...> [--reset-out prefix]");
-  const std::string state_path = args[0];
-  args.erase(args.begin());
-  const std::string reset_prefix =
-      flag_value(args, "--reset-out").value_or("reset");
-  reject_unknown_flags(args, "revoke");
-  std::vector<std::uint64_t> ids;
-  for (const std::string& a : args) {
-    ids.push_back(parse_count("revoke", "user id", a));
-  }
-  StateHandle h = load_state(state_path);
-  SystemRng rng;
-  const auto bundles = h.is_store() ? h.store->remove_users(ids, rng)
-                                    : h.legacy->remove_users(ids, rng);
-  h.save_legacy();
-  std::printf("revoked %zu user(s); saturation %zu/%zu, period %llu\n",
-              ids.size(), h.mgr().saturation_level(),
-              h.mgr().saturation_limit(),
-              static_cast<unsigned long long>(h.mgr().period()));
-  emit_reset_bundles(bundles, h.mgr().params().group, reset_prefix);
-  return 0;
-}
-
-int cmd_new_period(std::vector<std::string> args) {
-  if (args.empty()) {
-    die("new-period: usage: new-period <state> [--reset-out prefix]");
-  }
-  const std::string state_path = args[0];
-  args.erase(args.begin());
-  const std::string reset_prefix =
-      flag_value(args, "--reset-out").value_or("reset");
-  reject_unknown_flags(args, "new-period");
-  StateHandle h = load_state(state_path);
-  SystemRng rng;
-  const SignedResetBundle bundle =
-      h.is_store() ? h.store->new_period(rng) : h.legacy->new_period(rng);
-  h.save_legacy();
-  std::printf("advanced to period %llu; saturation %zu/%zu\n",
-              static_cast<unsigned long long>(h.mgr().period()),
-              h.mgr().saturation_level(), h.mgr().saturation_limit());
-  emit_reset_bundles({bundle}, h.mgr().params().group, reset_prefix);
-  return 0;
-}
-
-int cmd_encrypt(std::vector<std::string> args) {
-  reject_unknown_flags(args, "encrypt");
-  if (args.size() < 3) die("encrypt: usage: encrypt <state> <payload> <out>");
-  const StateHandle h = load_state(args[0]);
-  const SecurityManager& mgr = h.mgr();
-  const Bytes payload = read_file(args[1]);
-  SystemRng rng;
-  const ContentMessage msg =
-      seal_content(mgr.params(), mgr.public_key(), payload, rng);
-  Writer w;
-  msg.serialize(w, mgr.params().group);
-  write_file(args[2], w.bytes());
-  BroadcastBus bus;
-  bus.publish({MsgType::kContent, w.bytes()});
-  std::printf("encrypted %zu bytes -> %s (%zu bytes on the wire)\n",
-              payload.size(), args[2].c_str(), w.size());
+  const std::size_t state_bytes = mgr.save_state().size();
+  StateStore::create(real_io(), dir, std::move(mgr), rng);
+  std::printf(
+      "initialized: group=%s v=%zu m=%zu store=%s/ (snapshot %zu bytes)\n",
+      group_name.c_str(), v, sp.max_collusion(), dir.c_str(), state_bytes);
   return 0;
 }
 
@@ -494,10 +301,10 @@ int cmd_apply_reset(std::vector<std::string> args) {
 int cmd_pirate(std::vector<std::string> args) {
   reject_unknown_flags(args, "pirate");
   if (args.size() < 3) {
-    die("pirate: usage: pirate <state> <rep-out> <key-file...>");
+    die("pirate: usage: pirate <store> <rep-out> <key-file...>");
   }
-  const StateHandle h = load_state(args[0]);
-  const SecurityManager& mgr = h.mgr();
+  const StateStore store = open_one_store(args[0]);
+  const SecurityManager& mgr = store.manager();
   std::vector<UserKey> keys;
   for (std::size_t i = 2; i < args.size(); ++i) {
     keys.push_back(read_key_file(args[i]).key);
@@ -517,9 +324,9 @@ int cmd_pirate(std::vector<std::string> args) {
 
 int cmd_trace(std::vector<std::string> args) {
   reject_unknown_flags(args, "trace");
-  if (args.size() < 2) die("trace: usage: trace <state> <rep-file>");
-  const StateHandle h = load_state(args[0]);
-  const SecurityManager& mgr = h.mgr();
+  if (args.size() < 2) die("trace: usage: trace <store> <rep-file>");
+  const StateStore store = open_one_store(args[0]);
+  const SecurityManager& mgr = store.manager();
   const Bytes raw = read_file(args[1]);
   Reader r(raw);
   Representation rep;
@@ -631,10 +438,12 @@ std::string daemon_request(const std::string& socket_path,
   return resp.substr(0, nl);
 }
 
-daemon::Response expect_ok(const std::string& raw) {
+/// The parsed response; dies naming `who` on an `err` answer.
+daemon::Response expect_ok(const std::string& raw,
+                           const std::string& who = "client: daemon error") {
   const std::optional<daemon::Response> r = daemon::parse_response(raw);
   if (!r) die("client: malformed daemon response: " + raw);
-  if (!r->ok) die("client: daemon error: " + r->error);
+  if (!r->ok) die(who + ": " + r->error);
   return *r;
 }
 
@@ -654,8 +463,7 @@ Bytes decode_blob_field(const daemon::Response& r, const std::string& key) {
 }
 
 /// Writes the hex bundles of a `revoke`/`new-period` response as
-/// `<prefix>.<i>.bin`, the same naming the offline commands use, so
-/// `apply-reset` works on either path.
+/// `<prefix>.<i>.bin`, the files `apply-reset` reads.
 std::size_t write_bundles_csv(const std::string& csv,
                               const std::string& prefix) {
   std::size_t count = 0;
@@ -674,6 +482,123 @@ std::size_t write_bundles_csv(const std::string& csv,
     start = comma + 1;
   }
   return count;
+}
+
+// ---- the served verbs, offline or over a socket -------------------------------
+
+/// Serves one request line in process: opens the deployment at `dir`,
+/// hands the line to the RequestHandler dfkyd serves, over a ShardRouter
+/// on the opened stores, and closes the deployment again. A mutation is
+/// durable before this returns, as dfkyd acks it.
+std::string local_request(const std::string& dir, const std::string& line) {
+  daemon::ShardRouter router(open_stores(dir), [](std::size_t) {
+    return std::make_unique<SystemRng>();
+  });
+  return daemon::RequestHandler(router).handle(line).response;
+}
+
+/// Where a served verb's request line goes: in process to a deployment
+/// directory (`<verb> <dir> ...`) or to a running dfkyd's socket
+/// (`client <socket> <verb> ...`). Nothing else differs between the forms.
+struct Target {
+  std::string path;
+  bool local = false;
+
+  /// The command as typed, for messages.
+  std::string cmd(const std::string& verb) const {
+    return local ? verb : "client " + verb;
+  }
+  [[noreturn]] void usage(const std::string& verb,
+                          const std::string& rest) const {
+    die_usage(cmd(verb) + ": usage: " +
+              (local ? verb + " <dir>" : "client <socket> " + verb) + rest);
+  }
+  daemon::Response request(const std::string& verb,
+                           const std::string& line) const {
+    return local ? expect_ok(local_request(path, line), verb)
+                 : expect_ok(daemon_request(path, line));
+  }
+};
+
+void print_fields(const daemon::Response& r) {
+  for (const auto& [k, v] : r.fields) {
+    std::printf("%s: %s\n", k.c_str(), v.c_str());
+  }
+}
+
+/// status, add, revoke, new-period and encrypt: each builds its request
+/// line and prints its response here, for both forms. -1 for any other
+/// verb.
+int run_served(const Target& t, const std::string& verb,
+               std::vector<std::string> args) {
+  if (verb == "status") {
+    reject_unknown_flags(args, t.cmd(verb));
+    if (!args.empty()) t.usage(verb, "");
+    print_fields(t.request(verb, "status"));
+    return 0;
+  }
+  if (verb == "add") {
+    reject_unknown_flags(args, t.cmd(verb));
+    if (args.size() != 1) t.usage(verb, " <key-out>");
+    const daemon::Response r = t.request(verb, "add-user");
+    write_file(args[0], decode_blob_field(r, "key"));
+    std::printf("added user #%s -> %s\n", response_field(r, "id").c_str(),
+                args[0].c_str());
+    return 0;
+  }
+  if (verb == "revoke") {
+    const std::string reset_prefix =
+        flag_value(args, "--reset-out").value_or("reset");
+    reject_unknown_flags(args, t.cmd(verb));
+    if (args.empty()) t.usage(verb, " <id...> [--reset-out P]");
+    std::string req = "revoke";
+    for (const std::string& a : args) {
+      req += " " + std::to_string(parse_count(t.cmd(verb), "user id", a));
+    }
+    const daemon::Response r = t.request(verb, req);
+    std::printf("revoked %zu user(s); saturation %s, period %s\n", args.size(),
+                response_field(r, "saturation").c_str(),
+                response_field(r, "period").c_str());
+    write_bundles_csv(response_field(r, "bundles"), reset_prefix);
+    return 0;
+  }
+  if (verb == "new-period") {
+    const std::string reset_prefix =
+        flag_value(args, "--reset-out").value_or("reset");
+    reject_unknown_flags(args, t.cmd(verb));
+    if (!args.empty()) t.usage(verb, " [--reset-out P]");
+    const daemon::Response r = t.request(verb, "new-period");
+    std::printf("advanced to period %s; saturation %s\n",
+                response_field(r, "period").c_str(),
+                response_field(r, "saturation").c_str());
+    write_bundles_csv(response_field(r, "bundles"), reset_prefix);
+    return 0;
+  }
+  if (verb == "encrypt") {
+    const std::optional<std::string> shard = flag_value(args, "--shard");
+    reject_unknown_flags(args, t.cmd(verb));
+    if (args.size() != 2) t.usage(verb, " <payload> <out> [--shard K]");
+    const Bytes payload = read_file(args[0]);
+    std::string req = "encrypt " + daemon::hex_encode(payload);
+    if (shard) {
+      req += " " + std::to_string(parse_count(t.cmd(verb), "--shard", *shard));
+    }
+    const daemon::Response r = t.request(verb, req);
+    const Bytes ct = decode_blob_field(r, "ct");
+    write_file(args[1], ct);
+    std::printf("encrypted %zu bytes -> %s (%zu bytes on the wire)\n",
+                payload.size(), args[1].c_str(), ct.size());
+    return 0;
+  }
+  return -1;
+}
+
+/// The offline form of a served verb: `<verb> <dir> ...`.
+int cmd_served(const std::string& verb, std::vector<std::string> args) {
+  if (args.empty()) die_usage(verb + ": missing store directory");
+  const Target t{.path = args[0], .local = true};
+  args.erase(args.begin());
+  return run_served(t, verb, std::move(args));
 }
 
 /// `client <socket> pipeline [--window W]` — the pipelined client mode
@@ -727,7 +652,11 @@ int cmd_client_pipeline(const std::string& sock,
         cv.wait(lk, [&] { return i < received + window || broken; });
         if (broken) return;
       }
+      // GCC 12 -Wrestrict false positive inside libstdc++'s char_traits.h.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
       const std::string req = "@" + std::to_string(i) + " " + reqs[i] + "\n";
+#pragma GCC diagnostic pop
       if (!send_str(fd, req)) {
         std::lock_guard lk(mu);
         broken = true;
@@ -872,7 +801,11 @@ int cmd_client_soak(const std::string& sock, std::vector<std::string> args) {
       }
       std::string out;
       for (std::size_t i = 0; i < per; ++i) {
+        // GCC 12 -Wrestrict false positive inside libstdc++'s char_traits.h.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
         out += "@" + std::to_string(w * per + i) + " ping\n";
+#pragma GCC diagnostic pop
       }
       if (!send_str(fd, out)) {
         errors.fetch_add(per);
@@ -1130,12 +1063,9 @@ int cmd_client(std::vector<std::string> args) {
   if (sub == "storm") {
     return cmd_client_storm(sock, std::move(args));
   }
-  if (sub == "ping" || sub == "status" || sub == "repl-status") {
+  if (sub == "ping" || sub == "repl-status") {
     reject_unknown_flags(args, "client " + sub);
-    const daemon::Response r = expect_ok(daemon_request(sock, sub));
-    for (const auto& [k, v] : r.fields) {
-      std::printf("%s: %s\n", k.c_str(), v.c_str());
-    }
+    print_fields(expect_ok(daemon_request(sock, sub)));
     return 0;
   }
   if (sub == "health") {
@@ -1207,67 +1137,9 @@ int cmd_client(std::vector<std::string> args) {
     std::printf("daemon acknowledged shutdown\n");
     return 0;
   }
-  if (sub == "add") {
-    reject_unknown_flags(args, "client add");
-    if (args.size() != 1) {
-      die_usage("client: usage: client <socket> add <key-out>");
-    }
-    const daemon::Response r = expect_ok(daemon_request(sock, "add-user"));
-    write_file(args[0], decode_blob_field(r, "key"));
-    std::printf("added user #%s -> %s\n", response_field(r, "id").c_str(),
-                args[0].c_str());
-    return 0;
-  }
-  if (sub == "revoke") {
-    const std::string reset_prefix =
-        flag_value(args, "--reset-out").value_or("reset");
-    reject_unknown_flags(args, "client revoke");
-    if (args.empty()) {
-      die_usage(
-          "client: usage: client <socket> revoke <id...> [--reset-out P]");
-    }
-    std::string req = "revoke";
-    for (const std::string& a : args) {
-      req += " " + std::to_string(parse_count("client revoke", "user id", a));
-    }
-    const daemon::Response r = expect_ok(daemon_request(sock, req));
-    std::printf("revoked %zu user(s); saturation %s, period %s\n", args.size(),
-                response_field(r, "saturation").c_str(),
-                response_field(r, "period").c_str());
-    write_bundles_csv(response_field(r, "bundles"), reset_prefix);
-    return 0;
-  }
-  if (sub == "new-period") {
-    const std::string reset_prefix =
-        flag_value(args, "--reset-out").value_or("reset");
-    reject_unknown_flags(args, "client new-period");
-    const daemon::Response r = expect_ok(daemon_request(sock, "new-period"));
-    std::printf("advanced to period %s; saturation %s\n",
-                response_field(r, "period").c_str(),
-                response_field(r, "saturation").c_str());
-    write_bundles_csv(response_field(r, "bundles"), reset_prefix);
-    return 0;
-  }
-  if (sub == "encrypt") {
-    const std::optional<std::string> shard = flag_value(args, "--shard");
-    reject_unknown_flags(args, "client encrypt");
-    if (args.size() != 2) {
-      die_usage(
-          "client: usage: client <socket> encrypt <payload> <out> "
-          "[--shard K]");
-    }
-    const Bytes payload = read_file(args[0]);
-    std::string req = "encrypt " + daemon::hex_encode(payload);
-    if (shard) {
-      req += " " + std::to_string(
-                       parse_count("client encrypt", "--shard", *shard));
-    }
-    const daemon::Response r = expect_ok(daemon_request(sock, req));
-    const Bytes ct = decode_blob_field(r, "ct");
-    write_file(args[1], ct);
-    std::printf("encrypted %zu bytes -> %s (%zu bytes on the wire)\n",
-                payload.size(), args[1].c_str(), ct.size());
-    return 0;
+  if (const int rc = run_served(Target{.path = sock}, sub, std::move(args));
+      rc >= 0) {
+    return rc;
   }
   die_usage("client: unknown daemon command '" + sub + "'");
 }
@@ -1576,17 +1448,17 @@ int cmd_stats(std::vector<std::string> args) {
 void usage(std::FILE* to) {
   std::fputs(
       "usage: dfky_cli <command> ... [--metrics-out FILE]\n"
-      "  init <state> [--v N] [--group NAME] [--store] [--shards N]\n"
-      "                                        create a system\n"
-      "  status <state>                        show system state\n"
-      "  add <state> <key-out>                 subscribe a user\n"
-      "  revoke <state> <id...> [--reset-out P]  revoke users\n"
-      "  new-period <state> [--reset-out P]    proactive period change\n"
-      "  encrypt <state> <payload> <out>       broadcast content\n"
+      "  init <dir> [--v N] [--group NAME] [--shards N]\n"
+      "                                        create a deployment\n"
+      "  status <dir>                          show system state\n"
+      "  add <dir> <key-out>                   subscribe a user\n"
+      "  revoke <dir> <id...> [--reset-out P]  revoke users\n"
+      "  new-period <dir> [--reset-out P]      proactive period change\n"
+      "  encrypt <dir> <payload> <out> [--shard K]  broadcast content\n"
       "  decrypt <key-file> <broadcast>        receive content\n"
       "  apply-reset <key-file> <reset-file>   follow a period change\n"
-      "  pirate <state> <rep-out> <key...>     (demo) forge a pirate key\n"
-      "  trace <state> <rep-file>              trace a pirate key\n"
+      "  pirate <store> <rep-out> <key...>     (demo) forge a pirate key\n"
+      "  trace <store> <rep-file>              trace a pirate key\n"
       "  stats <metrics-file> [--format summary|prom] [--since TS]\n"
       "        [--name EVENT] [--user ID]   filter the event log by event\n"
       "        name / user id (matching events are listed one per line)\n"
@@ -1610,14 +1482,16 @@ void usage(std::FILE* to) {
       "      500ms) --retry-max N (attempts, default 40; 0 or 1 disables)\n"
       "  help                                  this text\n"
       "\n"
-      "<state> is a store directory (init --store: WAL + snapshots, every\n"
-      "mutation durable before the command returns; see dfky_fsck), a\n"
-      "shard root (init --store --shards N: shard.<k> subdirectories, one\n"
-      "WAL/LOCK per shard, served by a sharded dfkyd) or a\n"
-      "legacy single state file. --metrics-out FILE appends this\n"
-      "invocation's metrics snapshot (JSONL) to FILE; `stats` merges the\n"
-      "snapshots of a whole session, `--since TS` windows them by the\n"
-      "timestamp stamped on each snapshot.\n",
+      "<dir> is a store directory (WAL + snapshots, every mutation durable\n"
+      "before the command returns; see dfky_fsck) or a shard root\n"
+      "(init --shards N: shard.<k> subdirectories, one WAL/LOCK per shard).\n"
+      "status, add, revoke, new-period and encrypt run the same request\n"
+      "through the same handler either way: offline on <dir>, which must\n"
+      "not be held by a dfkyd, or as `client <socket> <verb>` against the\n"
+      "dfkyd serving it. pirate and trace read one plain store.\n"
+      "--metrics-out FILE appends this invocation's metrics snapshot\n"
+      "(JSONL) to FILE; `stats` merges the snapshots of a whole session,\n"
+      "`--since TS` windows them by the timestamp stamped on each snapshot.\n",
       to);
 }
 
@@ -1647,11 +1521,10 @@ int main(int argc, char** argv) {
   int rc = -1;
   try {
     if (cmd == "init") rc = cmd_init(std::move(args));
-    else if (cmd == "status") rc = cmd_status(std::move(args));
-    else if (cmd == "add") rc = cmd_add(std::move(args));
-    else if (cmd == "revoke") rc = cmd_revoke(std::move(args));
-    else if (cmd == "new-period") rc = cmd_new_period(std::move(args));
-    else if (cmd == "encrypt") rc = cmd_encrypt(std::move(args));
+    else if (cmd == "status" || cmd == "add" || cmd == "revoke" ||
+             cmd == "new-period" || cmd == "encrypt") {
+      rc = cmd_served(cmd, std::move(args));
+    }
     else if (cmd == "decrypt") rc = cmd_decrypt(std::move(args));
     else if (cmd == "apply-reset") rc = cmd_apply_reset(std::move(args));
     else if (cmd == "pirate") rc = cmd_pirate(std::move(args));

@@ -25,7 +25,7 @@ int usage(std::FILE* out) {
                "             [--failover-timings LEASE,HB,TIMEOUT,EMIN,EMAX]\n"
                "\n"
                "Serves the store over a newline protocol (see dfky_cli\n"
-               "client). A shard root (init --store --shards N) is detected\n"
+               "client). A shard root (dfky_cli init --shards N) is detected\n"
                "automatically: every shard's LOCK is taken and requests are\n"
                "routed by user id. --metrics-port 0 binds an ephemeral\n"
                "loopback port for GET /metrics and GET /trace; omit the flag\n"
