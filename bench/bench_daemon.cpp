@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "client/client.h"
 #include "core/manager.h"
 #include "daemon/daemon.h"
 #include "daemon/group_commit.h"
@@ -218,48 +219,6 @@ RunResult run_handler(FileIo& io, const std::string& dir,
   return r;
 }
 
-int connect_unix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return -1;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-bool send_line(int fd, const std::string& line) {
-  std::string out = line + "\n";
-  std::size_t off = 0;
-  while (off < out.size()) {
-    const ssize_t n =
-        ::send(fd, out.data() + off, out.size() - off, MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0) return false;
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool recv_line(int fd, std::string& buf, std::string& line) {
-  for (;;) {
-    const std::size_t pos = buf.find('\n');
-    if (pos != std::string::npos) {
-      line = buf.substr(0, pos);
-      buf.erase(0, pos + 1);
-      return true;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    buf.append(chunk, static_cast<std::size_t>(n));
-  }
-}
-
 struct ReactorResult {
   std::uint64_t ns_per_ack = 0;
   std::uint64_t p99_latency_ns = 0;
@@ -312,12 +271,12 @@ ReactorResult run_reactor(FileIo& io, const std::string& dir,
   std::thread serving([&] { reactor.run(); });
 
   // The idle herd: connected, counted by the reactor, then silent.
-  std::vector<int> held;
+  std::vector<client::Conn> held;
   held.reserve(idle);
-  for (std::size_t i = 0; i < idle; ++i) {
-    const int fd = connect_unix(sock);
-    if (fd < 0) break;  // client- or server-side fd ceiling; report less
-    held.push_back(fd);
+  try {
+    while (held.size() < idle) held.emplace_back(sock);
+  } catch (const client::ConnError&) {
+    // Client- or server-side fd ceiling: report the smaller herd.
   }
 
   using Clock = std::chrono::steady_clock;
@@ -327,25 +286,20 @@ ReactorResult run_reactor(FileIo& io, const std::string& dir,
   clients.reserve(active);
   for (std::size_t c = 0; c < active; ++c) {
     clients.emplace_back([&, c] {
-      const int fd = connect_unix(sock);
-      if (fd < 0) return;
-      std::string buf;
-      std::string resp;
       lat[c].reserve(per);
-      for (std::size_t i = 0; i < per; ++i) {
-        const auto s = Clock::now();
-        // GCC 12 -Wrestrict false positive inside libstdc++'s char_traits.h.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wrestrict"
-        if (!send_line(fd, "@" + std::to_string(i) + " add-user")) break;
-#pragma GCC diagnostic pop
-        if (!recv_line(fd, buf, resp)) break;
-        lat[c].push_back(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                Clock::now() - s)
-                .count()));
+      try {
+        client::Conn conn(sock);
+        for (std::size_t i = 0; i < per; ++i) {
+          const auto s = Clock::now();
+          conn.request("@" + std::to_string(i).append(" add-user"));
+          lat[c].push_back(static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  Clock::now() - s)
+                  .count()));
+        }
+      } catch (const client::ConnError&) {
+        // A lost connection ends this client's samples early.
       }
-      ::close(fd);
     });
   }
   for (std::thread& t : clients) t.join();
@@ -353,7 +307,8 @@ ReactorResult run_reactor(FileIo& io, const std::string& dir,
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
           .count());
 
-  for (const int fd : held) ::close(fd);
+  const std::size_t idle_held = held.size();
+  held.clear();
   const char b = 1;
   [[maybe_unused]] const ssize_t wn = ::write(wake[1], &b, 1);
   serving.join();
@@ -365,7 +320,7 @@ ReactorResult run_reactor(FileIo& io, const std::string& dir,
   remove_shard_root(io, dir);
 
   ReactorResult r;
-  r.idle_held = held.size();
+  r.idle_held = idle_held;
   std::vector<std::uint64_t> all;
   for (auto& v : lat) all.insert(all.end(), v.begin(), v.end());
   r.acks = all.size();

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "client/client.h"
 #include "daemon/feed.h"
 #include "daemon/protocol.h"
 #include "daemon/reactor.h"
@@ -58,49 +59,7 @@ int listen_unix(const std::string& path) {
   return fd;
 }
 
-int connect_unix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return -1;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  const timeval tv{.tv_sec = 60, .tv_usec = 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  return fd;
-}
-
-bool send_all(int fd, std::string_view data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0) return false;
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Reads one LF line; false on EOF/timeout. `buf` carries leftovers.
-bool recv_line(int fd, std::string& buf, std::string* line) {
-  for (;;) {
-    const std::size_t pos = buf.find('\n');
-    if (pos != std::string::npos) {
-      if (line != nullptr) *line = buf.substr(0, pos);
-      buf.erase(0, pos + 1);
-      return true;
-    }
-    char chunk[1 << 16];
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    buf.append(chunk, static_cast<std::size_t>(n));
-  }
-}
+constexpr int kTimeoutMs = 60000;
 
 /// Reactor + FeedHub over a unix socket — the daemon's streaming front
 /// end without the store behind it.
@@ -153,25 +112,16 @@ struct Harness {
   }
 };
 
-struct Subscriber {
-  int fd = -1;
-  std::string buf;
-};
-
 /// The subscribed herd plus an edge-triggered epoll over it: await_all()
 /// returns once the current frame has REACHED every subscriber's socket
 /// (broadcast-to-all-current on the wire), without paying a per-fd
 /// blocking read inside the timed region; drain() then empties the
 /// sockets untimed so the next sample starts clean.
 struct Herd {
-  std::vector<Subscriber> subs;
+  std::vector<client::Conn> subs;
   int ep = -1;
 
-  explicit Herd(std::size_t n) : subs(n) {}
   ~Herd() {
-    for (Subscriber& s : subs) {
-      if (s.fd >= 0) ::close(s.fd);
-    }
     if (ep >= 0) ::close(ep);
   }
 
@@ -182,7 +132,7 @@ struct Herd {
       epoll_event ev{};
       ev.events = EPOLLIN | EPOLLET;
       ev.data.u64 = i;
-      if (::epoll_ctl(ep, EPOLL_CTL_ADD, subs[i].fd, &ev) != 0) std::abort();
+      if (::epoll_ctl(ep, EPOLL_CTL_ADD, subs[i].fd(), &ev) != 0) std::abort();
     }
   }
 
@@ -210,11 +160,13 @@ struct Herd {
   }
 
   void drain_line_each() {
-    for (Subscriber& s : subs) {
-      if (!recv_line(s.fd, s.buf, nullptr)) {
-        std::fprintf(stderr, "bench_feed: a subscriber lost the stream\n");
-        std::exit(1);
+    for (client::Conn& s : subs) {
+      try {
+        if (s.recv(kTimeoutMs)) continue;
+      } catch (const client::ConnError&) {
       }
+      std::fprintf(stderr, "bench_feed: a subscriber lost the stream\n");
+      std::exit(1);
     }
   }
 };
@@ -280,14 +232,18 @@ std::size_t reader_threads() {
 
 std::uint64_t bench_broadcast(std::size_t n_subs, std::size_t samples, std::size_t bundle_hex) {
   Harness h;
-  Herd herd(n_subs);
-  for (Subscriber& s : herd.subs) {
-    s.fd = connect_unix(h.sock);
-    if (s.fd < 0 || !send_all(s.fd, "subscribe\n") ||
-        !recv_line(s.fd, s.buf, nullptr)) {
-      std::fprintf(stderr, "bench_feed: subscribe failed\n");
-      std::exit(1);
+  Herd herd;
+  herd.subs.reserve(n_subs);
+  try {
+    while (herd.subs.size() < n_subs) {
+      client::Conn& s = herd.subs.emplace_back(h.sock);
+      if (!client::subscribe(s, std::nullopt, kTimeoutMs).ok) {
+        throw client::ConnError("refused");
+      }
     }
+  } catch (const client::ConnError& e) {
+    std::fprintf(stderr, "bench_feed: subscribe failed: %s\n", e.what());
+    std::exit(1);
   }
   herd.arm();
 
@@ -349,13 +305,13 @@ void bench_catchup(std::size_t n_subs, std::uint64_t gap) {
   });
 
   // Park the herd first, then release it all at once.
-  std::vector<Subscriber> subs(n_subs);
-  for (Subscriber& s : subs) {
-    s.fd = connect_unix(h.sock);
-    if (s.fd < 0) {
-      std::fprintf(stderr, "bench_feed: connect failed\n");
-      std::exit(1);
-    }
+  std::vector<client::Conn> subs;
+  subs.reserve(n_subs);
+  try {
+    while (subs.size() < n_subs) subs.emplace_back(h.sock);
+  } catch (const client::ConnError& e) {
+    std::fprintf(stderr, "bench_feed: %s\n", e.what());
+    std::exit(1);
   }
 
   const std::size_t workers = reader_threads();
@@ -366,17 +322,14 @@ void bench_catchup(std::size_t n_subs, std::uint64_t gap) {
   for (std::size_t w = 0; w < workers; ++w) {
     pool.emplace_back([&, w] {
       for (std::size_t i = w; i < subs.size(); i += workers) {
-        Subscriber& s = subs[i];
-        if (!send_all(s.fd, "subscribe 0\n")) {
-          lost = true;
-          continue;
-        }
-        // ok line + every missed epoch.
-        for (std::uint64_t k = 0; k <= gap; ++k) {
-          if (!recv_line(s.fd, s.buf, nullptr)) {
-            lost = true;
-            break;
+        try {
+          if (!client::subscribe(subs[i], 0, kTimeoutMs).ok) lost = true;
+          // Every missed epoch.
+          for (std::uint64_t k = 0; k < gap && !lost; ++k) {
+            if (!subs[i].recv(kTimeoutMs)) lost = true;
           }
+        } catch (const client::ConnError&) {
+          lost = true;
         }
       }
     });
@@ -397,7 +350,6 @@ void bench_catchup(std::size_t n_subs, std::uint64_t gap) {
               "(%.0f receivers/s)\n",
               "catchup_storm", n_subs, static_cast<unsigned long long>(gap),
               per_receiver / 1e3, 1e9 * n_subs / total_ns);
-  for (Subscriber& s : subs) ::close(s.fd);
 }
 
 }  // namespace

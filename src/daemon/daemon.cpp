@@ -21,6 +21,7 @@
 #include <shared_mutex>
 #include <thread>
 
+#include "client/client.h"
 #include "daemon/protocol.h"
 #include "daemon/reactor.h"
 #include "serial/buffer.h"
@@ -90,6 +91,66 @@ std::string bundles_field(const std::vector<Bytes>& bundles) {
 
 RequestHandler::RequestHandler(ShardRouter& router, Hooks hooks)
     : router_(router), hooks_(std::move(hooks)) {}
+
+/// One roll-capable verb's hold on the feed (see daemon.h). The verb
+/// records the periods its published reset announced in `rolled`; the
+/// destructor then releases every held frame those announce, or all of
+/// them when this was the last open gate.
+class RequestHandler::FeedGate {
+ public:
+  explicit FeedGate(RequestHandler& h) : h_(h) {
+    if (!h_.hooks_.publish) return;
+    // With no gate open, every roll this handler made is announced and
+    // any other (replication, promote, recovery) never will be, so the
+    // current periods are the baseline. Read before the lock: a value
+    // that goes stale meanwhile is only lower, which holds more, not less.
+    std::vector<std::uint64_t> periods = h_.router_.status().periods;
+    std::lock_guard lk(h_.feed_mu_);
+    if (h_.feed_gates_++ == 0) h_.announced_ = std::move(periods);
+  }
+  ~FeedGate() {
+    if (!h_.hooks_.publish) return;
+    std::vector<HeldFrame> ready;
+    {
+      std::lock_guard lk(h_.feed_mu_);
+      for (const auto& [shard, period] : rolled) {
+        h_.announced_[shard] = std::max(h_.announced_[shard], period);
+      }
+      const bool last = --h_.feed_gates_ == 0;
+      const auto still_held = std::stable_partition(
+          h_.held_.begin(), h_.held_.end(), [&](const HeldFrame& f) {
+            return !last && f.period > h_.announced_[f.shard];
+          });
+      ready.assign(std::make_move_iterator(still_held),
+                   std::make_move_iterator(h_.held_.end()));
+      h_.held_.erase(still_held, h_.held_.end());
+    }
+    try {
+      for (HeldFrame& f : ready) h_.hooks_.publish(std::move(f.line), 0);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "dfkyd: feed publish failed: %s\n", e.what());
+    }
+  }
+  FeedGate(const FeedGate&) = delete;
+  FeedGate& operator=(const FeedGate&) = delete;
+
+  std::vector<std::pair<std::size_t, std::uint64_t>> rolled;  // shard, period
+
+ private:
+  RequestHandler& h_;
+};
+
+void RequestHandler::publish_content(std::size_t shard, std::uint64_t period,
+                                     std::string line) {
+  {
+    std::lock_guard lk(feed_mu_);
+    if (feed_gates_ > 0 && period > announced_[shard]) {
+      held_.push_back({shard, period, std::move(line)});
+      return;
+    }
+  }
+  hooks_.publish(std::move(line), 0);
+}
 
 RequestHandler::Result RequestHandler::handle(const std::string& line) {
   // The request's whole lifetime inside the daemon. The destructor closes
@@ -184,6 +245,7 @@ std::string RequestHandler::dispatch(const std::vector<std::string>& tokens) {
       if (!id) return err_response("bad user id '" + tokens[i] + "'");
       ids.push_back(*id);
     }
+    FeedGate gate(*this);
     const ShardRouter::RevokeResult r = router_.revoke(ids);
     // A revoke that crossed its shard's saturation threshold rolled the
     // period reactively — subscribers need that reset like any other.
@@ -191,6 +253,7 @@ std::string RequestHandler::dispatch(const std::vector<std::string>& tokens) {
       hooks_.publish("bcast new-period period=" + std::to_string(r.period) +
                          " bundles=" + bundles_field(r.bundles),
                      r.period);
+      gate.rolled = r.rolled;
     }
     return ok_response({{"period", std::to_string(r.period)},
                         {"saturation", saturation_field(router_.status())},
@@ -201,11 +264,15 @@ std::string RequestHandler::dispatch(const std::vector<std::string>& tokens) {
     if (tokens.size() != 1) {
       return err_response("new-period takes no arguments");
     }
+    FeedGate gate(*this);
     const ShardRouter::NewPeriodResult r = router_.new_period_all();
     if (hooks_.publish) {
       hooks_.publish("bcast new-period period=" + std::to_string(r.period) +
                          " bundles=" + bundles_field(r.bundles),
                      r.period);
+      for (std::size_t k = 0; k < router_.shards(); ++k) {
+        gate.rolled.emplace_back(k, r.period);
+      }
     }
     return ok_response({{"period", std::to_string(r.period)},
                         {"saturation", saturation_field(router_.status())},
@@ -447,13 +514,14 @@ std::string RequestHandler::dispatch(const std::vector<std::string>& tokens) {
       if (!k) return err_response("bad shard index '" + tokens[2] + "'");
       shard = static_cast<std::size_t>(*k);
     }
+    const ShardRouter::Sealed sealed = router_.encrypt(*payload, shard);
     // Encoded once: the feed line and the response carry the same hex.
-    std::string ct = hex_encode(router_.encrypt(*payload, shard));
+    std::string ct = hex_encode(sealed.ct);
     if (hooks_.publish) {
-      hooks_.publish("bcast encrypt shard=" + std::to_string(shard) +
-                         " bytes=" + std::to_string(payload->size()) +
-                         " ct=" + ct,
-                     0);
+      publish_content(shard, sealed.period,
+                      "bcast encrypt shard=" + std::to_string(shard) +
+                          " bytes=" + std::to_string(payload->size()) +
+                          " ct=" + ct);
     }
     return ok_response({{"bytes", std::to_string(payload->size())},
                         {"shard", std::to_string(shard)},
@@ -485,20 +553,6 @@ void on_signal(int) {
   }
 }
 
-bool send_all(int fd, std::string_view data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 void close_fd(int& fd) {
   if (fd >= 0) {
     ::close(fd);
@@ -516,49 +570,30 @@ void close_fd(int& fd) {
 /// sender treats a timeout as a link failure and reconnects with backoff.
 class SocketReplLink : public ReplLink {
  public:
-  explicit SocketReplLink(int fd) : fd_(fd) {}
-  ~SocketReplLink() override {
-    if (fd_ >= 0) ::close(fd_);
+  explicit SocketReplLink(client::Conn conn) : conn_(std::move(conn)) {
+    const timeval tv{.tv_sec = kTimeoutMs / 1000, .tv_usec = 0};
+    ::setsockopt(conn_.fd(), SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
   }
   std::optional<std::string> roundtrip(const std::string& line) override {
-    if (!send_all(fd_, line + "\n")) return std::nullopt;
-    for (;;) {
-      const std::size_t pos = buf_.find('\n');
-      if (pos != std::string::npos) {
-        std::string resp = buf_.substr(0, pos);
-        buf_.erase(0, pos + 1);
-        if (!resp.empty() && resp.back() == '\r') resp.pop_back();
-        return resp;
-      }
-      char chunk[1 << 16];
-      const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return std::nullopt;  // peer gone, or timeout
-      buf_.append(chunk, static_cast<std::size_t>(n));
-      if (buf_.size() > kMaxLineBytes) return std::nullopt;
+    try {
+      conn_.send(line);
+      return conn_.recv(kTimeoutMs);
+    } catch (const client::ConnError&) {
+      return std::nullopt;  // peer gone, or a line over kMaxLineBytes
     }
   }
 
  private:
-  int fd_;
-  std::string buf_;
+  static constexpr int kTimeoutMs = 30000;
+  client::Conn conn_;
 };
 
 std::unique_ptr<ReplLink> connect_repl_socket(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof addr.sun_path) return nullptr;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return nullptr;
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
+  try {
+    return std::make_unique<SocketReplLink>(client::Conn(path));
+  } catch (const client::ConnError&) {
     return nullptr;
   }
-  const timeval tv{.tv_sec = 30, .tv_usec = 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-  return std::make_unique<SocketReplLink>(fd);
 }
 
 /// Forwards everything to the real io, sleeping before each fsync_file.

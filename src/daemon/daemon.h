@@ -22,6 +22,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "daemon/failover.h"
 #include "daemon/feed.h"
@@ -59,9 +60,10 @@ class RequestHandler {
     std::function<std::string()> watchdog_state;
     /// Invoked after a committed broadcast-worthy mutation (`new-period`,
     /// a revoke that rolled its shard's period, `encrypt`) with the push
-    /// line for the streaming feed (DESIGN.md Sect. 16). Runs on the
-    /// worker thread AFTER durability — subscribers never see an epoch
-    /// the store could still lose.
+    /// line for the streaming feed (DESIGN.md Sect. 16). Runs on a worker
+    /// thread AFTER durability — subscribers never see an epoch the store
+    /// could still lose — and never hands over a ciphertext before the
+    /// reset that introduced its period (see FeedGate).
     std::function<void(std::string line, std::uint64_t period)> publish;
   };
 
@@ -76,8 +78,28 @@ class RequestHandler {
  private:
   std::string dispatch(const std::vector<std::string>& tokens);
 
+  // Feed order (DESIGN.md Sect. 16): an `encrypt` frame sealed at period p
+  // on shard s reaches hooks_.publish only after the reset to p for s. The
+  // verbs that roll periods (new-period, revoke) hold a FeedGate from
+  // before the roll until their reset frame is out, because a concurrent
+  // encrypt can seal under the new key in between. While a gate is open,
+  // an encrypt frame sealed past the period last announced for its shard
+  // is held back, and goes out when a gate closes on its reset.
+  class FeedGate;
+  void publish_content(std::size_t shard, std::uint64_t period,
+                       std::string line);
+
   ShardRouter& router_;
   Hooks hooks_;
+  struct HeldFrame {
+    std::size_t shard = 0;
+    std::uint64_t period = 0;
+    std::string line;
+  };
+  std::mutex feed_mu_;
+  std::size_t feed_gates_ = 0;             // open FeedGates
+  std::vector<std::uint64_t> announced_;   // per shard, while a gate is open
+  std::vector<HeldFrame> held_;            // in publish order
 };
 
 struct DaemonOptions {

@@ -291,6 +291,9 @@ ShardRouter::RevokeResult ShardRouter::revoke(
       for (const SignedResetBundle& b : bundles) {
         out.bundles.push_back(serialize_bundle(b, group));
       }
+      if (!bundles.empty()) {
+        out.rolled.emplace_back(k, bundles.back().reset.new_period);
+      }
     });
     DFKY_OBS(obs::counter("dfkyd_shard_mutations_total",
                           {{"shard", std::to_string(k)}, {"verb", "revoke"}})
@@ -643,17 +646,18 @@ ShardRouter::HealthReport ShardRouter::health() const {
   return h;
 }
 
-Bytes ShardRouter::encrypt(BytesView payload, std::size_t shard) {
+ShardRouter::Sealed ShardRouter::encrypt(BytesView payload,
+                                         std::size_t shard) {
   if (shard >= shards_.size()) {
     throw ContractError("encrypt: shard " + std::to_string(shard) +
                         " out of range (have " +
                         std::to_string(shards_.size()) + ")");
   }
   Shard& sh = *shards_[shard];
-  // Shared across the whole seal, not just the key read: the caller
-  // publishes the ciphertext right after this returns, and an epoch
-  // barrier slipping in mid-seal could push the next period's reset to
-  // subscribers before a broadcast sealed under the old key.
+  // Shared across the whole seal, not just the key read, so a ciphertext
+  // is never older than an epoch barrier that follows it. The feed
+  // publish runs after this lock is gone; RequestHandler keeps the frame
+  // behind the reset of its period (DESIGN.md Sect. 16).
   std::shared_lock state(sh.state_mu);
   // Only the seed draw is serialized; the v+3 exponentiations run on a
   // per-request stream, so concurrent encrypts use every worker.
@@ -665,6 +669,7 @@ Bytes ShardRouter::encrypt(BytesView payload, std::size_t shard) {
   ChaChaRng rng(seed);
   const SecurityManager& mgr = sh.store.manager();
   std::shared_ptr<const Encryptor> enc = sh.cached_encryptor();
+  bool build = false;
   if (!enc || enc->public_key() != mgr.public_key()) {
     // The key moved (or this is the shard's first encrypt): seal now with
     // the tables that carry over and leave the rest to the builder, so no
@@ -672,12 +677,15 @@ Bytes ShardRouter::encrypt(BytesView payload, std::size_t shard) {
     auto next = enc ? std::make_shared<const Encryptor>(*enc, mgr.public_key())
                     : std::make_shared<const Encryptor>(mgr.params(),
                                                         mgr.public_key());
-    if (sh.swap_encryptor(enc, next) && !next->complete()) queue_tables(shard);
+    build = sh.swap_encryptor(enc, next) && !next->complete();
     enc = std::move(next);
   }
   Writer w;
   seal_content(*enc, payload, rng).serialize(w, mgr.params().group);
-  return std::move(w).take();
+  // Queued after the seal: the builder's first table would otherwise
+  // compete for a core with the seal that asked for it.
+  if (build) queue_tables(shard);
+  return {std::move(w).take(), mgr.period()};
 }
 
 void ShardRouter::stop_commits() {

@@ -101,6 +101,8 @@ class ShardRouter {
   struct RevokeResult {
     std::uint64_t period = 0;  // max period across the whole set afterwards
     std::vector<Bytes> bundles;  // serialized SignedResetBundles, all shards
+    /// (shard, new period) of every shard this revoke rolled.
+    std::vector<std::pair<std::size_t, std::uint64_t>> rolled;
   };
   /// Partitions `global_ids` by shard and revokes per shard. Ids are
   /// validated against their shard by the manager; an unknown id fails
@@ -159,7 +161,11 @@ class ShardRouter {
   /// Encryptor. When the key has moved since the cached one, the seal
   /// uses an Encryptor that keeps the still-valid tables and builds none,
   /// and the shard is queued for the table builder (DESIGN.md Sect. 11.1).
-  Bytes encrypt(BytesView payload, std::size_t shard);
+  struct Sealed {
+    Bytes ct;                 // serialized ContentMessage
+    std::uint64_t period = 0;  // the period of the key that sealed it
+  };
+  Sealed encrypt(BytesView payload, std::size_t shard);
 
   /// True after any shard fail-stopped (batch sync or barrier failure).
   bool fatal() const { return fatal_.load(); }

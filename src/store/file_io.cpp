@@ -204,10 +204,16 @@ bool RealFileIo::lock(const std::string& path, std::uint64_t* holder) {
       errno = saved;
       io_fail("lock", path);
     }
-    // Contended: report the pid the holder stamped into the file.
+    // Contended: report the pid the holder stamped into the file. The
+    // holder stamps it just after it takes the flock, so a file with no
+    // complete line yet means we looked in between: give it a moment.
     char buf[32];
-    const ssize_t n =
-        eintr_retry([&] { return ::read(fd, buf, sizeof buf - 1); });
+    ssize_t n = 0;
+    for (int tries = 0; tries < 100; ++tries) {
+      n = eintr_retry([&] { return ::pread(fd, buf, sizeof buf - 1, 0); });
+      if (n < 0 || std::memchr(buf, '\n', static_cast<std::size_t>(n))) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     if (n > 0 && holder != nullptr) {
       buf[n] = '\0';
       *holder = std::strtoull(buf, nullptr, 10);

@@ -24,7 +24,6 @@
 //    and TSan with a 20-seed sweep.
 #include <gtest/gtest.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -43,6 +42,7 @@
 #include <unistd.h>
 
 #include "broadcast/faulty_bus.h"
+#include "client/client.h"
 #include "broadcast/recovery.h"
 #include "core/manager.h"
 #include "daemon/feed.h"
@@ -194,48 +194,7 @@ int listen_unix(const std::string& path) {
   return fd;
 }
 
-int connect_unix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  const timeval tv{.tv_sec = 10, .tv_usec = 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  return fd;
-}
-
-bool send_all(int fd, std::string_view data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0) return false;
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-std::optional<std::string> recv_line(int fd, std::string& buf) {
-  for (;;) {
-    const std::size_t pos = buf.find('\n');
-    if (pos != std::string::npos) {
-      std::string line = buf.substr(0, pos);
-      buf.erase(0, pos + 1);
-      return line;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return std::nullopt;
-    buf.append(chunk, static_cast<std::size_t>(n));
-  }
-}
+constexpr int kMs = 10000;  // a frame slower than this fails the test
 
 /// `bcast new-period period=<p> bundles=...` -> p; nullopt otherwise.
 std::optional<std::uint64_t> frame_period(const std::string& line) {
@@ -296,8 +255,7 @@ struct FeedHarness {
 };
 
 struct FeedSub {
-  int fd = -1;
-  std::string buf;
+  client::Conn conn;
   std::uint64_t from = 0;                // periods (from, final] are owed
   std::vector<std::uint64_t> seen;
 };
@@ -332,15 +290,11 @@ void run_feed_churn(std::uint64_t seed) {
   std::size_t killed = 0;
 
   auto add_sub = [&](std::uint64_t from) {
-    FeedSub s;
-    s.fd = connect_unix(h.sock);
-    ASSERT_GE(s.fd, 0);
-    s.from = from;
-    ASSERT_TRUE(send_all(s.fd, "subscribe " + std::to_string(from) + "\n"));
-    const auto line = recv_line(s.fd, s.buf);
-    ASSERT_TRUE(line.has_value());
-    ASSERT_EQ(*line, "ok period=" + std::to_string(last_period) +
-                         " replayed=" + std::to_string(last_period - from));
+    FeedSub s{.conn = client::Conn(h.sock), .from = from, .seen = {}};
+    const daemon::Response r = client::subscribe(s.conn, from, kMs);
+    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_EQ(r.fields.at("period"), std::to_string(last_period));
+    ASSERT_EQ(r.fields.at("replayed"), std::to_string(last_period - from));
     subs.push_back(std::move(s));
   };
 
@@ -349,9 +303,7 @@ void run_feed_churn(std::uint64_t seed) {
   add_sub(0);
   if (::testing::Test::HasFatalFailure()) return;
 
-  int control = connect_unix(h.sock);
-  ASSERT_GE(control, 0);
-  std::string control_buf;
+  client::Conn control(h.sock);
 
   constexpr int kRounds = 8;
   for (int round = 0; round < kRounds; ++round) {
@@ -360,11 +312,9 @@ void run_feed_churn(std::uint64_t seed) {
     if (round == 3) cluster.kill_follower(0);
     if (round == 5) cluster.restart_follower(0, seed + 77);
 
-    ASSERT_TRUE(send_all(control, "new-period\n"));
-    const auto raw = recv_line(control, control_buf);
-    ASSERT_TRUE(raw.has_value());
-    const auto resp = daemon::parse_response(*raw);
-    ASSERT_TRUE(resp.has_value() && resp->ok) << *raw;
+    const std::string raw = control.request("new-period", kMs);
+    const auto resp = daemon::parse_response(raw);
+    ASSERT_TRUE(resp.has_value() && resp->ok) << raw;
     const auto period = daemon::parse_u64(resp->fields.at("period"));
     ASSERT_TRUE(period.has_value());
     const std::string frame = "bcast new-period period=" +
@@ -381,7 +331,6 @@ void run_feed_churn(std::uint64_t seed) {
     // the fan-out races its death. Nobody else may lose a frame for it.
     if (subs.size() > 2 && rng() % 3 == 0) {
       const std::size_t victim = 1 + rng() % (subs.size() - 1);
-      ::close(subs[victim].fd);
       subs.erase(subs.begin() + static_cast<std::ptrdiff_t>(victim));
       ++killed;
     }
@@ -391,8 +340,8 @@ void run_feed_churn(std::uint64_t seed) {
     // subscribe's replay can never race a still-pending frame into a
     // duplicate delivery.
     for (;;) {
-      const auto line = recv_line(subs[0].fd, subs[0].buf);
-      ASSERT_TRUE(line.has_value()) << "canary lost the stream";
+      const auto line = subs[0].conn.recv(kMs);
+      ASSERT_TRUE(line.has_value()) << "canary starved";
       const auto p = frame_period(*line);
       ASSERT_TRUE(p.has_value()) << *line;
       subs[0].seen.push_back(*p);
@@ -413,8 +362,8 @@ void run_feed_churn(std::uint64_t seed) {
     SCOPED_TRACE("subscriber " + std::to_string(i));
     FeedSub& s = subs[i];
     while (s.seen.size() < last_period - s.from) {
-      const auto line = recv_line(s.fd, s.buf);
-      ASSERT_TRUE(line.has_value()) << "stream ended " << s.seen.size()
+      const auto line = s.conn.recv(kMs);
+      ASSERT_TRUE(line.has_value()) << "stream stalled " << s.seen.size()
                                     << " frames into (" << s.from << ", "
                                     << last_period << "]";
       const auto p = frame_period(*line);
@@ -441,9 +390,6 @@ void run_feed_churn(std::uint64_t seed) {
   }
   const auto stats = h.reactor->stats();
   EXPECT_GE(stats.feed_replayed, 1u);
-
-  for (FeedSub& s : subs) ::close(s.fd);
-  ::close(control);
 
   // The cluster itself stayed healthy under the churn: the rebooted
   // follower re-seeds and converges to the primary's epoch.

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
 #include <mutex>
 #include <optional>
@@ -616,7 +617,7 @@ TEST(ShardRouter, ConcurrentEncryptsOpenAndNeverShareRandomness) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (std::size_t i = 0; i < kPerThread; ++i) {
-        cts[t].push_back(f.router->encrypt(payload_of(t, i), 0));
+        cts[t].push_back(f.router->encrypt(payload_of(t, i), 0).ct);
       }
     });
   }
@@ -633,6 +634,61 @@ TEST(ShardRouter, ConcurrentEncryptsOpenAndNeverShareRandomness) {
     }
   }
   EXPECT_EQ(us.size(), kThreads * kPerThread);
+}
+
+TEST(RequestHandler, FeedPublishesTheResetBeforeCiphertextsOfItsPeriod) {
+  // An encrypt can seal under the new key after the epoch barrier has let
+  // go of the shard but before the barrier's reset is published. The hook
+  // parks that reset until such an encrypt has returned; subscribers must
+  // still get the reset first, or they cannot open the ciphertext.
+  HandlerFixture f;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::string> stream;  // guarded by mu
+  bool reset_parked = false;        // guarded by mu
+  bool encrypt_returned = false;    // guarded by mu
+  RequestHandler h(
+      *f.router,
+      RequestHandler::Hooks{
+          .pre_demote = {},
+          .post_demote = {},
+          .post_promote = {},
+          .watchdog_state = {},
+          .publish = [&](std::string line, std::uint64_t) {
+            std::unique_lock lk(mu);
+            if (line.starts_with("bcast new-period ")) {
+              reset_parked = true;
+              cv.notify_all();
+              cv.wait_for(lk, std::chrono::seconds(10),
+                          [&] { return encrypt_returned; });
+            }
+            stream.push_back(std::move(line));
+          }});
+  std::thread roll([&] { h.handle("new-period"); });
+  {
+    std::unique_lock lk(mu);
+    EXPECT_TRUE(cv.wait_for(lk, std::chrono::seconds(10),
+                            [&] { return reset_parked; }));
+  }
+  const auto r = parse_response(h.handle("encrypt 0102").response);
+  {
+    std::lock_guard lk(mu);
+    encrypt_returned = true;
+  }
+  cv.notify_all();
+  roll.join();
+
+  ASSERT_TRUE(r && r->ok);
+  const Bytes ct = hex_decode(r->fields.at("ct")).value();
+  Reader rd(ct);
+  const ContentMessage m = ContentMessage::deserialize(
+      rd, f.router->store(0).manager().params().group);
+  EXPECT_EQ(m.kem.period, 1u);  // sealed under the new key: the race is on
+  ASSERT_EQ(stream.size(), 2u);
+  EXPECT_TRUE(stream[0].starts_with("bcast new-period period=1 "))
+      << stream[0].substr(0, 40);
+  EXPECT_TRUE(stream[1].starts_with("bcast encrypt shard=0 "))
+      << stream[1].substr(0, 40);
 }
 
 TEST(ShardRouter, EncryptTracksKeyChanges) {
@@ -654,7 +710,7 @@ TEST(ShardRouter, EncryptTracksKeyChanges) {
   const auto check = [&](const KeyFileData& open_key,
                          const KeyFileData* shut_key) {
     const Bytes payload = {n++, 0x3c};
-    const Bytes ct = router.encrypt(payload, 0);
+    const Bytes ct = router.encrypt(payload, 0).ct;
     Reader r(ct);
     const ContentMessage m = ContentMessage::deserialize(r, group);
     EXPECT_EQ(open_content(open_key.sp, open_key.key, m), payload);
@@ -720,7 +776,7 @@ TEST(ShardRouter, DestroyWhileTablesBuild) {
     router.emplace(std::move(stores), [](std::size_t k) {
       return std::make_unique<ChaChaRng>(200 + k);
     });
-    EXPECT_FALSE(router->encrypt(Bytes{1, 2, 3}, 0).empty());
+    EXPECT_FALSE(router->encrypt(Bytes{1, 2, 3}, 0).ct.empty());
     EXPECT_FALSE(router->encryptor(0)->complete());
     const SecurityManager& m = router->store(0).manager();
     const Encryptor bare(m.params(), m.public_key());

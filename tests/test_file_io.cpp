@@ -7,7 +7,12 @@
 #include <cstdlib>
 #include <cstring>
 
+#include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
+
+#include <chrono>
+#include <thread>
 
 #include "store/file_io.h"
 
@@ -281,6 +286,30 @@ TEST(RealFileIo, LockIsExclusivePerProcessAndRecordsThePid) {
   EXPECT_TRUE(io.lock(path, nullptr));
   io.unlock(path);
   io.remove(path);
+  ASSERT_EQ(::rmdir(tmpl), 0);
+}
+
+TEST(RealFileIo, ContendedLockWaitsForTheHoldersPid) {
+  // A holder takes the flock first and stamps its pid right after, so a
+  // contender can find the LOCK file still empty. It must report the pid
+  // once stamped, not "locked by pid 0".
+  char tmpl[] = "/tmp/dfky_fio_lock_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string path = std::string(tmpl) + "/LOCK";
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::flock(fd, LOCK_EX | LOCK_NB), 0);
+  std::thread stamper([fd] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(::write(fd, "4242\n", 5), 5);
+  });
+  RealFileIo io;
+  std::uint64_t holder = 0;
+  EXPECT_FALSE(io.lock(path, &holder));
+  stamper.join();
+  EXPECT_EQ(holder, 4242u);
+  ::close(fd);
+  ASSERT_EQ(::unlink(path.c_str()), 0);
   ASSERT_EQ(::rmdir(tmpl), 0);
 }
 

@@ -24,6 +24,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "client/client.h"
 #include "daemon/feed.h"
 #include "daemon/protocol.h"
 #include "daemon/reactor.h"
@@ -32,6 +33,7 @@ namespace dfky::daemon {
 namespace {
 
 constexpr auto kDeadline = std::chrono::seconds(10);
+constexpr int kMs = 10000;  // a reply slower than this fails the test
 
 int listen_unix(const std::string& path) {
   const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -45,62 +47,40 @@ int listen_unix(const std::string& path) {
   return fd;
 }
 
-int connect_unix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  const timeval tv{.tv_sec = 10, .tv_usec = 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  return fd;
-}
-
-bool send_all(int fd, std::string_view data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+/// Raw bytes with no framing: partial lines and oversize junk are exactly
+/// what client::Conn cannot send.
+bool send_raw(int fd, std::string_view data) {
+  while (!data.empty()) {
+    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
     if (n < 0 && errno == EINTR) continue;
     if (n < 0) return false;
-    off += static_cast<std::size_t>(n);
+    data.remove_prefix(static_cast<std::size_t>(n));
   }
   return true;
 }
 
-/// One LF-terminated line (stripped), or nullopt on EOF/timeout.
-std::optional<std::string> recv_line(int fd, std::string& buf) {
-  for (;;) {
-    const std::size_t pos = buf.find('\n');
-    if (pos != std::string::npos) {
-      std::string line = buf.substr(0, pos);
-      buf.erase(0, pos + 1);
-      return line;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return std::nullopt;
-    buf.append(chunk, static_cast<std::size_t>(n));
-  }
+/// True when the metrics port closes `fd` with no answer. Raw TCP: the
+/// scraper cap and deadline act on connections http_get never holds open.
+bool closed_by_peer(int fd) {
+  char c;
+  ssize_t n;
+  do {
+    n = ::recv(fd, &c, 1, 0);
+  } while (n < 0 && errno == EINTR);
+  return n <= 0;
 }
 
-/// True when nothing arrives on `fd` for `ms` — the negative assertion
-/// for ordering tests (the barrier really is holding the response back).
-bool quiet_for(int fd, int ms) {
-  const timeval tv{.tv_sec = ms / 1000,
-                   .tv_usec = static_cast<suseconds_t>(ms % 1000) * 1000};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  char c;
-  const ssize_t n = ::recv(fd, &c, 1, MSG_PEEK);
-  const bool quiet = n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
-  const timeval restore{.tv_sec = 10, .tv_usec = 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &restore, sizeof restore);
-  return quiet;
+/// `@0 <verb>` .. `@<count-1> <verb>`, one line each, for one write.
+std::string tagged_lines(std::size_t count, std::string_view verb) {
+  std::string out;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i > 0) out += '\n';
+    out += '@';
+    out += std::to_string(i);
+    out += ' ';
+    out += verb;
+  }
+  return out;
 }
 
 /// Echo stub: `ok body=<request body>`, tag echoed, shutdown on the
@@ -183,6 +163,8 @@ struct Harness {
     ::rmdir(dir.c_str());
   }
 
+  /// Raw TCP to the metrics port: the scraper-cap test holds connections
+  /// open silently, which client::http_get never does.
   int connect_metrics() const {
     const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     sockaddr_in sin{};
@@ -208,23 +190,20 @@ bool eventually(Pred pred) {
 
 TEST(Reactor, PartialLineReassembly) {
   Harness h(ReactorOptions{}, echo_handler);
-  const int fd = connect_unix(h.sock);
-  ASSERT_GE(fd, 0);
-  std::string buf;
+  client::Conn c(h.sock);
 
   // One line dribbled across four writes, then two lines in one write.
-  ASSERT_TRUE(send_all(fd, "he"));
+  ASSERT_TRUE(send_raw(c.fd(), "he"));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ASSERT_TRUE(send_all(fd, "ll"));
+  ASSERT_TRUE(send_raw(c.fd(), "ll"));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ASSERT_TRUE(send_all(fd, "o"));
-  ASSERT_TRUE(send_all(fd, "\n"));
-  EXPECT_EQ(recv_line(fd, buf), "ok body=hello");
+  ASSERT_TRUE(send_raw(c.fd(), "o"));
+  ASSERT_TRUE(send_raw(c.fd(), "\n"));
+  EXPECT_EQ(c.recv(kMs), "ok body=hello");
 
-  ASSERT_TRUE(send_all(fd, "@7 foo\r\nbar\n"));
-  EXPECT_EQ(recv_line(fd, buf), "@7 ok body=foo");
-  EXPECT_EQ(recv_line(fd, buf), "ok body=bar");
-  ::close(fd);
+  ASSERT_TRUE(send_raw(c.fd(), "@7 foo\r\nbar\n"));
+  EXPECT_EQ(c.recv(kMs), "@7 ok body=foo");
+  EXPECT_EQ(c.recv(kMs), "ok body=bar");
 }
 
 TEST(Reactor, TaggedRunConcurrentlyUntaggedBarriers) {
@@ -241,47 +220,34 @@ TEST(Reactor, TaggedRunConcurrentlyUntaggedBarriers) {
     }
     return {tag_response(t.id, "ok body=" + std::string(t.body)), false};
   });
-  const int fd = connect_unix(h.sock);
-  ASSERT_GE(fd, 0);
-  std::string buf;
+  client::Conn c(h.sock);
 
   // @1 parks in a worker; @2 overtakes it (out-of-order completion is
   // the tagged contract); the untagged line must wait for BOTH.
-  ASSERT_TRUE(send_all(fd, "@1 slow\n@2 fast\nuntagged\n"));
-  EXPECT_EQ(recv_line(fd, buf), "@2 ok body=fast");
-  EXPECT_TRUE(quiet_for(fd, 300));  // the barrier is holding
+  c.send("@1 slow\n@2 fast\nuntagged");
+  EXPECT_EQ(c.recv(kMs), "@2 ok body=fast");
+  EXPECT_EQ(c.recv(300), std::nullopt);  // the barrier is holding
   {
     std::lock_guard lk(mu);
     release = true;
   }
   cv.notify_all();
-  EXPECT_EQ(recv_line(fd, buf), "@1 ok body=slow");
-  EXPECT_EQ(recv_line(fd, buf), "ok body=untagged");
-  ::close(fd);
+  EXPECT_EQ(c.recv(kMs), "@1 ok body=slow");
+  EXPECT_EQ(c.recv(kMs), "ok body=untagged");
 }
 
 TEST(Reactor, SlowReaderGetsEveryResponse) {
   Harness h(ReactorOptions{}, echo_handler);
-  const int fd = connect_unix(h.sock);
-  ASSERT_GE(fd, 0);
+  client::Conn c(h.sock);
   const std::size_t kReqs = 500;
-  std::string out;
-  for (std::size_t i = 0; i < kReqs; ++i) {
-    // GCC 12 -Wrestrict false positive inside libstdc++'s char_traits.h.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wrestrict"
-    out += "@" + std::to_string(i) + " ping\n";
-#pragma GCC diagnostic pop
-  }
-  ASSERT_TRUE(send_all(fd, out));
-  std::string buf;
+  c.send(tagged_lines(kReqs, "ping"));
   std::vector<bool> seen(kReqs, false);
   for (std::size_t i = 0; i < kReqs; ++i) {
     if (i % 100 == 0) {  // slow reader: EPOLLOUT flush path gets exercised
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
-    const auto line = recv_line(fd, buf);
-    ASSERT_TRUE(line.has_value()) << "connection died after " << i;
+    const auto line = c.recv(kMs);
+    ASSERT_TRUE(line.has_value()) << "no answer after " << i;
     const auto resp = parse_response(*line);
     ASSERT_TRUE(resp && resp->ok && resp->id) << *line;
     ASSERT_LT(*resp->id, kReqs);
@@ -289,7 +255,6 @@ TEST(Reactor, SlowReaderGetsEveryResponse) {
     seen[*resp->id] = true;
   }
   EXPECT_EQ(h.reactor->stats().overflow_closed, 0u);
-  ::close(fd);
 }
 
 TEST(Reactor, WriteQueueOverflowClosesUnresponsiveReader) {
@@ -300,37 +265,25 @@ TEST(Reactor, WriteQueueOverflowClosesUnresponsiveReader) {
     const TaggedLine t = split_request_tag(line);
     return {tag_response(t.id, "ok big=" + big), false};
   });
-  const int fd = connect_unix(h.sock);
-  ASSERT_GE(fd, 0);
+  client::Conn c(h.sock);
   // 64 x 32KiB of responses against a reader that never reads: the
   // socket buffer fills, then the write queue, then the reactor drops
   // the connection instead of buffering without bound.
-  std::string out;
-  // GCC 12 -Wrestrict false positive inside libstdc++'s char_traits.h.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wrestrict"
-  for (int i = 0; i < 64; ++i) out += "@" + std::to_string(i) + " go\n";
-#pragma GCC diagnostic pop
-  ASSERT_TRUE(send_all(fd, out));
+  c.send(tagged_lines(64, "go"));
   EXPECT_TRUE(eventually(
       [&] { return h.reactor->stats().overflow_closed >= 1; }));
-  ::close(fd);
 }
 
 TEST(Reactor, IdleConnectionsAreReaped) {
   ReactorOptions opts;
   opts.idle_timeout_ms = 100;
   Harness h(opts, echo_handler);
-  const int fd = connect_unix(h.sock);
-  ASSERT_GE(fd, 0);
-  std::string buf;
-  ASSERT_TRUE(send_all(fd, "ping\n"));
-  EXPECT_EQ(recv_line(fd, buf), "ok body=ping");
+  client::Conn c(h.sock);
+  EXPECT_EQ(c.request("ping", kMs), "ok body=ping");
   // Now go idle; the reaper closes us and recv sees clean EOF.
-  EXPECT_EQ(recv_line(fd, buf), std::nullopt);
+  EXPECT_THROW(c.recv(kMs), client::ConnError);
   EXPECT_TRUE(eventually([&] { return h.reactor->stats().idle_reaped >= 1; }));
   EXPECT_EQ(h.reactor->stats().open_conns, 0u);
-  ::close(fd);
 }
 
 TEST(Reactor, BusyShedsMutationsNotReads) {
@@ -338,51 +291,36 @@ TEST(Reactor, BusyShedsMutationsNotReads) {
   ReactorOptions opts;
   opts.busy_queue_limit = 4;
   Harness h(opts, echo_handler, [&] { return depth.load(); });
-  const int fd = connect_unix(h.sock);
-  ASSERT_GE(fd, 0);
-  std::string buf;
-  ASSERT_TRUE(send_all(fd, "ping\n"));
-  EXPECT_EQ(recv_line(fd, buf), "ok body=ping");
+  client::Conn c(h.sock);
+  EXPECT_EQ(c.request("ping", kMs), "ok body=ping");
 
   depth.store(10);  // committers saturated
-  ASSERT_TRUE(send_all(fd, "@1 add-user u\n"));
-  EXPECT_EQ(recv_line(fd, buf), "@1 err busy");
-  ASSERT_TRUE(send_all(fd, "revoke 3\n"));
-  EXPECT_EQ(recv_line(fd, buf), "err busy");
+  EXPECT_EQ(c.request("@1 add-user u", kMs), "@1 err busy");
+  EXPECT_EQ(c.request("revoke 3", kMs), "err busy");
   // Reads pass through even while mutations shed.
-  ASSERT_TRUE(send_all(fd, "@2 status\n"));
-  EXPECT_EQ(recv_line(fd, buf), "@2 ok body=status");
+  EXPECT_EQ(c.request("@2 status", kMs), "@2 ok body=status");
   EXPECT_EQ(h.reactor->stats().busy_shed, 2u);
 
   // New clients are not accepted while saturated...
-  const int fd2 = connect_unix(h.sock);  // lands in the backlog
-  ASSERT_GE(fd2, 0);
-  ASSERT_TRUE(send_all(fd2, "ping\n"));
-  EXPECT_TRUE(quiet_for(fd2, 300));
+  client::Conn c2(h.sock);  // lands in the backlog
+  c2.send("ping");
+  EXPECT_EQ(c2.recv(300), std::nullopt);
   // ...and are picked back up once the backlog drains.
   depth.store(0);
-  std::string buf2;
-  EXPECT_EQ(recv_line(fd2, buf2), "ok body=ping");
-  ASSERT_TRUE(send_all(fd, "@3 add-user u\n"));
-  EXPECT_EQ(recv_line(fd, buf), "@3 ok body=add-user u");
-  ::close(fd);
-  ::close(fd2);
+  EXPECT_EQ(c2.recv(kMs), "ok body=ping");
+  EXPECT_EQ(c.request("@3 add-user u", kMs), "@3 ok body=add-user u");
 }
 
 TEST(Reactor, OversizeLineGetsErrThenClose) {
   Harness h(ReactorOptions{}, echo_handler);
-  const int fd = connect_unix(h.sock);
-  ASSERT_GE(fd, 0);
+  client::Conn c(h.sock);
   // One valid line, then > kMaxLineBytes without a newline. The valid
   // line is answered; the violation earns one `err` and the close.
-  ASSERT_TRUE(send_all(fd, "ping\n"));
-  std::string buf;
-  EXPECT_EQ(recv_line(fd, buf), "ok body=ping");
+  EXPECT_EQ(c.request("ping", kMs), "ok body=ping");
   const std::string junk(kMaxLineBytes + (std::size_t{64} << 10), 'a');
-  send_all(fd, junk);  // may fail part-way once the reactor shuts its read
-  EXPECT_EQ(recv_line(fd, buf), "err request line too long");
-  EXPECT_EQ(recv_line(fd, buf), std::nullopt);  // EOF
-  ::close(fd);
+  send_raw(c.fd(), junk);  // may fail part-way once the reactor shuts its read
+  EXPECT_EQ(c.recv(kMs), "err request line too long");
+  EXPECT_THROW(c.recv(kMs), client::ConnError);  // EOF
 }
 
 TEST(Reactor, MetricsScraperCapAndDeadline) {
@@ -395,37 +333,31 @@ TEST(Reactor, MetricsScraperCapAndDeadline) {
   ASSERT_TRUE(eventually([&] {
     // Over the cap: accepted then immediately closed.
     const int fd = h.connect_metrics();
-    std::string buf;
-    const bool rejected = recv_line(fd, buf) == std::nullopt;
+    const bool rejected = closed_by_peer(fd);
     ::close(fd);
     return rejected && h.reactor->stats().metrics_rejects >= 1;
   }));
 
   // The silent scraper is reaped at its deadline, freeing the slot for a
   // real scrape.
-  std::string held_buf;
-  EXPECT_EQ(recv_line(held, held_buf), std::nullopt);
+  EXPECT_TRUE(closed_by_peer(held));
   ::close(held);
   EXPECT_TRUE(eventually([&] {
-    const int fd = h.connect_metrics();
-    send_all(fd, "GET /metrics HTTP/1.0\r\n\r\n");
-    std::string buf;
-    const auto status = recv_line(fd, buf);
-    ::close(fd);
-    return status.has_value() && status->starts_with("HTTP/1.0 200");
+    try {
+      client::http_get("127.0.0.1", h.metrics_port, "/metrics");
+      return true;
+    } catch (const client::ConnError&) {
+      return false;
+    }
   }));
 }
 
 TEST(Reactor, ShutdownVerbAcksThenStops) {
   Harness h(ReactorOptions{}, echo_handler);
-  const int fd = connect_unix(h.sock);
-  ASSERT_GE(fd, 0);
-  std::string buf;
-  ASSERT_TRUE(send_all(fd, "shutdown\n"));
-  EXPECT_EQ(recv_line(fd, buf), "ok");
-  EXPECT_EQ(recv_line(fd, buf), std::nullopt);  // drained and closed
+  client::Conn c(h.sock);
+  EXPECT_EQ(c.request("shutdown", kMs), "ok");
+  EXPECT_THROW(c.recv(kMs), client::ConnError);  // drained and closed
   h.join();  // run() returned because the handler said shutdown
-  ::close(fd);
 }
 
 // ---- streaming fan-out (DESIGN.md Sect. 16) ----
@@ -436,38 +368,29 @@ TEST(Reactor, FeedSubscribePushesFramesToEverySubscriberOnly) {
   opts.feed = &hub;
   Harness h(opts, echo_handler);
 
-  const int sub1 = connect_unix(h.sock);
-  const int sub2 = connect_unix(h.sock);
-  const int plain = connect_unix(h.sock);
-  ASSERT_GE(sub1, 0);
-  ASSERT_GE(sub2, 0);
-  ASSERT_GE(plain, 0);
-  std::string b1, b2, bp;
-  ASSERT_TRUE(send_all(sub1, "subscribe\n"));
-  EXPECT_EQ(recv_line(sub1, b1), "ok period=0 replayed=0");
-  ASSERT_TRUE(send_all(sub2, "@9 subscribe\n"));
-  EXPECT_EQ(recv_line(sub2, b2), "@9 ok period=0 replayed=0");
-  ASSERT_TRUE(send_all(plain, "ping\n"));
-  EXPECT_EQ(recv_line(plain, bp), "ok body=ping");
+  client::Conn sub1(h.sock);
+  client::Conn sub2(h.sock);
+  client::Conn plain(h.sock);
+  EXPECT_EQ(sub1.request("subscribe", kMs), "ok period=0 replayed=0");
+  EXPECT_EQ(sub2.request("@9 subscribe", kMs), "@9 ok period=0 replayed=0");
+  EXPECT_EQ(plain.request("ping", kMs), "ok body=ping");
   EXPECT_TRUE(eventually([&] { return h.reactor->stats().subscribers == 2; }));
 
   hub.publish("bcast new-period period=1 bundles=aa", 1);
   hub.publish("bcast new-period period=2 bundles=bb", 2);
-  EXPECT_EQ(recv_line(sub1, b1), "bcast new-period period=1 bundles=aa");
-  EXPECT_EQ(recv_line(sub1, b1), "bcast new-period period=2 bundles=bb");
-  EXPECT_EQ(recv_line(sub2, b2), "bcast new-period period=1 bundles=aa");
-  EXPECT_EQ(recv_line(sub2, b2), "bcast new-period period=2 bundles=bb");
+  EXPECT_EQ(sub1.recv(kMs), "bcast new-period period=1 bundles=aa");
+  EXPECT_EQ(sub1.recv(kMs), "bcast new-period period=2 bundles=bb");
+  EXPECT_EQ(sub2.recv(kMs), "bcast new-period period=1 bundles=aa");
+  EXPECT_EQ(sub2.recv(kMs), "bcast new-period period=2 bundles=bb");
   // Non-subscribers never see the push stream.
-  EXPECT_TRUE(quiet_for(plain, 200));
+  EXPECT_EQ(plain.recv(200), std::nullopt);
 
   // A subscriber's connection still answers ordinary requests.
-  ASSERT_TRUE(send_all(sub1, "@3 status\n"));
-  EXPECT_EQ(recv_line(sub1, b1), "@3 ok body=status");
+  EXPECT_EQ(sub1.request("@3 status", kMs), "@3 ok body=status");
 
-  ::close(sub1);
-  ::close(sub2);
+  sub1.shutdown();
+  sub2.shutdown();
   EXPECT_TRUE(eventually([&] { return h.reactor->stats().subscribers == 0; }));
-  ::close(plain);
 }
 
 TEST(Reactor, FeedSlowSubscriberShedLosesNobodyElsesFrames) {
@@ -477,15 +400,10 @@ TEST(Reactor, FeedSlowSubscriberShedLosesNobodyElsesFrames) {
   opts.write_queue_limit = std::size_t{64} << 10;
   Harness h(opts, echo_handler);
 
-  const int good = connect_unix(h.sock);
-  const int slow = connect_unix(h.sock);
-  ASSERT_GE(good, 0);
-  ASSERT_GE(slow, 0);
-  std::string bg, bs;
-  ASSERT_TRUE(send_all(good, "subscribe\n"));
-  EXPECT_EQ(recv_line(good, bg), "ok period=0 replayed=0");
-  ASSERT_TRUE(send_all(slow, "subscribe\n"));
-  EXPECT_EQ(recv_line(slow, bs), "ok period=0 replayed=0");
+  client::Conn good(h.sock);
+  client::Conn slow(h.sock);
+  EXPECT_EQ(good.request("subscribe", kMs), "ok period=0 replayed=0");
+  EXPECT_EQ(slow.request("subscribe", kMs), "ok period=0 replayed=0");
   EXPECT_TRUE(eventually([&] { return h.reactor->stats().subscribers == 2; }));
 
   // 64 x 32KiB frames against a subscriber that never reads: its socket
@@ -496,15 +414,13 @@ TEST(Reactor, FeedSlowSubscriberShedLosesNobodyElsesFrames) {
   for (int i = 0; i < kFrames; ++i) {
     hub.publish("bcast n=" + std::to_string(i) + " pad=" + pad,
                 static_cast<std::uint64_t>(i));
-    const auto line = recv_line(good, bg);
-    ASSERT_TRUE(line.has_value()) << "good subscriber died at frame " << i;
+    const auto line = good.recv(kMs);
+    ASSERT_TRUE(line.has_value()) << "good subscriber starved at frame " << i;
     EXPECT_TRUE(line->starts_with("bcast n=" + std::to_string(i) + " "))
         << "frame " << i << " got: " << line->substr(0, 40);
   }
   EXPECT_TRUE(eventually([&] { return h.reactor->stats().feed_shed >= 1; }));
   EXPECT_TRUE(eventually([&] { return h.reactor->stats().subscribers == 1; }));
-  ::close(good);
-  ::close(slow);
 }
 
 TEST(Reactor, FeedResumeReplaysExactlyTheMissedEpochs) {
@@ -530,37 +446,29 @@ TEST(Reactor, FeedResumeReplaysExactlyTheMissedEpochs) {
   Harness h(opts, echo_handler);
 
   // Resume from period 2: epochs 3, 4, 5 — exactly the missed ones.
-  const int fd = connect_unix(h.sock);
-  ASSERT_GE(fd, 0);
-  std::string buf;
-  ASSERT_TRUE(send_all(fd, "subscribe 2\n"));
-  EXPECT_EQ(recv_line(fd, buf), "ok period=5 replayed=3");
-  EXPECT_EQ(recv_line(fd, buf), "bcast new-period period=3 bundles=ff");
-  EXPECT_EQ(recv_line(fd, buf), "bcast new-period period=4 bundles=ff");
-  EXPECT_EQ(recv_line(fd, buf), "bcast new-period period=5 bundles=ff");
-  EXPECT_TRUE(quiet_for(fd, 200));  // and nothing more
+  client::Conn c(h.sock);
+  EXPECT_EQ(c.request("subscribe 2", kMs), "ok period=5 replayed=3");
+  EXPECT_EQ(c.recv(kMs), "bcast new-period period=3 bundles=ff");
+  EXPECT_EQ(c.recv(kMs), "bcast new-period period=4 bundles=ff");
+  EXPECT_EQ(c.recv(kMs), "bcast new-period period=5 bundles=ff");
+  EXPECT_EQ(c.recv(200), std::nullopt);  // and nothing more
   EXPECT_EQ(h.reactor->stats().feed_replayed, 3u);
 
   // Already current: subscribed, nothing replayed.
-  ASSERT_TRUE(send_all(fd, "@1 subscribe 5\n"));
-  EXPECT_EQ(recv_line(fd, buf), "@1 ok period=5 replayed=0");
+  EXPECT_EQ(c.request("@1 subscribe 5", kMs), "@1 ok period=5 replayed=0");
 
   // Evicted from the archive: NOT subscribed, told where the feed can
   // bridge from so the client falls back to the signed catch-up path.
-  const int old = connect_unix(h.sock);
-  ASSERT_GE(old, 0);
-  std::string bo;
-  ASSERT_TRUE(send_all(old, "subscribe 0\n"));
-  EXPECT_EQ(recv_line(old, bo), "err replay-unavailable oldest=2 period=5");
+  client::Conn old(h.sock);
+  EXPECT_EQ(old.request("subscribe 0", kMs),
+            "err replay-unavailable oldest=2 period=5");
   hub.publish("bcast new-period period=6 bundles=ee", 6);
-  EXPECT_EQ(recv_line(fd, buf), "bcast new-period period=6 bundles=ee");
-  EXPECT_TRUE(quiet_for(old, 200));  // the rejected conn is not a stream
+  EXPECT_EQ(c.recv(kMs), "bcast new-period period=6 bundles=ee");
+  EXPECT_EQ(old.recv(200), std::nullopt);  // the rejected conn is not a stream
 
   // Malformed resume point.
-  ASSERT_TRUE(send_all(old, "subscribe zero\n"));
-  EXPECT_EQ(recv_line(old, bo), "err usage: subscribe [from-period]");
-  ::close(fd);
-  ::close(old);
+  EXPECT_EQ(old.request("subscribe zero", kMs),
+            "err usage: subscribe [from-period]");
 }
 
 TEST(Reactor, FeedDrainFlushesInFlightBroadcastFrames) {
@@ -568,11 +476,8 @@ TEST(Reactor, FeedDrainFlushesInFlightBroadcastFrames) {
   ReactorOptions opts;
   opts.feed = &hub;
   Harness h(opts, echo_handler);
-  const int fd = connect_unix(h.sock);
-  ASSERT_GE(fd, 0);
-  std::string buf;
-  ASSERT_TRUE(send_all(fd, "subscribe\n"));
-  EXPECT_EQ(recv_line(fd, buf), "ok period=0 replayed=0");
+  client::Conn c(h.sock);
+  EXPECT_EQ(c.request("subscribe", kMs), "ok period=0 replayed=0");
 
   // Frames published right before shutdown must still reach the stream:
   // the drain fans out pending frames and flushes them before closing.
@@ -580,11 +485,10 @@ TEST(Reactor, FeedDrainFlushesInFlightBroadcastFrames) {
   hub.publish("bcast new-period period=2 bundles=bb", 2);
   hub.publish("bcast new-period period=3 bundles=cc", 3);
   h.stop();
-  EXPECT_EQ(recv_line(fd, buf), "bcast new-period period=1 bundles=aa");
-  EXPECT_EQ(recv_line(fd, buf), "bcast new-period period=2 bundles=bb");
-  EXPECT_EQ(recv_line(fd, buf), "bcast new-period period=3 bundles=cc");
-  EXPECT_EQ(recv_line(fd, buf), std::nullopt);  // then clean EOF
-  ::close(fd);
+  EXPECT_EQ(c.recv(kMs), "bcast new-period period=1 bundles=aa");
+  EXPECT_EQ(c.recv(kMs), "bcast new-period period=2 bundles=bb");
+  EXPECT_EQ(c.recv(kMs), "bcast new-period period=3 bundles=cc");
+  EXPECT_THROW(c.recv(kMs), client::ConnError);  // then clean EOF
 }
 
 TEST(Reactor, FeedSubscriberOutlivesIdleReaping) {
@@ -593,26 +497,19 @@ TEST(Reactor, FeedSubscriberOutlivesIdleReaping) {
   opts.feed = &hub;
   opts.idle_timeout_ms = 100;
   Harness h(opts, echo_handler);
-  const int sub = connect_unix(h.sock);
-  const int plain = connect_unix(h.sock);
-  ASSERT_GE(sub, 0);
-  ASSERT_GE(plain, 0);
-  std::string bs, bp;
-  ASSERT_TRUE(send_all(sub, "subscribe\n"));
-  EXPECT_EQ(recv_line(sub, bs), "ok period=0 replayed=0");
-  ASSERT_TRUE(send_all(plain, "ping\n"));
-  EXPECT_EQ(recv_line(plain, bp), "ok body=ping");
+  client::Conn sub(h.sock);
+  client::Conn plain(h.sock);
+  EXPECT_EQ(sub.request("subscribe", kMs), "ok period=0 replayed=0");
+  EXPECT_EQ(plain.request("ping", kMs), "ok body=ping");
 
   // The plain connection idles out; the subscriber is quiet for the same
   // stretch but push streams are never idle-reaped.
-  EXPECT_EQ(recv_line(plain, bp), std::nullopt);
+  EXPECT_THROW(plain.recv(kMs), client::ConnError);
   EXPECT_TRUE(eventually([&] { return h.reactor->stats().idle_reaped >= 1; }));
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   EXPECT_EQ(h.reactor->stats().subscribers, 1u);
   hub.publish("bcast new-period period=9 bundles=dd", 9);
-  EXPECT_EQ(recv_line(sub, bs), "bcast new-period period=9 bundles=dd");
-  ::close(sub);
-  ::close(plain);
+  EXPECT_EQ(sub.recv(kMs), "bcast new-period period=9 bundles=dd");
 }
 
 TEST(Reactor, DrainAnswersInFlightRequests) {
@@ -627,11 +524,9 @@ TEST(Reactor, DrainAnswersInFlightRequests) {
     }
     return {tag_response(t.id, "ok body=" + std::string(t.body)), false};
   });
-  const int fd = connect_unix(h.sock);
-  ASSERT_GE(fd, 0);
-  ASSERT_TRUE(send_all(fd, "@1 slow\n"));
-  std::string buf;
-  EXPECT_TRUE(quiet_for(fd, 100));  // parked in the worker
+  client::Conn c(h.sock);
+  c.send("@1 slow");
+  EXPECT_EQ(c.recv(100), std::nullopt);  // parked in the worker
   std::thread stopper([&] { h.stop(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   {
@@ -641,10 +536,9 @@ TEST(Reactor, DrainAnswersInFlightRequests) {
   cv.notify_all();
   // The drain must flush the ack for the request that was already
   // executing before it closes the connection.
-  EXPECT_EQ(recv_line(fd, buf), "@1 ok body=slow");
-  EXPECT_EQ(recv_line(fd, buf), std::nullopt);
+  EXPECT_EQ(c.recv(kMs), "@1 ok body=slow");
+  EXPECT_THROW(c.recv(kMs), client::ConnError);
   stopper.join();
-  ::close(fd);
 }
 
 }  // namespace

@@ -33,27 +33,22 @@
 // add) and prints a summary or Prometheus text; `--since <unix-ts>` keeps
 // only the snapshots stamped at or after the given time.
 #include <algorithm>
-#include <cerrno>
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <ctime>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <sys/resource.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
 
+#include "client/client.h"
 #include "core/content.h"
 #include "core/keyfile.h"
 #include "core/manager.h"
@@ -346,96 +341,14 @@ int cmd_trace(std::vector<std::string> args) {
 
 // ---- talking to a live dfkyd --------------------------------------------------
 
-/// Connect retry policy (--retry-ms / --retry-max, global flags). A daemon
-/// restart or failover window shows up to clients as ECONNREFUSED (socket
-/// file exists, nobody listening), ENOENT (socket not recreated yet) or a
-/// reset; retrying with capped exponential backoff + jitter masks the gap.
-/// Defaults: start at 25ms, double to a 500ms cap, give up after 40
-/// attempts (~15s of failover headroom). --retry-max 0 disables retrying.
-struct RetryPolicy {
-  std::uint64_t base_ms = 25;
-  std::uint64_t max_attempts = 40;
-};
-RetryPolicy g_retry;
+/// Connect retry policy of every client verb (--retry-ms / --retry-max,
+/// global flags): 40 attempts from 25 ms, about 15 s of failover headroom.
+client::RetryPolicy g_retry{.base_ms = 25, .max_attempts = 40};
 
-bool connect_errno_transient(int err) {
-  return err == ECONNREFUSED || err == ENOENT || err == EAGAIN ||
-         err == ECONNRESET || err == ETIMEDOUT;
-}
-
-/// Connects to a dfkyd unix socket, retrying transient failures per
-/// `g_retry`; dies with a helpful message once the budget is spent.
-int connect_daemon(const std::string& socket_path) {
-  std::uint64_t delay_ms = g_retry.base_ms;
-  // Deterministic per-process jitter stream; enough to de-synchronize a
-  // herd of scripted clients hammering a restarting daemon.
-  std::uint32_t jitter_state =
-      static_cast<std::uint32_t>(::getpid()) * 2654435761u + 1u;
-  for (std::uint64_t attempt = 0;; ++attempt) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) die("client: socket: " + std::string(std::strerror(errno)));
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (socket_path.size() >= sizeof addr.sun_path) {
-      ::close(fd);
-      die("client: socket path too long: " + socket_path);
-    }
-    std::strncpy(addr.sun_path, socket_path.c_str(), sizeof addr.sun_path - 1);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0) {
-      return fd;
-    }
-    const int err = errno;
-    ::close(fd);
-    if (!connect_errno_transient(err) || attempt + 1 >= g_retry.max_attempts) {
-      die("client: cannot connect to " + socket_path + ": " +
-          std::strerror(err) + " (is dfkyd running?" +
-          (g_retry.max_attempts > 1
-               ? " gave up after " + std::to_string(attempt + 1) + " attempts"
-               : "") +
-          ")");
-    }
-    jitter_state = jitter_state * 1664525u + 1013904223u;
-    const std::uint64_t jitter = jitter_state % (delay_ms / 2 + 1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms + jitter));
-    delay_ms = std::min<std::uint64_t>(delay_ms * 2, 500);
-  }
-}
-
-/// Sends all of `data`; returns false on a broken connection.
-bool send_str(int fd, std::string_view data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + off, data.size() - off, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0) return false;
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// One request/response round over the daemon's unix socket.
+/// One request/response round over a fresh connection to dfkyd.
 std::string daemon_request(const std::string& socket_path,
                            const std::string& line) {
-  const int fd = connect_daemon(socket_path);
-  if (!send_str(fd, line + "\n")) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    die("client: send: " + err);
-  }
-  std::string resp;
-  char buf[1 << 16];
-  while (resp.find('\n') == std::string::npos) {
-    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    resp.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  const std::size_t nl = resp.find('\n');
-  if (nl == std::string::npos) {
-    die("client: daemon closed the connection before responding");
-  }
-  return resp.substr(0, nl);
+  return client::Conn(socket_path, g_retry).request(line);
 }
 
 /// The parsed response; dies naming `who` on an `err` answer.
@@ -636,111 +549,16 @@ int cmd_client_pipeline(const std::string& sock,
     return 0;
   }
 
-  const int fd = connect_daemon(sock);
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t received = 0;
-  bool broken = false;
-
-  // Writer on its own thread, reader on this one: the two never block
-  // each other, so a full socket buffer can't deadlock the client the
-  // way write-then-read lockstep with a large window would.
-  std::thread sender([&] {
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      {
-        std::unique_lock lk(mu);
-        cv.wait(lk, [&] { return i < received + window || broken; });
-        if (broken) return;
-      }
-      // GCC 12 -Wrestrict false positive inside libstdc++'s char_traits.h.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wrestrict"
-      const std::string req = "@" + std::to_string(i) + " " + reqs[i] + "\n";
-#pragma GCC diagnostic pop
-      if (!send_str(fd, req)) {
-        std::lock_guard lk(mu);
-        broken = true;
-        return;
-      }
-    }
-  });
-
-  std::map<std::uint64_t, std::string> responses;  // id -> untagged line
-  std::size_t next_print = 0;
+  client::Conn conn(sock, g_retry);
+  const std::vector<std::string> answers = client::pipeline(conn, reqs, window);
   std::size_t errors = 0;
-  std::string fail;  // deferred die(): the sender must be joined first
-  std::string buf;
-  char chunk[1 << 16];
-  while (fail.empty() && received < reqs.size()) {
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      fail = "daemon closed the connection after " +
-             std::to_string(received) + " of " + std::to_string(reqs.size()) +
-             " replies";
-      break;
-    }
-    buf.append(chunk, static_cast<std::size_t>(n));
-    std::size_t pos;
-    while (fail.empty() && (pos = buf.find('\n')) != std::string::npos) {
-      const std::string resp = buf.substr(0, pos);
-      buf.erase(0, pos + 1);
-      const std::optional<daemon::Response> r = daemon::parse_response(resp);
-      if (!r || !r->id) {
-        fail = "malformed pipelined response: " + resp;
-        break;
-      }
-      if (*r->id >= reqs.size() || responses.count(*r->id)) {
-        fail = "response id " + std::to_string(*r->id) +
-               (responses.count(*r->id) ? " duplicated" : " never requested");
-        break;
-      }
-      if (!r->ok) ++errors;
-      const std::size_t tag_end = resp.find(' ');
-      responses[*r->id] = resp.substr(tag_end + 1);
-      {
-        std::lock_guard lk(mu);
-        ++received;
-      }
-      cv.notify_all();
-      while (next_print < reqs.size() && responses.count(next_print)) {
-        std::printf("[%zu] %s\n", next_print,
-                    responses[next_print].c_str());
-        ++next_print;
-      }
-    }
+  for (std::size_t i = 0; i < answers.size(); ++i) {
+    if (answers[i].starts_with("err ")) ++errors;
+    std::printf("[%zu] %s\n", i, answers[i].c_str());
   }
-  {
-    std::lock_guard lk(mu);
-    broken = true;  // unblock the sender if we bailed early
-  }
-  cv.notify_all();
-  sender.join();
-  ::close(fd);
-  if (!fail.empty()) die("client pipeline: " + fail);
   std::printf("pipelined %zu request(s), window %zu, %zu error(s)\n",
               reqs.size(), window, errors);
   return errors == 0 ? 0 : 1;
-}
-
-/// Single connect attempt, no retries, no die(): the soak harness runs
-/// against daemons that are deliberately shedding, and a refused or
-/// reset connection is a data point there, not a fatal error.
-int connect_once(const std::string& socket_path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (socket_path.size() >= sizeof addr.sun_path) {
-    ::close(fd);
-    return -1;
-  }
-  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof addr.sun_path - 1);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
 }
 
 /// `client <socket> soak [--idle N] [--active M] [--per K] [--hold-ms T]`
@@ -751,8 +569,8 @@ int connect_once(const std::string& socket_path) {
 /// With --hold-ms the idle herd stays connected that long after the
 /// active phase — the e2e suite uses a pure-idle soak as the
 /// fd-exhaustion holder. Exits 0 when every active request was answered
-/// `ok`; connect failures on the idle herd are reported, not fatal (a
-/// daemon at its fd limit is expected to shed them).
+/// `ok`. Connects are tried once and their failures are data points, not
+/// fatal: a daemon at its fd limit is expected to shed the idle herd.
 int cmd_client_soak(const std::string& sock, std::vector<std::string> args) {
   const auto idle = static_cast<std::size_t>(parse_count(
       "client soak", "--idle", flag_value(args, "--idle").value_or("0")));
@@ -776,63 +594,33 @@ int cmd_client_soak(const std::string& sock, std::vector<std::string> args) {
     ::setrlimit(RLIMIT_NOFILE, &rl);
   }
 
-  std::vector<int> held;
+  std::vector<client::Conn> held;
   held.reserve(idle);
   std::size_t idle_failed = 0;
   for (std::size_t i = 0; i < idle; ++i) {
-    const int fd = connect_once(sock);
-    if (fd < 0) {
+    try {
+      held.emplace_back(sock);
+    } catch (const client::ConnError&) {
       ++idle_failed;
-      continue;
     }
-    held.push_back(fd);
   }
 
+  const std::vector<std::string> pings(per, "ping");
   std::atomic<std::size_t> errors{0};
   std::atomic<std::size_t> answered{0};
   std::vector<std::thread> workers;
   workers.reserve(active);
   for (std::size_t w = 0; w < active; ++w) {
-    workers.emplace_back([&, w] {
-      const int fd = connect_once(sock);
-      if (fd < 0) {
-        errors.fetch_add(per);
-        return;
-      }
-      std::string out;
-      for (std::size_t i = 0; i < per; ++i) {
-        // GCC 12 -Wrestrict false positive inside libstdc++'s char_traits.h.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wrestrict"
-        out += "@" + std::to_string(w * per + i) + " ping\n";
-#pragma GCC diagnostic pop
-      }
-      if (!send_str(fd, out)) {
-        errors.fetch_add(per);
-        ::close(fd);
-        return;
-      }
-      std::string buf;
-      char chunk[1 << 16];
-      std::size_t got = 0;
-      while (got < per) {
-        const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-        if (n < 0 && errno == EINTR) continue;
-        if (n <= 0) break;
-        buf.append(chunk, static_cast<std::size_t>(n));
-        std::size_t pos;
-        while ((pos = buf.find('\n')) != std::string::npos) {
-          const std::string resp = buf.substr(0, pos);
-          buf.erase(0, pos + 1);
-          ++got;
-          const std::optional<daemon::Response> r =
-              daemon::parse_response(resp);
-          if (!r || !r->ok) errors.fetch_add(1);
+    workers.emplace_back([&] {
+      try {
+        client::Conn c(sock);
+        for (const std::string& a : client::pipeline(c, pings, per)) {
+          answered.fetch_add(1);
+          if (!a.starts_with("ok")) errors.fetch_add(1);
         }
+      } catch (const client::ConnError&) {
+        errors.fetch_add(per);
       }
-      answered.fetch_add(got);
-      if (got < per) errors.fetch_add(per - got);
-      ::close(fd);
     });
   }
   for (std::thread& w : workers) w.join();
@@ -840,32 +628,14 @@ int cmd_client_soak(const std::string& sock, std::vector<std::string> args) {
   if (hold_ms > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(hold_ms));
   }
-  for (const int fd : held) ::close(fd);
+  const std::size_t held_count = held.size();
+  held.clear();
 
   std::printf(
       "soak: %zu idle conn(s) held (%zu refused), %zu worker(s) x %zu "
       "request(s), %zu answered, %zu error(s)\n",
-      held.size(), idle_failed, active, per, answered.load(), errors.load());
+      held_count, idle_failed, active, per, answered.load(), errors.load());
   return errors.load() == 0 ? 0 : 1;
-}
-
-/// Reads one LF line from a held stream connection; empty optional on
-/// EOF or error. Unlike daemon_request, the connection stays open — the
-/// feed modes live on one socket for their whole run.
-std::optional<std::string> stream_line(int fd, std::string& buf) {
-  for (;;) {
-    const std::size_t pos = buf.find('\n');
-    if (pos != std::string::npos) {
-      std::string line = buf.substr(0, pos);
-      buf.erase(0, pos + 1);
-      return line;
-    }
-    char chunk[1 << 16];
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return std::nullopt;
-    buf.append(chunk, static_cast<std::size_t>(n));
-  }
 }
 
 /// `client <socket> subscribe [--from-period P] [--count N]` — upgrades
@@ -884,41 +654,30 @@ int cmd_client_subscribe(const std::string& sock,
         "client: usage: client <socket> subscribe [--from-period P] "
         "[--count N]");
   }
-  std::string req = "subscribe";
+  std::optional<std::uint64_t> from_period;
   if (from) {
-    req += " " + std::to_string(
-                     parse_count("client subscribe", "--from-period", *from));
+    from_period = parse_count("client subscribe", "--from-period", *from);
   }
-  const int fd = connect_daemon(sock);
-  if (!send_str(fd, req + "\n")) die("client: send: subscribe");
-  std::string buf;
-  const std::optional<std::string> first = stream_line(fd, buf);
-  if (!first) die("client: daemon closed the connection before responding");
-  const std::optional<daemon::Response> r = daemon::parse_response(*first);
-  if (!r) die("client: malformed daemon response: " + *first);
-  if (!r->ok) {
-    ::close(fd);
-    die("client: daemon error: " + r->error);
-  }
+  client::Conn conn(sock, g_retry);
+  const daemon::Response r = client::subscribe(conn, from_period);
+  if (!r.ok) die("client: daemon error: " + r.error);
   std::printf("subscribed period=%s replayed=%s\n",
-              response_field(*r, "period").c_str(),
-              response_field(*r, "replayed").c_str());
+              response_field(r, "period").c_str(),
+              response_field(r, "replayed").c_str());
   std::fflush(stdout);
-  std::uint64_t frames = 0;
-  while (count == 0 || frames < count) {
-    const std::optional<std::string> line = stream_line(fd, buf);
-    if (!line) {
-      ::close(fd);
+  for (std::uint64_t frames = 0; count == 0 || frames < count; ++frames) {
+    std::string line;
+    try {
+      line = *conn.recv();
+    } catch (const client::ConnError&) {
       // A finite subscription cut short is a failure; an open-ended one
       // ends whenever the daemon does.
       if (count != 0) die("client: stream ended before --count frames");
       return 0;
     }
-    std::printf("%s\n", line->c_str());
+    std::printf("%s\n", line.c_str());
     std::fflush(stdout);
-    ++frames;
   }
-  ::close(fd);
   return 0;
 }
 
@@ -958,18 +717,15 @@ int cmd_client_storm(const std::string& sock, std::vector<std::string> args) {
 
   // Park the herd first: these connections exist while the epochs roll,
   // exactly like receivers that were offline for the broadcasts.
-  std::vector<int> herd;
+  std::vector<client::Conn> herd;
   herd.reserve(receivers);
   std::size_t refused = 0;
   for (std::size_t i = 0; i < receivers; ++i) {
-    const int fd = connect_once(sock);
-    if (fd < 0) {
+    try {
+      herd.emplace_back(sock);
+    } catch (const client::ConnError&) {
       ++refused;
-      continue;
     }
-    const timeval tv{.tv_sec = 30, .tv_usec = 0};
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-    herd.push_back(fd);
   }
 
   // The missed epochs, committed behind the parked herd's back.
@@ -983,6 +739,7 @@ int cmd_client_storm(const std::string& sock, std::vector<std::string> args) {
 
   // Release the herd: every connection subscribes from the pre-gap
   // period at once and must be replayed up to `after`.
+  constexpr int kTimeoutMs = 30000;
   std::atomic<std::size_t> recovered{0};
   std::atomic<std::size_t> failed{0};
   std::atomic<std::uint64_t> frames_replayed{0};
@@ -991,35 +748,29 @@ int cmd_client_storm(const std::string& sock, std::vector<std::string> args) {
   for (std::size_t w = 0; w < workers; ++w) {
     pool.emplace_back([&, w] {
       for (std::size_t i = w; i < herd.size(); i += workers) {
-        const int fd = herd[i];
-        if (!send_str(fd, "subscribe " + std::to_string(before) + "\n")) {
-          failed.fetch_add(1);
-          continue;
-        }
-        std::string buf;
-        const std::optional<std::string> first = stream_line(fd, buf);
-        const std::optional<daemon::Response> r =
-            first ? daemon::parse_response(*first) : std::nullopt;
-        if (!r || !r->ok) {
-          failed.fetch_add(1);
-          continue;
-        }
-        const auto replayed = daemon::parse_u64(r->fields.at("replayed"));
-        const auto at = daemon::parse_u64(r->fields.at("period"));
-        if (!replayed || !at || *at < after || *replayed < after - before) {
-          failed.fetch_add(1);
-          continue;
-        }
-        // Drain the replayed epochs off the wire: recovery means the
-        // frames actually arrived, not just that the daemon promised.
         std::uint64_t got = 0;
-        while (got < *replayed) {
-          const std::optional<std::string> line = stream_line(fd, buf);
-          if (!line || line->rfind("bcast ", 0) != 0) break;
-          ++got;
+        std::optional<std::uint64_t> replayed;
+        try {
+          const daemon::Response r =
+              client::subscribe(herd[i], before, kTimeoutMs);
+          const auto at = r.ok ? daemon::parse_u64(r.fields.at("period"))
+                               : std::nullopt;
+          if (r.ok) replayed = daemon::parse_u64(r.fields.at("replayed"));
+          if (!replayed || !at || *at < after || *replayed < after - before) {
+            failed.fetch_add(1);
+            continue;
+          }
+          // Drain the replayed epochs off the wire: recovery means the
+          // frames actually arrived, not just that the daemon promised.
+          while (got < *replayed) {
+            const std::optional<std::string> line = herd[i].recv(kTimeoutMs);
+            if (!line || !line->starts_with("bcast ")) break;
+            ++got;
+          }
+        } catch (const client::ConnError&) {
         }
         frames_replayed.fetch_add(got);
-        if (got == *replayed) {
+        if (replayed && got == *replayed) {
           recovered.fetch_add(1);
         } else {
           failed.fetch_add(1);
@@ -1028,7 +779,7 @@ int cmd_client_storm(const std::string& sock, std::vector<std::string> args) {
     });
   }
   for (std::thread& t : pool) t.join();
-  for (const int fd : herd) ::close(fd);
+  herd.clear();
 
   std::printf(
       "storm: receivers=%zu (%zu refused) periods=%llu->%llu recovered=%zu "

@@ -11,26 +11,23 @@
 // With --iterations 1 it prints one snapshot and exits (no screen clearing),
 // which is what the e2e scripts use; interactively it refreshes in place
 // every --interval-ms while stdout is a tty.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "client/client.h"
 #include "daemon/protocol.h"
 #include "obs/json.h"
 
 namespace {
 
+using dfky::client::PromSample;
 using dfky::json::Value;
 
 int usage(std::FILE* out) {
@@ -49,96 +46,6 @@ int usage(std::FILE* out) {
 [[noreturn]] void die(const std::string& msg) {
   std::fprintf(stderr, "dfky_top: %s\n", msg.c_str());
   std::exit(1);
-}
-
-/// Minimal HTTP/1.0 GET against the daemon's loopback exporter; returns the
-/// response body, or nullopt when the daemon is unreachable.
-std::optional<std::string> http_get(const std::string& host, int port,
-                                    const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return std::nullopt;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return std::nullopt;
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    return std::nullopt;
-  }
-  const std::string req = "GET " + path + " HTTP/1.0\r\n\r\n";
-  std::size_t off = 0;
-  while (off < req.size()) {
-    const ssize_t n = ::send(fd, req.data() + off, req.size() - off, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      ::close(fd);
-      return std::nullopt;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  std::string resp;
-  char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    resp.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  const std::size_t hdr_end = resp.find("\r\n\r\n");
-  if (hdr_end == std::string::npos) return std::nullopt;
-  return resp.substr(hdr_end + 4);
-}
-
-/// One exposition line: `name{k="v",...} value`.
-struct PromSample {
-  std::string name;
-  std::map<std::string, std::string> labels;
-  double value = 0;
-};
-
-/// Parses the subset of the Prometheus text format our exporter emits (no
-/// comments, no escapes inside label values, one sample per line).
-std::vector<PromSample> parse_prometheus(const std::string& body) {
-  std::vector<PromSample> out;
-  std::istringstream in(body);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    PromSample s;
-    std::size_t pos = line.find_first_of("{ ");
-    if (pos == std::string::npos) continue;
-    s.name = line.substr(0, pos);
-    if (line[pos] == '{') {
-      const std::size_t close = line.find('}', pos);
-      if (close == std::string::npos) continue;
-      std::size_t at = pos + 1;
-      while (at < close) {
-        const std::size_t eq = line.find('=', at);
-        if (eq == std::string::npos || eq >= close) break;
-        const std::string key = line.substr(at, eq - at);
-        if (eq + 1 >= close || line[eq + 1] != '"') break;
-        const std::size_t vend = line.find('"', eq + 2);
-        if (vend == std::string::npos || vend > close) break;
-        s.labels[key] = line.substr(eq + 2, vend - eq - 2);
-        at = vend + 1;
-        if (at < close && line[at] == ',') ++at;
-      }
-      pos = close + 1;
-    }
-    while (pos < line.size() && line[pos] == ' ') ++pos;
-    if (pos >= line.size()) continue;
-    try {
-      s.value = std::stod(line.substr(pos));
-    } catch (...) {
-      continue;
-    }
-    out.push_back(std::move(s));
-  }
-  return out;
 }
 
 /// Per-verb request histogram rebuilt from the _bucket/_count/_sum samples.
@@ -175,7 +82,8 @@ std::string fmt_ns(double ns) {
 }
 
 void render(const std::string& metrics, const std::string& trace_jsonl) {
-  const std::vector<PromSample> samples = parse_prometheus(metrics);
+  const std::vector<PromSample> samples =
+      dfky::client::parse_prometheus(metrics);
 
   // Replication identity and follower state from the repl gauges.
   std::string role = "unknown";
@@ -377,15 +285,15 @@ int main(int argc, char** argv) {
     if (i > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
     }
-    const std::optional<std::string> metrics =
-        http_get(host, port, "/metrics");
-    const std::optional<std::string> trace = http_get(host, port, "/trace");
-    if (!metrics || !trace) {
-      die("cannot reach http://" + host + ":" + std::to_string(port) +
-          " (is dfkyd running with --metrics-port?)");
+    std::string metrics, trace;
+    try {
+      metrics = dfky::client::http_get(host, port, "/metrics");
+      trace = dfky::client::http_get(host, port, "/trace");
+    } catch (const dfky::client::ConnError& e) {
+      die(std::string(e.what()) + " (is dfkyd running with --metrics-port?)");
     }
     if (clear_screen) std::printf("\033[H\033[2J");
-    render(*metrics, *trace);
+    render(metrics, trace);
     std::fflush(stdout);
   }
   return 0;
