@@ -182,8 +182,9 @@ RunResult run_sharded(FileIo& io, const std::string& dir,
 /// Every request allocates a trace id, stamps eight spans across three
 /// threads and files the trace in the ring when traced; the claim is that
 /// this costs < 2% of ack throughput, because the expensive part of an ack
-/// is the fsync, not the bookkeeping. With DFKY_OBS=OFF both runs compile
-/// to the identical untraced path and the overhead reads as noise.
+/// is the fsync, not the bookkeeping. The metrics layer is always built
+/// in and counts in both runs, so this traced/untraced pair is the only
+/// measure of what observability costs an ack.
 RunResult run_handler(FileIo& io, const std::string& dir,
                       const SystemParams& sp, std::size_t clients,
                       std::size_t per_client, std::size_t reps, bool traced) {

@@ -7,7 +7,7 @@
 //     "schema": "dfky-bench-v1",
 //     "bench": "<bench name>",
 //     "smoke": <bool>,            // true when DFKY_BENCH_SMOKE=1 shrank sizes
-//     "obs": <bool>,              // whether the metrics layer was compiled in
+//     "obs": <bool>,              // always true: the metrics layer is built in
 //     "records": [
 //       {"op": "<operation>", "n": <int>, "v": <int>,
 //        "median_ns": <int>, "p95_ns": <int>, "bytes": <int>,
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "obs/build_info.h"
-#include "obs/metrics.h"
 
 namespace dfky::benchjson {
 
@@ -115,12 +114,10 @@ class Report {
     const BuildInfo b = build_info();
     std::fprintf(f,
                  "\"build\":{\"version\":\"%s\",\"git\":\"%s\","
-                 "\"sanitizer\":\"%s\",\"obs\":%s},",
-                 b.version.c_str(), b.git.c_str(), b.sanitizer.c_str(),
-                 b.obs ? "true" : "false");
-    std::fprintf(f, "\"smoke\":%s,\"obs\":%s,\"records\":[",
-                 smoke() ? "true" : "false",
-                 obs::enabled() ? "true" : "false");
+                 "\"sanitizer\":\"%s\",\"obs\":true},",
+                 b.version.c_str(), b.git.c_str(), b.sanitizer.c_str());
+    std::fprintf(f, "\"smoke\":%s,\"obs\":true,\"records\":[",
+                 smoke() ? "true" : "false");
     for (std::size_t i = 0; i < records_.size(); ++i) {
       const Record& r = records_[i];
       std::fprintf(f,

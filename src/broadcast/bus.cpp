@@ -30,22 +30,18 @@ void BroadcastBus::record(const Envelope& env) {
   bytes_ += env.payload.size();
   bytes_by_type_[env.type] += env.payload.size();
   log_.push_back(env);
-  DFKY_OBS(
-      const obs::Labels labels = {{"type", msg_type_name(env.type)}};
-      obs::counter("dfky_bus_publish_total", labels).inc();
-      obs::counter("dfky_bus_publish_bytes_total", labels)
-          .inc(env.payload.size()););
+  const obs::Labels labels = {{"type", msg_type_name(env.type)}};
+  obs::counter("dfky_bus_publish_total", labels).inc();
+  obs::counter("dfky_bus_publish_bytes_total", labels).inc(env.payload.size());
 }
 
 void BroadcastBus::deliver(const Envelope& env) {
   ++delivered_messages_;
   delivered_bytes_ += env.payload.size();
   delivered_bytes_by_type_[env.type] += env.payload.size();
-  DFKY_OBS(
-      const obs::Labels labels = {{"type", msg_type_name(env.type)}};
-      obs::counter("dfky_bus_deliver_total", labels).inc();
-      obs::counter("dfky_bus_deliver_bytes_total", labels)
-          .inc(env.payload.size()););
+  const obs::Labels labels = {{"type", msg_type_name(env.type)}};
+  obs::counter("dfky_bus_deliver_total", labels).inc();
+  obs::counter("dfky_bus_deliver_bytes_total", labels).inc(env.payload.size());
   // Deliver to a snapshot so handlers may (un)subscribe during delivery.
   // `env` must be the caller's own copy: a handler that publishes
   // recursively grows log_, so a reference into it would dangle.

@@ -50,8 +50,8 @@ class BroadcastBus {
   // Published side: what the sender put on the wire. Delivered side: each
   // envelope that actually reached the subscriber set, counted once per
   // envelope — drops make delivered < published, duplicates make it larger.
-  // Instance counters stay live in every build; DFKY_OBS additionally
-  // mirrors them into the process-wide registry (dfky_bus_* series).
+  // The process-wide registry mirrors these instance counters as the
+  // dfky_bus_* series, summed over every bus in the process.
   std::uint64_t messages_sent() const { return messages_; }
   std::uint64_t bytes_sent() const { return bytes_; }
   std::uint64_t bytes_sent(MsgType type) const;

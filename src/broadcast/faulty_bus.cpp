@@ -9,10 +9,7 @@ namespace {
 // Mirrors a per-instance FaultCounters increment into the registry; the
 // struct itself stays the source of truth for seeded-determinism tests.
 inline void note_fault(const char* kind) {
-  DFKY_OBS(obs::counter("dfky_bus_faults_total", {{"kind", kind}}).inc(););
-#if !DFKY_OBS_ENABLED
-  (void)kind;
-#endif
+  obs::counter("dfky_bus_faults_total", {{"kind", kind}}).inc();
 }
 
 }  // namespace

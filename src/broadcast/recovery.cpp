@@ -16,14 +16,14 @@ CatchUpResponder::CatchUpResponder(SecurityManager& mgr, BroadcastBus& bus,
       r.expect_end();
     } catch (const Error&) {
       ++quarantined_;  // corrupted request; the client will retry
-      DFKY_OBS(obs::counter("dfky_catchup_requests_quarantined_total").inc(););
+      obs::counter("dfky_catchup_requests_quarantined_total").inc();
       return;
     }
     const CatchUpResponse resp = mgr_.handle_catch_up(*req, rng_);
     Writer w;
     resp.serialize(w, mgr_.params().group);
     ++answered_;
-    DFKY_OBS(obs::counter("dfky_catchup_requests_answered_total").inc(););
+    obs::counter("dfky_catchup_requests_answered_total").inc();
     bus_.publish(Envelope{MsgType::kCatchUpResponse, std::move(w).take()});
   });
 }
@@ -76,12 +76,11 @@ void RecoveryClient::on_message(const Envelope& env) {
   req.serialize(w);
   ++attempts_;
   ++requests_sent_;
-  DFKY_OBS(
-      obs::counter("dfky_recovery_requests_total").inc();
-      obs::event({.name = "recovery_request",
-                  .period = static_cast<std::int64_t>(req.have_period),
-                  .detail = "attempt",
-                  .value = static_cast<std::int64_t>(attempts_)}););
+  obs::counter("dfky_recovery_requests_total").inc();
+  obs::event({.name = "recovery_request",
+              .period = static_cast<std::int64_t>(req.have_period),
+              .detail = "attempt",
+              .value = static_cast<std::int64_t>(attempts_)});
   status_ = Status::kWaiting;
   // Deterministic exponential backoff, measured in observed bus messages.
   next_attempt_tick_ = tick_ + (policy_.backoff_base << (attempts_ - 1));
@@ -111,7 +110,7 @@ void RecoveryClient::handle_response(const Envelope& env) {
     try {
       if (receiver.apply_reset(bundle) == ResetOutcome::kApplied) {
         ++bundles_replayed_;
-        DFKY_OBS(obs::counter("dfky_recovery_bundles_replayed_total").inc(););
+        obs::counter("dfky_recovery_bundles_replayed_total").inc();
       }
     } catch (const Error&) {
       return;  // inner bundle fails its own check; stop replaying

@@ -29,19 +29,17 @@ std::optional<Polynomial> berlekamp_welch(const Zq& field,
   const std::size_t n = xs.size();
   require(dim >= 1 && dim + 2 * max_errors <= n,
           "berlekamp_welch: dim + 2e must be <= n");
-  DFKY_OBS_TIMER(obs_span, "dfky_bw_decode_ns");
+  static obs::Histogram& bw_decode_ns = obs::histogram("dfky_bw_decode_ns");
+  obs::ScopedTimer span(bw_decode_ns);
   // Counts the ok/fail verdict of whichever return below fires.
   const auto decoded = [](std::optional<Polynomial> p) {
-    DFKY_OBS(obs::counter("dfky_bw_decode_total",
-                          {{"result", p ? "ok" : "fail"}})
-                 .inc(););
+    obs::counter("dfky_bw_decode_total", {{"result", p ? "ok" : "fail"}}).inc();
     return p;
   };
 
   for (std::size_t e = max_errors + 1; e-- > 0;) {
-    DFKY_OBS(static obs::Counter& rounds =
-                 obs::counter("dfky_bw_decode_rounds_total");
-             rounds.inc(););
+    static obs::Counter& rounds = obs::counter("dfky_bw_decode_rounds_total");
+    rounds.inc();
     if (e == 0) {
       // Plain interpolation through the first `dim` points, then verify.
       std::vector<std::pair<Bigint, Bigint>> pts;

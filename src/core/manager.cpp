@@ -96,7 +96,7 @@ SecurityManager::AddedUser SecurityManager::add_user(Rng& rng) {
   users_.push_back(UserRecord{id, x, false, 0});
   used_x_.insert(x);
   record(ManagerMutation{.kind = ManagerMutation::Kind::kAddUser, .x = x});
-  DFKY_OBS(obs::counter("dfky_users_added_total").inc(););
+  obs::counter("dfky_users_added_total").inc();
   return AddedUser{id, issue_user_key(sp_, msk_, x, pk_.period)};
 }
 
@@ -111,7 +111,7 @@ SecurityManager::AddedUser SecurityManager::add_user_with_value(
   users_.push_back(UserRecord{id, xr, false, 0});
   used_x_.insert(xr);
   record(ManagerMutation{.kind = ManagerMutation::Kind::kAddUser, .x = xr});
-  DFKY_OBS(obs::counter("dfky_users_added_total").inc(););
+  obs::counter("dfky_users_added_total").inc();
   return AddedUser{id, issue_user_key(sp_, msk_, xr, pk_.period)};
 }
 
@@ -143,15 +143,13 @@ std::optional<SignedResetBundle> SecurityManager::remove_user(std::uint64_t id,
   ++revoked_users_;
   record(ManagerMutation{.kind = ManagerMutation::Kind::kRemoveUser,
                          .user_id = id});
-  DFKY_OBS(
-      obs::counter("dfky_users_revoked_total").inc();
-      obs::gauge("dfky_saturation_level")
-          .set(static_cast<std::int64_t>(level_));
-      obs::event({.name = "revoke",
-                  .period = static_cast<std::int64_t>(pk_.period),
-                  .user = static_cast<std::int64_t>(id),
-                  .detail = "slot",
-                  .value = static_cast<std::int64_t>(level_)}););
+  obs::counter("dfky_users_revoked_total").inc();
+  obs::gauge("dfky_saturation_level").set(static_cast<std::int64_t>(level_));
+  obs::event({.name = "revoke",
+              .period = static_cast<std::int64_t>(pk_.period),
+              .user = static_cast<std::int64_t>(id),
+              .detail = "slot",
+              .value = static_cast<std::int64_t>(level_)});
   return bundle;
 }
 
@@ -336,11 +334,11 @@ SecurityManager SecurityManager::restore_state(BytesView state) {
 }
 
 SignedResetBundle SecurityManager::new_period(Rng& rng, ResetMode mode) {
-  DFKY_OBS_TIMER(obs_span, "dfky_new_period_ns");
-  DFKY_OBS(obs::counter("dfky_resets_generated_total",
-                        {{"mode", mode == ResetMode::kPlain ? "plain"
-                                                            : "hybrid"}})
-               .inc(););
+  static obs::Histogram& new_period_ns = obs::histogram("dfky_new_period_ns");
+  obs::ScopedTimer span(new_period_ns);
+  obs::counter("dfky_resets_generated_total",
+               {{"mode", mode == ResetMode::kPlain ? "plain" : "hybrid"}})
+      .inc();
   const Zq& zq = sp_.group.zq();
   const Polynomial d = Polynomial::random(zq, sp_.v, rng);
   const Polynomial e = Polynomial::random(zq, sp_.v, rng);
@@ -363,11 +361,10 @@ SignedResetBundle SecurityManager::new_period(Rng& rng, ResetMode mode) {
     }
     record(std::move(m));
   }
-  DFKY_OBS(
-      obs::gauge("dfky_saturation_level").set(0);
-      obs::event({.name = "new_period",
-                  .period = static_cast<std::int64_t>(pk_.period),
-                  .detail = mode == ResetMode::kPlain ? "plain" : "hybrid"}););
+  obs::gauge("dfky_saturation_level").set(0);
+  obs::event({.name = "new_period",
+              .period = static_cast<std::int64_t>(pk_.period),
+              .detail = mode == ResetMode::kPlain ? "plain" : "hybrid"});
   return bundle;
 }
 
@@ -455,7 +452,7 @@ std::uint64_t SecurityManager::archive_oldest_period() const {
 
 CatchUpResponse SecurityManager::handle_catch_up(const CatchUpRequest& req,
                                                  Rng& rng) const {
-  DFKY_OBS(obs::counter("dfky_catchup_requests_handled_total").inc(););
+  obs::counter("dfky_catchup_requests_handled_total").inc();
   CatchUpResponse resp;
   resp.nonce = req.nonce;
   resp.oldest_available = archive_oldest_period();

@@ -6,7 +6,7 @@ namespace dfky {
 
 namespace {
 
-[[maybe_unused]] const char* outcome_name(ResetOutcome outcome) {
+const char* outcome_name(ResetOutcome outcome) {
   switch (outcome) {
     case ResetOutcome::kApplied: return "applied";
     case ResetOutcome::kStaleIgnored: return "stale_ignored";
@@ -48,26 +48,21 @@ ResetOutcome Receiver::apply_next(const SignedResetBundle& bundle) {
 }
 
 ResetOutcome Receiver::apply_reset(const SignedResetBundle& bundle) {
-  DFKY_OBS_TIMER(obs_span, "dfky_reset_apply_ns");
+  static obs::Histogram& reset_apply_ns = obs::histogram("dfky_reset_apply_ns");
+  obs::ScopedTimer span(reset_apply_ns);
   // Record the outcome (plus an event) of every return path below.
   const auto noted = [&bundle](ResetOutcome outcome) {
-    DFKY_OBS(
-        obs::counter("dfky_reset_apply_total",
-                     {{"outcome", outcome_name(outcome)}})
-            .inc();
-        obs::event({.name = "reset_apply",
-                    .period =
-                        static_cast<std::int64_t>(bundle.reset.new_period),
-                    .detail = outcome_name(outcome)}););
-#if !DFKY_OBS_ENABLED
-    (void)bundle;
-#endif
+    obs::counter("dfky_reset_apply_total",
+                 {{"outcome", outcome_name(outcome)}})
+        .inc();
+    obs::event({.name = "reset_apply",
+                .period = static_cast<std::int64_t>(bundle.reset.new_period),
+                .detail = outcome_name(outcome)});
     return outcome;
   };
   if (!bundle.verify(sp_.group, manager_vk_)) {
-    DFKY_OBS(obs::counter("dfky_reset_apply_total",
-                          {{"outcome", "bad_signature"}})
-                 .inc(););
+    obs::counter("dfky_reset_apply_total", {{"outcome", "bad_signature"}})
+        .inc();
     throw DecodeError("Receiver: reset bundle signature invalid");
   }
   if (strict_) {

@@ -104,9 +104,10 @@ const Gelt& Encryptor::base(std::size_t i) const {
 Ciphertext Encryptor::encrypt(const Gelt& m, Rng& rng) const {
   const Group& group = sp_.group;
   require(group.is_element(m), "encrypt: message not a group element");
-  DFKY_OBS_TIMER(obs_span, "dfky_encrypt_ns");
-  DFKY_OBS(static obs::Counter& c = obs::counter("dfky_encrypt_total");
-           c.inc(););
+  static obs::Histogram& encrypt_ns = obs::histogram("dfky_encrypt_ns");
+  obs::ScopedTimer span(encrypt_ns);
+  static obs::Counter& encrypts = obs::counter("dfky_encrypt_total");
+  encrypts.inc();
   const Bigint r = group.random_exponent(rng);
   const auto pow = [&](std::size_t i) {
     return tables_[i] ? tables_[i]->pow(group, r) : group.pow(base(i), r);
@@ -131,10 +132,12 @@ Ciphertext encrypt(const SystemParams& sp, const PublicKey& pk, const Gelt& m,
 Gelt decrypt(const SystemParams& sp, const UserKey& sk, const Ciphertext& ct) {
   require(sk.period == ct.period,
           "decrypt: key period does not match ciphertext period");
-  DFKY_OBS_TIMER(obs_span, "dfky_decrypt_ns", {{"path", "user"}});
-  DFKY_OBS(static obs::Counter& c =
-               obs::counter("dfky_decrypt_total", {{"path", "user"}});
-           c.inc(););
+  static obs::Histogram& decrypt_ns =
+      obs::histogram("dfky_decrypt_ns", {{"path", "user"}});
+  obs::ScopedTimer span(decrypt_ns);
+  static obs::Counter& decrypts =
+      obs::counter("dfky_decrypt_total", {{"path", "user"}});
+  decrypts.inc();
   const Zq& zq = sp.group.zq();
   const std::vector<Bigint> zs = ct.slot_ids();
   // Throws ContractError on a revoked user (x collides with a slot id).
@@ -164,10 +167,12 @@ Gelt decrypt_with_representation(const SystemParams& sp,
                                  const Ciphertext& ct) {
   require(rep.tail.size() == ct.slots.size(),
           "decrypt_with_representation: slot count mismatch");
-  DFKY_OBS_TIMER(obs_span, "dfky_decrypt_ns", {{"path", "representation"}});
-  DFKY_OBS(static obs::Counter& c = obs::counter(
-               "dfky_decrypt_total", {{"path", "representation"}});
-           c.inc(););
+  static obs::Histogram& decrypt_ns =
+      obs::histogram("dfky_decrypt_ns", {{"path", "representation"}});
+  obs::ScopedTimer span(decrypt_ns);
+  static obs::Counter& decrypts =
+      obs::counter("dfky_decrypt_total", {{"path", "representation"}});
+  decrypts.inc();
   std::vector<Gelt> bases;
   std::vector<Bigint> exps;
   bases.reserve(ct.slots.size() + 2);

@@ -34,8 +34,7 @@ namespace dfky::daemon {
 
 namespace {
 
-// Only referenced from DFKY_OBS blocks, hence unused in OFF builds.
-[[maybe_unused]] const char* verb_label(const std::string& verb) {
+const char* verb_label(const std::string& verb) {
   static constexpr const char* kVerbs[] = {
       "ping", "status", "add-user", "revoke", "new-period", "encrypt",
       "shutdown", "repl-status", "repl-append", "repl-snap", "repl-truncate",
@@ -60,9 +59,7 @@ std::string periods_field(const ShardRouter::Status& st) {
   return out;
 }
 
-// Only referenced from a DFKY_OBS block (trace-id adoption).
-[[maybe_unused]] std::optional<std::uint64_t> parse_hex_u64(
-    std::string_view s) {
+std::optional<std::uint64_t> parse_hex_u64(std::string_view s) {
   if (s.empty() || s.size() > 16) return std::nullopt;
   std::uint64_t v = 0;
   for (const char c : s) {
@@ -157,15 +154,14 @@ RequestHandler::Result RequestHandler::handle(const std::string& line) {
   // the final `respond` span (wakeup from the committer, response
   // formatting, tagging) and files the trace; layers below stamp their own
   // spans through the thread-local context or the group-commit ticket.
-  // (maybe_unused: the OFF stub is stateless and side-effect free.)
-  [[maybe_unused]] obs::ScopedTrace trace;
+  obs::ScopedTrace trace;
   Result res;
   if (line.size() > kMaxLineBytes) {
     res.response = err_response("request line too long");
     return res;
   }
   const TaggedLine tagged = split_request_tag(line);
-  DFKY_OBS(obs::trace_mark(obs::SpanKind::kAccept););
+  obs::trace_mark(obs::SpanKind::kAccept);
   if (tagged.bad_tag) {
     res.response = err_response("malformed request tag");
     return res;
@@ -175,8 +171,8 @@ RequestHandler::Result RequestHandler::handle(const std::string& line) {
     res.response = tag_response(tagged.id, err_response("empty request"));
     return res;
   }
-  DFKY_OBS(trace.set_verb(verb_label(tokens[0]));
-           obs::trace_mark(obs::SpanKind::kParse););
+  trace.set_verb(verb_label(tokens[0]));
+  obs::trace_mark(obs::SpanKind::kParse);
   if (tokens[0] == "shutdown") {
     if (tokens.size() != 1) {
       res.response = err_response("shutdown takes no arguments");
@@ -193,11 +189,11 @@ RequestHandler::Result RequestHandler::handle(const std::string& line) {
       res.response = err_response(std::string("internal: ") + e.what());
     }
   }
-  DFKY_OBS(obs::counter("dfkyd_requests_total",
-                        {{"verb", verb_label(tokens[0])},
-                         {"outcome", res.response[0] == 'o' ? "ok" : "err"}})
-               .inc();
-           trace.set_outcome(res.response[0] == 'o'););
+  obs::counter("dfkyd_requests_total",
+               {{"verb", verb_label(tokens[0])},
+                {"outcome", res.response[0] == 'o' ? "ok" : "err"}})
+      .inc();
+  trace.set_outcome(res.response[0] == 'o');
   res.response = tag_response(tagged.id, std::move(res.response));
   return res;
 }
@@ -327,10 +323,10 @@ std::string RequestHandler::dispatch(const std::vector<std::string>& tokens) {
       }
       // Join the primary's trace: this request's spans file under the id
       // of the mutation that produced the shipped frames.
-      DFKY_OBS(if (const auto tid = parse_hex_u64(
-                       std::string_view(tokens[6]).substr(6))) {
+      if (const auto tid =
+              parse_hex_u64(std::string_view(tokens[6]).substr(6))) {
         obs::trace_adopt_id(*tid);
-      });
+      }
     }
     const std::uint64_t seq = router_.replica_append(
         static_cast<std::size_t>(*shard), *gen, *start, *frames, *term);

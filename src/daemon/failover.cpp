@@ -54,7 +54,7 @@ FailoverWatchdog::FailoverWatchdog(ShardRouter& router, FailoverOptions opts)
       opts_(std::move(opts)),
       rng_(opts_.seed),
       started_(std::chrono::steady_clock::now()) {
-  DFKY_OBS(obs::gauge("dfky_watchdog_state").set(0););
+  obs::gauge("dfky_watchdog_state").set(0);
   thread_ = std::thread([this] { loop(); });
 }
 
@@ -86,7 +86,7 @@ const char* FailoverWatchdog::state_name(State s) {
 
 void FailoverWatchdog::set_state(State s) {
   state_.store(s);
-  DFKY_OBS(obs::gauge("dfky_watchdog_state").set(static_cast<int>(s)););
+  obs::gauge("dfky_watchdog_state").set(static_cast<int>(s));
 }
 
 bool FailoverWatchdog::stopped_wait(std::chrono::milliseconds d) {
@@ -155,7 +155,7 @@ void FailoverWatchdog::loop() {
 }
 
 FailoverWatchdog::Round FailoverWatchdog::campaign() {
-  DFKY_OBS(obs::counter("dfkyd_elections_total").inc(););
+  obs::counter("dfkyd_elections_total").inc();
   Position mine;
   for (const auto& p : router_.repl_positions()) {
     mine.generations += p.generation;
@@ -210,13 +210,11 @@ FailoverWatchdog::Round FailoverWatchdog::campaign() {
   const std::uint64_t new_term = max_term + 1;
   try {
     const ShardRouter::PromoteResult r = router_.promote(new_term);
-    DFKY_OBS(obs::counter("dfky_failovers_total").inc();
-             obs::event({.name = "failover",
-                         .detail = "promoted self, " +
-                                   std::to_string(r.rolled) +
-                                   " laggard roll-forward(s)",
-                         .value = static_cast<std::int64_t>(new_term)}););
-    (void)r;
+    obs::counter("dfky_failovers_total").inc();
+    obs::event({.name = "failover",
+                .detail = "promoted self, " + std::to_string(r.rolled) +
+                          " laggard roll-forward(s)",
+                .value = static_cast<std::int64_t>(new_term)});
   } catch (const Error&) {
     return Round::kNoQuorum;  // fail-stopped or raced; retry after backoff
   }

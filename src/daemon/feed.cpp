@@ -23,14 +23,10 @@ FeedFrame::~FeedFrame() {
   // The last subscriber write queue to finish with (or shed) this frame
   // destroys it — that instant is "every current subscriber has it".
   if (published == std::chrono::steady_clock::time_point{}) return;
-  DFKY_OBS(
-      const auto dt = std::chrono::steady_clock::now() - published;
-      obs::histogram(
-          "dfkyd_feed_broadcast_ns", {},
-          kBroadcastBoundsNs)
-          .observe(static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
-                  .count())););
+  const auto dt = std::chrono::steady_clock::now() - published;
+  obs::histogram("dfkyd_feed_broadcast_ns", {}, kBroadcastBoundsNs)
+      .observe(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()));
 }
 
 FeedHub::FeedHub() {
@@ -56,7 +52,7 @@ void FeedHub::publish(std::string line, std::uint64_t period) {
     pending_.push_back(std::move(frame));
   }
   published_.fetch_add(1, std::memory_order_relaxed);
-  DFKY_OBS(obs::counter("dfkyd_feed_frames_total").inc(););
+  obs::counter("dfkyd_feed_frames_total").inc();
   if (pipe_[1] >= 0) {
     const char b = 'f';
     [[maybe_unused]] const ssize_t n = ::write(pipe_[1], &b, 1);

@@ -10,7 +10,10 @@ GroupCommit::GroupCommit(StateStore& store, StateMutex& state_mu,
     : store_(store),
       state_mu_(state_mu),
       on_fatal_(std::move(on_fatal)),
-      labels_(std::move(labels)),
+      batch_ns_(obs::histogram("dfkyd_commit_batch_ns", labels)),
+      batches_total_(obs::counter("dfkyd_commit_batches_total", labels)),
+      mutations_total_(obs::counter("dfkyd_commit_mutations_total", labels)),
+      failures_total_(obs::counter("dfkyd_commit_failures_total", labels)),
       post_sync_(std::move(post_sync)) {
   store_.set_batching(true);
   committer_ = std::thread([this] { committer_loop(); });
@@ -59,11 +62,11 @@ void GroupCommit::committer_loop() {
     }
     bool sync_failed = false;
     {
-      DFKY_OBS_TIMER(span, "dfkyd_commit_batch_ns", labels_);
+      obs::ScopedTimer span(batch_ns_);
       std::unique_lock state(state_mu_);
       for (Ticket* t : batch) {
         // The ticket's queue wait ends as its op starts executing.
-        DFKY_OBS(if (t->trace) t->trace->mark(obs::SpanKind::kQueueWait););
+        if (t->trace) t->trace->mark(obs::SpanKind::kQueueWait);
         try {
           (*t->op)();
         } catch (...) {
@@ -75,15 +78,13 @@ void GroupCommit::committer_loop() {
         // One append+fsync covered the whole batch, so every ticket gets
         // the same wal_append/fsync boundary: the store's append-done
         // stamp splits the two.
-        DFKY_OBS(const std::uint64_t append_done =
-                     store_.last_sync_append_done_ns();
-                 const std::uint64_t sync_done =
-                     obs::TraceContext::now_ns();
-                 for (Ticket* t : batch) {
-                   if (!t->trace) continue;
-                   t->trace->mark_at(obs::SpanKind::kWalAppend, append_done);
-                   t->trace->mark_at(obs::SpanKind::kFsync, sync_done);
-                 });
+        const std::uint64_t append_done = store_.last_sync_append_done_ns();
+        const std::uint64_t sync_done = obs::TraceContext::now_ns();
+        for (Ticket* t : batch) {
+          if (!t->trace) continue;
+          t->trace->mark_at(obs::SpanKind::kWalAppend, append_done);
+          t->trace->mark_at(obs::SpanKind::kFsync, sync_done);
+        }
       } catch (...) {
         // The batch's fsync (or rotation) failed: nothing in this batch is
         // acknowledged, and the store has poisoned itself against
@@ -122,22 +123,19 @@ void GroupCommit::committer_loop() {
       }
     }
     if (!sync_failed) {
-      DFKY_OBS(const std::uint64_t acked = obs::TraceContext::now_ns();
-               for (Ticket* t : batch) {
-                 if (t->trace)
-                   t->trace->mark_at(obs::SpanKind::kReplAck, acked,
-                                     repl_label);
-               });
-      (void)repl_label;
+      const std::uint64_t acked = obs::TraceContext::now_ns();
+      for (Ticket* t : batch) {
+        if (t->trace)
+          t->trace->mark_at(obs::SpanKind::kReplAck, acked, repl_label);
+      }
       batches_.fetch_add(1, std::memory_order_relaxed);
       committed_.fetch_add(batch.size(), std::memory_order_relaxed);
-      DFKY_OBS(obs::counter("dfkyd_commit_batches_total", labels_).inc();
-               obs::counter("dfkyd_commit_mutations_total", labels_)
-                   .inc(batch.size()););
+      batches_total_.inc();
+      mutations_total_.inc(batch.size());
     } else {
       // Before any submitter wakes to its NACK: by the time a client sees
       // the error, the shutdown is already underway.
-      DFKY_OBS(obs::counter("dfkyd_commit_failures_total", labels_).inc(););
+      failures_total_.inc();
       if (on_fatal_) on_fatal_();
     }
     {

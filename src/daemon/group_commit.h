@@ -118,7 +118,11 @@ class GroupCommit {
   StateStore& store_;
   StateMutex& state_mu_;
   std::function<void()> on_fatal_;
-  obs::Labels labels_;  // shard identity on every metric
+  // This queue's dfkyd_commit_* series, resolved once for its labels.
+  obs::Histogram& batch_ns_;
+  obs::Counter& batches_total_;
+  obs::Counter& mutations_total_;
+  obs::Counter& failures_total_;
   // Replication ack gate (may be empty); returns the repl_ack span label.
   std::function<std::string()> post_sync_;
 

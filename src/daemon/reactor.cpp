@@ -76,13 +76,11 @@ std::string metrics_http_response(const std::string& request) {
   std::string body;
   if (request.starts_with("GET /trace")) {
     body = obs::trace_jsonl();
-    if (!obs::enabled()) body = "# dfky observability layer compiled out\n";
-    DFKY_OBS(obs::counter("dfkyd_trace_scrapes_total").inc(););
+    obs::counter("dfkyd_trace_scrapes_total").inc();
   } else if (request.starts_with("GET /metrics") ||
              request.starts_with("GET / ")) {
     body = obs::MetricsRegistry::instance().prometheus();
-    if (!obs::enabled()) body = "# dfky observability layer compiled out\n";
-    DFKY_OBS(obs::counter("dfkyd_metrics_scrapes_total").inc(););
+    obs::counter("dfkyd_metrics_scrapes_total").inc();
   } else {
     status = "404 Not Found";
     body = "not found\n";
@@ -97,8 +95,7 @@ std::string metrics_http_response(const std::string& request) {
   return std::string(head) + body;
 }
 
-// Only referenced from DFKY_OBS blocks, hence unused in OFF builds.
-[[maybe_unused]] std::size_t count_open_fds() {
+std::size_t count_open_fds() {
   std::size_t n = 0;
   DIR* d = ::opendir("/proc/self/fd");
   if (d == nullptr) return 0;
@@ -314,10 +311,10 @@ struct Reactor::Impl {
       // slow-subscriber shed: its queued frame references are released
       // and nobody else's stream is touched.
       overflow_closed.fetch_add(1, std::memory_order_relaxed);
-      DFKY_OBS(obs::counter("dfkyd_write_overflow_closed_total").inc(););
+      obs::counter("dfkyd_write_overflow_closed_total").inc();
       if (c.subscriber) {
         feed_shed.fetch_add(1, std::memory_order_relaxed);
-        DFKY_OBS(obs::counter("dfkyd_feed_shed_total").inc(););
+        obs::counter("dfkyd_feed_shed_total").inc();
       }
       close_conn(c.id);
       return false;
@@ -367,7 +364,7 @@ struct Reactor::Impl {
         if (c.in_flight >= opts.max_inflight_per_conn) break;
         if (should_shed(tagged.body)) {
           busy_shed.fetch_add(1, std::memory_order_relaxed);
-          DFKY_OBS(obs::counter("dfkyd_busy_shed_total").inc(););
+          obs::counter("dfkyd_busy_shed_total").inc();
           const std::string resp =
               tag_response(tagged.id, err_response("busy")) + "\n";
           c.pending.pop_front();
@@ -382,7 +379,7 @@ struct Reactor::Impl {
       if (c.in_flight > 0) break;
       if (should_shed(tagged.body)) {
         busy_shed.fetch_add(1, std::memory_order_relaxed);
-        DFKY_OBS(obs::counter("dfkyd_busy_shed_total").inc(););
+        obs::counter("dfkyd_busy_shed_total").inc();
         c.pending.pop_front();
         if (!queue_bytes(c, err_response("busy") + "\n")) return false;
         continue;
@@ -413,9 +410,9 @@ struct Reactor::Impl {
       bad = !from.has_value();
     }
     if (bad) {
-      DFKY_OBS(obs::counter("dfkyd_requests_total",
-                            {{"verb", "subscribe"}, {"outcome", "err"}})
-                   .inc(););
+      obs::counter("dfkyd_requests_total",
+                   {{"verb", "subscribe"}, {"outcome", "err"}})
+          .inc();
       return queue_bytes(
           c, tag_response(t.id, err_response("usage: subscribe [from-period]")) +
                  "\n");
@@ -425,9 +422,9 @@ struct Reactor::Impl {
       // `from` predates every archive: the client needs the signed
       // catch-up protocol (RecoveryClient), not a feed replay. The
       // connection is NOT upgraded.
-      DFKY_OBS(obs::counter("dfkyd_requests_total",
-                            {{"verb", "subscribe"}, {"outcome", "err"}})
-                   .inc(););
+      obs::counter("dfkyd_requests_total",
+                   {{"verb", "subscribe"}, {"outcome", "err"}})
+          .inc();
       return queue_bytes(
           c, tag_response(
                  t.id, err_response("replay-unavailable oldest=" +
@@ -440,9 +437,9 @@ struct Reactor::Impl {
       subscribers.insert(c.id);
       subscriber_count.store(subscribers.size(), std::memory_order_relaxed);
     }
-    DFKY_OBS(obs::counter("dfkyd_requests_total",
-                          {{"verb", "subscribe"}, {"outcome", "ok"}})
-                 .inc(););
+    obs::counter("dfkyd_requests_total",
+                 {{"verb", "subscribe"}, {"outcome", "ok"}})
+        .inc();
     const std::string head =
         tag_response(t.id,
                      ok_response({{"period", std::to_string(rep.current)},
@@ -456,9 +453,9 @@ struct Reactor::Impl {
       if (!queue_bytes(c, std::move(line))) return false;
     }
     feed_replayed.fetch_add(replayed, std::memory_order_relaxed);
-    DFKY_OBS(if (replayed > 0) {
+    if (replayed > 0) {
       obs::counter("dfkyd_feed_replayed_total").inc(replayed);
-    });
+    }
     return true;
   }
 
@@ -567,7 +564,7 @@ struct Reactor::Impl {
         continue;
       }
       accepted.fetch_add(1, std::memory_order_relaxed);
-      DFKY_OBS(obs::counter("dfkyd_connections_total").inc(););
+      obs::counter("dfkyd_connections_total").inc();
       set_nonblocking(cfd);
       add_conn(cfd, /*metrics=*/false, now);
     }
@@ -579,7 +576,7 @@ struct Reactor::Impl {
   /// tell the client `err busy`, close it, and back off.
   void reject_accept_emfile(Clock::time_point now) {
     emfile_rejects.fetch_add(1, std::memory_order_relaxed);
-    DFKY_OBS(obs::counter("dfkyd_accept_overflow_total").inc(););
+    obs::counter("dfkyd_accept_overflow_total").inc();
     if (!emfile_logged) {
       emfile_logged = true;
       std::fprintf(stderr,
@@ -615,7 +612,7 @@ struct Reactor::Impl {
         // A scraper flood used to mean a thread per scrape, without
         // bound. Now it means a closed connection.
         metrics_rejects.fetch_add(1, std::memory_order_relaxed);
-        DFKY_OBS(obs::counter("dfkyd_metrics_rejected_total").inc(););
+        obs::counter("dfkyd_metrics_rejected_total").inc();
         ::close(mfd);
         continue;
       }
@@ -747,26 +744,25 @@ struct Reactor::Impl {
     for (const std::uint64_t id : reap_deadline) close_conn(id);
     for (const std::uint64_t id : reap_idle) {
       idle_reaped.fetch_add(1, std::memory_order_relaxed);
-      DFKY_OBS(obs::counter("dfkyd_idle_reaped_total").inc(););
+      obs::counter("dfkyd_idle_reaped_total").inc();
       close_conn(id);
     }
-    DFKY_OBS(
-        obs::gauge("dfkyd_conns").set(static_cast<std::int64_t>(
-            open_conns.load(std::memory_order_relaxed)));
-        obs::gauge("dfkyd_metrics_conns")
-            .set(static_cast<std::int64_t>(metrics_conns));
-        obs::gauge("dfkyd_feed_subscribers")
-            .set(static_cast<std::int64_t>(subscribers.size()));
-        if (now - last_fd_gauge >= std::chrono::seconds(1)) {
-          last_fd_gauge = now;
-          obs::gauge("dfkyd_fds_open")
-              .set(static_cast<std::int64_t>(count_open_fds()));
-          rlimit rl{};
-          if (::getrlimit(RLIMIT_NOFILE, &rl) == 0) {
-            obs::gauge("dfkyd_fds_limit")
-                .set(static_cast<std::int64_t>(rl.rlim_cur));
-          }
-        });
+    obs::gauge("dfkyd_conns").set(static_cast<std::int64_t>(
+        open_conns.load(std::memory_order_relaxed)));
+    obs::gauge("dfkyd_metrics_conns")
+        .set(static_cast<std::int64_t>(metrics_conns));
+    obs::gauge("dfkyd_feed_subscribers")
+        .set(static_cast<std::int64_t>(subscribers.size()));
+    if (now - last_fd_gauge >= std::chrono::seconds(1)) {
+      last_fd_gauge = now;
+      obs::gauge("dfkyd_fds_open")
+          .set(static_cast<std::int64_t>(count_open_fds()));
+      rlimit rl{};
+      if (::getrlimit(RLIMIT_NOFILE, &rl) == 0) {
+        obs::gauge("dfkyd_fds_limit")
+            .set(static_cast<std::int64_t>(rl.rlim_cur));
+      }
+    }
   }
 
   // ---- drain ----

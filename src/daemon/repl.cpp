@@ -126,8 +126,8 @@ void ReplicationSender::set_live(Follower& f, bool live) {
   }
   // Dead followers stop gating acks; waiters must re-evaluate.
   ack_cv_.notify_all();
-  DFKY_OBS(obs::gauge("dfkyd_repl_follower_live", {{"follower", f.spec.name}})
-               .set(live ? 1 : 0););
+  obs::gauge("dfkyd_repl_follower_live", {{"follower", f.spec.name}})
+      .set(live ? 1 : 0);
 }
 
 void ReplicationSender::note_contact(Follower& f) {
@@ -138,7 +138,7 @@ void ReplicationSender::note_contact(Follower& f) {
   ack_cv_.notify_all();  // the lease just got fresher
 }
 
-void ReplicationSender::note_nack([[maybe_unused]] const Follower& f,
+void ReplicationSender::note_nack(const Follower& f,
                                   const std::string& error) {
   const auto newer = parse_stale_term(error);
   if (!newer) return;
@@ -149,9 +149,8 @@ void ReplicationSender::note_nack([[maybe_unused]] const Follower& f,
   while (*newer > cur &&
          !stale_term_value_.compare_exchange_weak(cur, *newer)) {
   }
-  DFKY_OBS(obs::counter("dfkyd_repl_stale_terms_total",
-                        {{"follower", f.spec.name}})
-               .inc(););
+  obs::counter("dfkyd_repl_stale_terms_total", {{"follower", f.spec.name}})
+      .inc();
   const bool first = !stale_term_seen_.exchange(true);
   ack_cv_.notify_all();
   if (first && opts_.on_stale_term) {
@@ -172,19 +171,14 @@ void ReplicationSender::publish_lag(const std::string& follower, std::size_t k,
                                     std::uint64_t lag_frames,
                                     std::uint64_t lag_bytes,
                                     std::uint64_t acked) const {
-  DFKY_OBS(const obs::Labels labels = {{"shard", std::to_string(k)},
-                                       {"follower", follower}};
-           obs::gauge("dfkyd_repl_lag_frames", labels)
-               .set(static_cast<std::int64_t>(lag_frames));
-           obs::gauge("dfkyd_repl_lag_bytes", labels)
-               .set(static_cast<std::int64_t>(lag_bytes));
-           obs::gauge("dfkyd_repl_acked_seq", labels)
-               .set(static_cast<std::int64_t>(acked)););
-  (void)follower;
-  (void)k;
-  (void)lag_frames;
-  (void)lag_bytes;
-  (void)acked;
+  const obs::Labels labels = {{"shard", std::to_string(k)},
+                              {"follower", follower}};
+  obs::gauge("dfkyd_repl_lag_frames", labels)
+      .set(static_cast<std::int64_t>(lag_frames));
+  obs::gauge("dfkyd_repl_lag_bytes", labels)
+      .set(static_cast<std::int64_t>(lag_bytes));
+  obs::gauge("dfkyd_repl_acked_seq", labels)
+      .set(static_cast<std::int64_t>(acked));
 }
 
 bool ReplicationSender::establish(Follower& f) {
@@ -259,9 +253,8 @@ bool ReplicationSender::establish(Follower& f) {
     }
   }
   set_live(f, true);
-  DFKY_OBS(obs::counter("dfkyd_repl_connects_total",
-                        {{"follower", f.spec.name}})
-               .inc(););
+  obs::counter("dfkyd_repl_connects_total", {{"follower", f.spec.name}})
+      .inc();
   return true;
 }
 
@@ -338,9 +331,8 @@ bool ReplicationSender::ship_shard(Follower& f, std::size_t k, bool* shipped) {
     }
     ack_cv_.notify_all();
     *shipped = true;
-    DFKY_OBS(obs::counter("dfkyd_repl_snapshots_total",
-                          {{"follower", f.spec.name}})
-                 .inc(););
+    obs::counter("dfkyd_repl_snapshots_total", {{"follower", f.spec.name}})
+        .inc();
     return true;
   }
 
@@ -382,10 +374,9 @@ bool ReplicationSender::ship_shard(Follower& f, std::size_t k, bool* shipped) {
     }
     ack_cv_.notify_all();
     *shipped = true;
-    DFKY_OBS(obs::counter("dfkyd_repl_shipped_frames_total",
-                          {{"shard", std::to_string(k)},
-                           {"follower", f.spec.name}})
-                 .inc(c.records););
+    obs::counter("dfkyd_repl_shipped_frames_total",
+                 {{"shard", std::to_string(k)}, {"follower", f.spec.name}})
+        .inc(c.records);
   }
   publish_lag(f.spec.name, k, 0, 0, next);
   return true;
@@ -395,10 +386,9 @@ bool ReplicationSender::repair_divergence(Follower& f, std::size_t k,
                                           std::uint64_t pgen,
                                           std::uint64_t precs,
                                           std::uint64_t fseq) {
-  DFKY_OBS(obs::counter("dfkyd_repl_divergences_total",
-                        {{"shard", std::to_string(k)},
-                         {"follower", f.spec.name}})
-               .inc(););
+  obs::counter("dfkyd_repl_divergences_total",
+               {{"shard", std::to_string(k)}, {"follower", f.spec.name}})
+      .inc();
   // Walk downward from the last position both sides could share, offering
   // OUR chain tag at each; the follower truncates at the first one that
   // matches its own chain (tag p is the whole prefix [0,p), so a match
@@ -495,9 +485,8 @@ void ReplicationSender::follower_loop(Follower& f) {
           continue;
         }
         note_contact(f);
-        DFKY_OBS(obs::counter("dfkyd_repl_heartbeats_total",
-                              {{"follower", f.spec.name}})
-                     .inc(););
+        obs::counter("dfkyd_repl_heartbeats_total", {{"follower", f.spec.name}})
+            .inc();
       }
       // Doze until a committer syncs new work (post_sync wakes us via
       // sync_shard) or a timeout re-checks the head.

@@ -56,11 +56,9 @@ ShardRouter::ShardRouter(std::vector<StateStore> stores,
   // A follower runs no committers: its stores must stay in
   // fsync-per-mutation mode so replica ingest appends land directly.
   if (!follower) start_committers();
-  DFKY_OBS(obs::gauge("dfkyd_role", {{"role", "primary"}})
-               .set(follower ? 0 : 1);
-           obs::gauge("dfkyd_role", {{"role", "follower"}})
-               .set(follower ? 1 : 0);
-           obs::gauge("dfky_repl_term").set(term););
+  obs::gauge("dfkyd_role", {{"role", "primary"}}).set(follower ? 0 : 1);
+  obs::gauge("dfkyd_role", {{"role", "follower"}}).set(follower ? 1 : 0);
+  obs::gauge("dfky_repl_term").set(term);
   builder_ = std::thread([this] { build_tables(); });
 }
 
@@ -88,7 +86,7 @@ void ShardRouter::start_committers() {
 
 void ShardRouter::ensure_primary(const char* verb) const {
   if (fenced_.load()) {
-    DFKY_OBS(obs::counter("dfky_fenced_writes_total").inc(););
+    obs::counter("dfky_fenced_writes_total").inc();
     throw StaleTermError("stale-term term=" + std::to_string(term_.load()) +
                          " (" + verb +
                          ": this node was fenced by a newer primary and is "
@@ -108,18 +106,18 @@ void ShardRouter::adopt_term(std::uint64_t t) {
   // and the constructor's max-recovery absorbs that.
   for (auto& sh : shards_) sh->store.set_term(t);
   term_.store(t);
-  DFKY_OBS(obs::gauge("dfky_repl_term").set(t);
-           obs::event({.name = "term_adopt",
-                       .detail = "",
-                       .value = static_cast<std::int64_t>(t)}););
+  obs::gauge("dfky_repl_term").set(t);
+  obs::event({.name = "term_adopt",
+              .detail = "",
+              .value = static_cast<std::int64_t>(t)});
 }
 
 void ShardRouter::fence(std::uint64_t observed_term) {
   adopt_term(observed_term);
   if (fenced_.exchange(true)) return;
-  DFKY_OBS(obs::event({.name = "fence",
-                       .detail = "stale-term",
-                       .value = static_cast<std::int64_t>(term_.load())}););
+  obs::event({.name = "fence",
+              .detail = "stale-term",
+              .value = static_cast<std::int64_t>(term_.load())});
 }
 
 void ShardRouter::note_term(Shard& sh, std::uint64_t term, const char* verb) {
@@ -133,10 +131,10 @@ void ShardRouter::note_term(Shard& sh, std::uint64_t term, const char* verb) {
   if (term > ours) adopt_term(term);
 }
 
-void ShardRouter::stamp_trace([[maybe_unused]] Shard& sh) {
-  DFKY_OBS(if (const obs::TraceContext* t = obs::current_trace()) {
+void ShardRouter::stamp_trace(Shard& sh) {
+  if (const obs::TraceContext* t = obs::current_trace()) {
     sh.last_trace_id.store(t->id, std::memory_order_relaxed);
-  });
+  }
 }
 
 void ShardRouter::stamp_primary_contact() {
@@ -243,7 +241,7 @@ ShardRouter::AddedUser ShardRouter::add_user() {
   AddedUser out;
   out.shard = k;
   // Routing is done; the queue wait starts at submission.
-  DFKY_OBS(obs::trace_mark(obs::SpanKind::kRoute););
+  obs::trace_mark(obs::SpanKind::kRoute);
   stamp_trace(sh);
   const std::shared_ptr<GroupCommit> commits = sh.commits.load();
   if (!commits) {  // demoted since the entry check
@@ -258,9 +256,9 @@ ShardRouter::AddedUser ShardRouter::add_user() {
                                    sh.store.manager().verification_key(),
                                    added.key);
   });
-  DFKY_OBS(obs::counter("dfkyd_shard_mutations_total",
-                        {{"shard", std::to_string(k)}, {"verb", "add-user"}})
-               .inc(););
+  obs::counter("dfkyd_shard_mutations_total",
+               {{"shard", std::to_string(k)}, {"verb", "add-user"}})
+      .inc();
   return out;
 }
 
@@ -273,7 +271,7 @@ ShardRouter::RevokeResult ShardRouter::revoke(
     by_shard[shard_of(id)].push_back(local_of(id));
   }
   RevokeResult out;
-  DFKY_OBS(obs::trace_mark(obs::SpanKind::kRoute););
+  obs::trace_mark(obs::SpanKind::kRoute);
   for (std::size_t k = 0; k < shards_.size(); ++k) {
     if (by_shard[k].empty()) continue;
     Shard& sh = *shards_[k];
@@ -295,9 +293,9 @@ ShardRouter::RevokeResult ShardRouter::revoke(
         out.rolled.emplace_back(k, bundles.back().reset.new_period);
       }
     });
-    DFKY_OBS(obs::counter("dfkyd_shard_mutations_total",
-                          {{"shard", std::to_string(k)}, {"verb", "revoke"}})
-                 .inc(););
+    obs::counter("dfkyd_shard_mutations_total",
+                 {{"shard", std::to_string(k)}, {"verb", "revoke"}})
+        .inc();
   }
   for (auto& sh : shards_) {
     std::shared_lock lk(sh->state_mu);
@@ -316,7 +314,9 @@ ShardRouter::NewPeriodResult ShardRouter::new_period_all() {
   if (fatal_.load()) {
     throw ContractError("new-period: shard set failed (fail-stop)");
   }
-  DFKY_OBS_TIMER(span, "dfkyd_epoch_barrier_ns");
+  static obs::Histogram& epoch_barrier_ns =
+      obs::histogram("dfkyd_epoch_barrier_ns");
+  obs::ScopedTimer span(epoch_barrier_ns);
   // Prepare gate across replicas: every live follower must hold the full
   // pre-barrier history before we stage the epoch roll. Done before taking
   // the state locks — the sender's shipping threads read under shared
@@ -333,7 +333,7 @@ ShardRouter::NewPeriodResult ShardRouter::new_period_all() {
   for (auto& sh : shards_) locks.emplace_back(sh->state_mu);
   // Route ends once the barrier owns every shard: what follows is the
   // two-phase epoch roll (barrier_prepare / barrier_commit spans).
-  DFKY_OBS(obs::trace_mark(obs::SpanKind::kRoute););
+  obs::trace_mark(obs::SpanKind::kRoute);
 
   NewPeriodResult out;
   // The target epoch equalizes shards that drifted apart through
@@ -357,12 +357,12 @@ ShardRouter::NewPeriodResult ShardRouter::new_period_all() {
             serialize_bundle(sh->store.new_period(*sh->rng), group));
       }
     }
-    DFKY_OBS(obs::trace_mark(obs::SpanKind::kBarrierPrepare););
+    obs::trace_mark(obs::SpanKind::kBarrierPrepare);
     // Phase 2 — commit: one WAL append+fsync per shard. A crash between
     // two syncs leaves the set at mixed epochs; open_shard_set rolls the
     // laggards forward, which is sound because we have not acked yet.
     for (auto& sh : shards_) sh->store.sync();
-    DFKY_OBS(obs::trace_mark(obs::SpanKind::kBarrierCommit););
+    obs::trace_mark(obs::SpanKind::kBarrierCommit);
   } catch (...) {
     // Some shards may hold applied-but-unstaged or staged-but-unsynced
     // state that a later batch's sync would silently commit. Fail-stop:
@@ -371,7 +371,7 @@ ShardRouter::NewPeriodResult ShardRouter::new_period_all() {
     throw;
   }
   out.period = target;
-  DFKY_OBS(obs::counter("dfkyd_epoch_barriers_total").inc(););
+  obs::counter("dfkyd_epoch_barriers_total").inc();
   // Commit gate: release the state locks (the shipping threads need them
   // shared), then hold the ack until every live follower has replayed the
   // barrier records. A follower that dies mid-wait stops gating — the
@@ -390,7 +390,7 @@ ShardRouter::NewPeriodResult ShardRouter::new_period_all() {
       throw;
     }
   }
-  DFKY_OBS(obs::trace_mark(obs::SpanKind::kReplAck););
+  obs::trace_mark(obs::SpanKind::kReplAck);
   return out;
 }
 
@@ -414,10 +414,9 @@ std::uint64_t ShardRouter::replica_append(std::size_t shard, std::uint64_t gen,
   // The current-term primary is feeding us again: whatever fencing put us
   // here has been repaired (the forked suffix is gone, or never existed).
   fenced_.store(false);
-  DFKY_OBS(obs::counter("dfkyd_shard_mutations_total",
-                        {{"shard", std::to_string(shard)},
-                         {"verb", "repl-append"}})
-               .inc(););
+  obs::counter("dfkyd_shard_mutations_total",
+               {{"shard", std::to_string(shard)}, {"verb", "repl-append"}})
+      .inc();
   return seq;
 }
 
@@ -436,10 +435,9 @@ void ShardRouter::replica_snapshot(std::size_t shard, std::uint64_t gen,
   stamp_primary_contact();
   sh.store.replica_apply_snapshot(gen, frame);
   fenced_.store(false);
-  DFKY_OBS(obs::counter("dfkyd_shard_mutations_total",
-                        {{"shard", std::to_string(shard)},
-                         {"verb", "repl-snap"}})
-               .inc(););
+  obs::counter("dfkyd_shard_mutations_total",
+               {{"shard", std::to_string(shard)}, {"verb", "repl-snap"}})
+      .inc();
 }
 
 std::uint64_t ShardRouter::replica_truncate(std::size_t shard,
@@ -460,10 +458,9 @@ std::uint64_t ShardRouter::replica_truncate(std::size_t shard,
   stamp_primary_contact();
   const std::uint64_t seq =
       sh.store.replica_truncate(gen, records, expected_tag_hex);
-  DFKY_OBS(obs::counter("dfkyd_shard_mutations_total",
-                        {{"shard", std::to_string(shard)},
-                         {"verb", "repl-truncate"}})
-               .inc(););
+  obs::counter("dfkyd_shard_mutations_total",
+               {{"shard", std::to_string(shard)}, {"verb", "repl-truncate"}})
+      .inc();
   return seq;
 }
 
@@ -500,10 +497,10 @@ ShardRouter::PromoteResult ShardRouter::promote(
       std::shared_lock lk(sh->state_mu);
       res.period = std::max(res.period, sh->store.manager().period());
     }
-    DFKY_OBS(obs::event({.name = "promote",
-                         .period = static_cast<std::int64_t>(res.period),
-                         .detail = "already-primary",
-                         .value = static_cast<std::int64_t>(res.term)}););
+    obs::event({.name = "promote",
+                .period = static_cast<std::int64_t>(res.period),
+                .detail = "already-primary",
+                .value = static_cast<std::int64_t>(res.term)});
     return res;
   }
   if (fatal_.load()) {
@@ -538,14 +535,14 @@ ShardRouter::PromoteResult ShardRouter::promote(
   res.term = term_.load();
   res.period = target;
   res.rolled = rolled;
-  DFKY_OBS(obs::gauge("dfkyd_role", {{"role", "primary"}}).set(1);
-           obs::gauge("dfkyd_role", {{"role", "follower"}}).set(0);
-           obs::counter("dfkyd_promotions_total").inc();
-           obs::counter("dfky_store_shard_rollforwards_total").inc(rolled);
-           obs::event({.name = "promote",
-                       .period = static_cast<std::int64_t>(target),
-                       .detail = "term=" + std::to_string(res.term),
-                       .value = static_cast<std::int64_t>(rolled)}););
+  obs::gauge("dfkyd_role", {{"role", "primary"}}).set(1);
+  obs::gauge("dfkyd_role", {{"role", "follower"}}).set(0);
+  obs::counter("dfkyd_promotions_total").inc();
+  obs::counter("dfky_store_shard_rollforwards_total").inc(rolled);
+  obs::event({.name = "promote",
+              .period = static_cast<std::int64_t>(target),
+              .detail = "term=" + std::to_string(res.term),
+              .value = static_cast<std::int64_t>(rolled)});
   return res;
 }
 
@@ -559,10 +556,10 @@ ShardRouter::PromoteResult ShardRouter::demote() {
   }
   if (follower_.load()) {  // already a follower — idempotent, but distinct
     res.already = true;
-    DFKY_OBS(obs::event({.name = "demote",
-                         .period = static_cast<std::int64_t>(res.period),
-                         .detail = "already-follower",
-                         .value = static_cast<std::int64_t>(res.term)}););
+    obs::event({.name = "demote",
+                .period = static_cast<std::int64_t>(res.period),
+                .detail = "already-follower",
+                .value = static_cast<std::int64_t>(res.term)});
     return res;
   }
   // Refuse new mutations first (ensure_primary), then stop each committer.
@@ -577,13 +574,13 @@ ShardRouter::PromoteResult ShardRouter::demote() {
       c->shut_down();
     }
   }
-  DFKY_OBS(obs::gauge("dfkyd_role", {{"role", "primary"}}).set(0);
-           obs::gauge("dfkyd_role", {{"role", "follower"}}).set(1);
-           obs::counter("dfkyd_demotions_total").inc();
-           obs::event({.name = "demote",
-                       .period = static_cast<std::int64_t>(res.period),
-                       .detail = "term=" + std::to_string(res.term),
-                       .value = 0}););
+  obs::gauge("dfkyd_role", {{"role", "primary"}}).set(0);
+  obs::gauge("dfkyd_role", {{"role", "follower"}}).set(1);
+  obs::counter("dfkyd_demotions_total").inc();
+  obs::event({.name = "demote",
+              .period = static_cast<std::int64_t>(res.period),
+              .detail = "term=" + std::to_string(res.term),
+              .value = 0});
   return res;
 }
 
@@ -654,6 +651,7 @@ ShardRouter::Sealed ShardRouter::encrypt(BytesView payload,
                         std::to_string(shards_.size()) + ")");
   }
   Shard& sh = *shards_[shard];
+  obs::trace_mark(obs::SpanKind::kRoute);
   // Shared across the whole seal, not just the key read, so a ciphertext
   // is never older than an epoch barrier that follows it. The feed
   // publish runs after this lock is gone; RequestHandler keeps the frame
@@ -664,6 +662,7 @@ ShardRouter::Sealed ShardRouter::encrypt(BytesView payload,
   std::array<byte, 32> seed{};
   {
     std::lock_guard rng_lk(sh.rng_mu);
+    obs::trace_mark(obs::SpanKind::kLockWait);
     sh.rng->fill(seed);
   }
   ChaChaRng rng(seed);
@@ -682,6 +681,7 @@ ShardRouter::Sealed ShardRouter::encrypt(BytesView payload,
   }
   Writer w;
   seal_content(*enc, payload, rng).serialize(w, mgr.params().group);
+  obs::trace_mark(obs::SpanKind::kCrypto);
   // Queued after the seal: the builder's first table would otherwise
   // compete for a core with the seal that asked for it.
   if (build) queue_tables(shard);

@@ -76,14 +76,14 @@ Gelt Group::inv(const Gelt& a) const {
 
 Gelt Group::pow(const Gelt& a, const Bigint& e) const {
   if (is_elliptic()) {
-    DFKY_OBS(static obs::Counter& c =
-                 obs::counter("dfky_group_pow_total", {{"backend", "ec"}});
-             c.inc(););
+    static obs::Counter& ec_pows =
+        obs::counter("dfky_group_pow_total", {{"backend", "ec"}});
+    ec_pows.inc();
     return from_point(ec_mul(*curve_, to_point(a), e.mod(order_)));
   }
-  DFKY_OBS(static obs::Counter& c =
-               obs::counter("dfky_group_pow_total", {{"backend", "zp"}});
-           c.inc(););
+  static obs::Counter& zp_pows =
+      obs::counter("dfky_group_pow_total", {{"backend", "zp"}});
+  zp_pows.inc();
   return Gelt(Bigint::powm(a.value(), e.mod(order_), params_->p));
 }
 
@@ -131,8 +131,8 @@ Gelt multiexp(const Group& group, std::span<const Gelt> bases,
               std::span<const Bigint> exps) {
   require(bases.size() == exps.size(), "multiexp: size mismatch");
   if (bases.empty()) return group.one();
-  DFKY_OBS(static obs::Counter& c = obs::counter("dfky_group_multiexp_total");
-           c.inc(););
+  static obs::Counter& multiexps = obs::counter("dfky_group_multiexp_total");
+  multiexps.inc();
 
   std::vector<Bigint> reduced;
   reduced.reserve(exps.size());

@@ -10,7 +10,9 @@ FixedBaseTable::FixedBaseTable(const Group& group, const Gelt& base,
     : window_bits_(window_bits) {
   require(window_bits >= 1 && window_bits <= 8,
           "FixedBaseTable: window_bits must be in [1, 8]");
-  DFKY_OBS_TIMER(obs_span, "dfky_fixedbase_precompute_ns");
+  static obs::Histogram& fixedbase_precompute_ns =
+      obs::histogram("dfky_fixedbase_precompute_ns");
+  obs::ScopedTimer span(fixedbase_precompute_ns);
   const std::size_t exp_bits = group.order().bit_length();
   if (!group.is_elliptic()) {
     zp_.emplace(base.value(), group.p(), exp_bits, window_bits, stop);
@@ -36,8 +38,8 @@ FixedBaseTable::FixedBaseTable(const Group& group, const Gelt& base,
 }
 
 Gelt FixedBaseTable::pow(const Group& group, const Bigint& e) const {
-  DFKY_OBS(static obs::Counter& c = obs::counter("dfky_fixedbase_pow_total");
-           c.inc(););
+  static obs::Counter& pows = obs::counter("dfky_fixedbase_pow_total");
+  pows.inc();
   const Bigint exp = e.mod(group.order());
   if (zp_) return Gelt(zp_->pow(exp));
   Gelt acc = group.one();

@@ -1,8 +1,8 @@
 // Build identity: which binary produced this scrape / BENCH json?
 //
 // The version and git describe are baked in at configure time (top-level
-// CMakeLists); sanitizer flags and the DFKY_OBS state come from the same
-// build options that shaped the binary. Exposed two ways:
+// CMakeLists); the sanitizer flavour comes from the same build options
+// that shaped the binary. Exposed two ways:
 //
 //   * publish_build_info() sets a constant `dfky_build_info{...} 1` gauge
 //     (the standard Prometheus build-info idiom), so every /metrics
@@ -20,13 +20,11 @@ struct BuildInfo {
   std::string version;    // project version (DFKY_VERSION)
   std::string git;        // `git describe --always --dirty`, or "unknown"
   std::string sanitizer;  // "none" | "asan-ubsan" | "tsan"
-  bool obs = false;       // DFKY_OBS state of this binary
 };
 
 BuildInfo build_info();
 
 /// Registers the dfky_build_info gauge (value 1, identity in the labels).
-/// No-op when the obs layer is compiled out.
 void publish_build_info();
 
 }  // namespace dfky

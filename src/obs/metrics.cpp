@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#if DFKY_OBS_ENABLED
-
 #include <algorithm>
 #include <deque>
 #include <map>
@@ -13,7 +11,6 @@
 #include "obs/json.h"
 
 namespace dfky::obs {
-inline namespace on {
 
 namespace {
 
@@ -311,7 +308,4 @@ std::string MetricsRegistry::jsonl() const {
   return out.str();
 }
 
-}  // inline namespace on
 }  // namespace dfky::obs
-
-#endif  // DFKY_OBS_ENABLED

@@ -3,14 +3,11 @@
 //
 // Design goals (DESIGN.md Sect. 8):
 //
-//   * Hot-path cost when enabled is one relaxed atomic add (counters) or one
+//   * Hot-path cost is one relaxed atomic add (counters) or one
 //     steady_clock read pair (timers). Series creation takes a mutex once;
-//     call sites cache handles in function-local statics via DFKY_OBS(...).
-//   * With -DDFKY_OBS=OFF the whole layer compiles down to inlined no-ops:
-//     the stub types below are empty, trivially constructible and carry no
-//     state, so every instrumentation statement vanishes. The two variants
-//     live in distinct inline namespaces (`on` / `off`), so a translation
-//     unit can even force the stubs locally (tests do) without ODR clashes.
+//     hot call sites keep the returned handle (a function-local static for
+//     constant labels, a member for per-instance labels) so the lookup is
+//     paid once, and the lookup is ordinary code at the call site.
 //   * Exporters: Prometheus text exposition and a JSONL snapshot (one JSON
 //     object per line: counters, gauges, histograms, then events). Ordering
 //     is deterministic (sorted by name, then labels) so golden tests can
@@ -21,21 +18,14 @@
 // dimensions only (backend, msg type, outcome, path, mode).
 #pragma once
 
-#ifndef DFKY_OBS_ENABLED
-#define DFKY_OBS_ENABLED 1
-#endif
-
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
-
-#if DFKY_OBS_ENABLED
-#include <array>
-#include <chrono>
-#endif
 
 namespace dfky::obs {
 
@@ -56,10 +46,6 @@ struct Event {
   std::string detail;        // msg type / outcome / free-form context
   std::int64_t value = 0;    // optional magnitude (bytes, count)
 };
-
-#if DFKY_OBS_ENABLED
-
-inline namespace on {
 
 /// Monotonically increasing counter. Updates are lock-free.
 class Counter {
@@ -205,8 +191,6 @@ class ScopedTimer {
   std::chrono::steady_clock::time_point t0_;
 };
 
-constexpr bool enabled() { return true; }
-
 inline Counter& counter(std::string_view name, const Labels& labels = {}) {
   return MetricsRegistry::instance().counter(name, labels);
 }
@@ -218,119 +202,5 @@ inline Histogram& histogram(std::string_view name, const Labels& labels = {},
   return MetricsRegistry::instance().histogram(name, labels, bounds);
 }
 inline void event(Event ev) { MetricsRegistry::instance().emit(std::move(ev)); }
-
-}  // inline namespace on
-
-/// Wraps instrumentation statements; compiled out entirely when the layer
-/// is disabled. Declarations inside (cached static handles) are legal:
-///   DFKY_OBS(static obs::Counter& c = obs::counter("dfky_x_total"); c.inc(););
-#define DFKY_OBS(...)      \
-  do {                     \
-    __VA_ARGS__            \
-  } while (false)
-
-/// Declares a timing span `var` over the rest of the scope, recording into
-/// the named histogram (handle cached in a function-local static). Expands
-/// to nothing when the layer is disabled — label arguments are not even
-/// constructed.
-#define DFKY_OBS_TIMER(var, ...)                                         \
-  static ::dfky::obs::Histogram& var##_hist =                            \
-      ::dfky::obs::histogram(__VA_ARGS__);                               \
-  ::dfky::obs::ScopedTimer var(var##_hist)
-
-#else  // !DFKY_OBS_ENABLED
-
-inline namespace off {
-
-// Stubs: empty, stateless, trivially constructible/destructible. Every
-// member is an inline no-op, so instrumented call sites compile to nothing.
-
-class Counter {
- public:
-  void inc(std::uint64_t = 1) const noexcept {}
-  std::uint64_t value() const noexcept { return 0; }
-};
-
-class Gauge {
- public:
-  void set(std::int64_t) const noexcept {}
-  void add(std::int64_t) const noexcept {}
-  std::int64_t value() const noexcept { return 0; }
-};
-
-class Histogram {
- public:
-  static constexpr std::size_t kMaxBounds = 16;
-  static std::vector<std::uint64_t> default_ns_bounds() { return {}; }
-  static std::vector<std::uint64_t> fast_ns_bounds() { return {}; }
-  void observe(std::uint64_t) const noexcept {}
-  std::uint64_t count() const noexcept { return 0; }
-  std::uint64_t sum() const noexcept { return 0; }
-  struct Snapshot {
-    std::vector<std::uint64_t> bounds;
-    std::vector<std::uint64_t> cumulative_counts;
-    std::uint64_t count = 0;
-    std::uint64_t sum = 0;
-    double quantile(double) const { return 0.0; }
-  };
-  Snapshot snapshot() const { return {}; }
-};
-
-class MetricsRegistry {
- public:
-  static MetricsRegistry& instance() {
-    static MetricsRegistry r;
-    return r;
-  }
-  Counter& counter(std::string_view, const Labels& = {}) { return counter_; }
-  Gauge& gauge(std::string_view, const Labels& = {}) { return gauge_; }
-  Histogram& histogram(std::string_view, const Labels& = {},
-                       const std::vector<std::uint64_t>& = {}) {
-    return histogram_;
-  }
-  void set_default_bounds(std::string_view, std::vector<std::uint64_t>) {}
-  void emit(Event) {}
-  std::vector<Event> events() const { return {}; }
-  static constexpr std::size_t kEventCapacity = 4096;
-  std::string prometheus() const { return {}; }
-  std::string jsonl() const { return {}; }
-  void reset() {}
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;
-};
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(const Histogram&) noexcept {}
-};
-
-constexpr bool enabled() { return false; }
-
-inline Counter& counter(std::string_view name, const Labels& labels = {}) {
-  return MetricsRegistry::instance().counter(name, labels);
-}
-inline Gauge& gauge(std::string_view name, const Labels& labels = {}) {
-  return MetricsRegistry::instance().gauge(name, labels);
-}
-inline Histogram& histogram(std::string_view name, const Labels& labels = {},
-                            const std::vector<std::uint64_t>& bounds = {}) {
-  return MetricsRegistry::instance().histogram(name, labels, bounds);
-}
-inline void event(Event) {}
-
-}  // inline namespace off
-
-#define DFKY_OBS(...) \
-  do {                \
-  } while (false)
-
-#define DFKY_OBS_TIMER(var, ...) \
-  do {                           \
-  } while (false)
-
-#endif  // DFKY_OBS_ENABLED
 
 }  // namespace dfky::obs

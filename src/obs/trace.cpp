@@ -1,7 +1,5 @@
 #include "obs/trace.h"
 
-#if DFKY_OBS_ENABLED
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -13,7 +11,6 @@
 #include "obs/metrics.h"
 
 namespace dfky::obs {
-inline namespace on {
 namespace {
 
 std::atomic<std::uint64_t> g_next_id{1};
@@ -243,7 +240,4 @@ void trace_reset() {
   g_next_id.store(1, std::memory_order_relaxed);
 }
 
-}  // inline namespace on
 }  // namespace dfky::obs
-
-#endif  // DFKY_OBS_ENABLED

@@ -21,14 +21,7 @@
 //     total exceeds the slow threshold — in a slow-request log retaining
 //     the K slowest traces per verb over a sliding window (two rotating
 //     half-windows, so an old burst ages out after at most 2x the window).
-//   * With -DDFKY_OBS=OFF everything here compiles to inlined no-ops; the
-//     whole of trace.cpp is preprocessed away, so OFF builds contain no
-//     trace symbols at all (tests/obs_off_build_check.sh proves it).
 #pragma once
-
-#ifndef DFKY_OBS_ENABLED
-#define DFKY_OBS_ENABLED 1
-#endif
 
 #include <cstdint>
 #include <string>
@@ -40,7 +33,9 @@ namespace dfky::obs {
 /// Span taxonomy. The request path emits accept -> parse -> route ->
 /// queue_wait -> wal_append -> fsync -> repl_ack -> respond; the
 /// cross-shard new-period barrier replaces the commit quartet with
-/// barrier_prepare / barrier_commit (DESIGN.md Sect. 13.2).
+/// barrier_prepare / barrier_commit, and a read verb (encrypt) with
+/// lock_wait -> crypto (DESIGN.md Sect. 13.2). New kinds are appended so
+/// existing values never move.
 enum class SpanKind : std::uint8_t {
   kAccept = 0,
   kParse,
@@ -52,6 +47,8 @@ enum class SpanKind : std::uint8_t {
   kRespond,
   kBarrierPrepare,
   kBarrierCommit,
+  kLockWait,
+  kCrypto,
 };
 
 inline constexpr std::string_view span_name(SpanKind k) {
@@ -66,6 +63,8 @@ inline constexpr std::string_view span_name(SpanKind k) {
     case SpanKind::kRespond: return "respond";
     case SpanKind::kBarrierPrepare: return "barrier_prepare";
     case SpanKind::kBarrierCommit: return "barrier_commit";
+    case SpanKind::kLockWait: return "lock_wait";
+    case SpanKind::kCrypto: return "crypto";
   }
   return "unknown";
 }
@@ -79,10 +78,6 @@ struct TraceSpan {
   std::uint64_t end_ns = 0;
   std::string label;
 };
-
-#if DFKY_OBS_ENABLED
-
-inline namespace on {
 
 /// The timeline of one request. Cheap to move; owned by ScopedTrace on
 /// the handling thread for the request's whole lifetime.
@@ -178,59 +173,5 @@ std::string trace_jsonl(std::size_t max = 0);
 
 /// Clears the ring, the slow log and the id counter (tests only).
 void trace_reset();
-
-}  // inline namespace on
-
-#else  // !DFKY_OBS_ENABLED
-
-inline namespace off {
-
-// Stubs: empty, stateless, trivially constructible. Call sites compile to
-// nothing; trace.cpp contributes no symbols to OFF builds.
-
-struct TraceContext {
-  static std::uint64_t now_ns() { return 0; }
-  void mark_at(SpanKind, std::uint64_t, std::string_view = {}) const noexcept {
-  }
-  void mark(SpanKind) const noexcept {}
-};
-
-inline TraceContext* current_trace() { return nullptr; }
-
-class ScopedTrace {
- public:
-  ScopedTrace() noexcept = default;
-  ScopedTrace(const ScopedTrace&) = delete;
-  ScopedTrace& operator=(const ScopedTrace&) = delete;
-  bool active() const noexcept { return false; }
-  void set_verb(std::string_view) const noexcept {}
-  void set_outcome(bool) const noexcept {}
-};
-
-inline void trace_mark(SpanKind) {}
-inline void trace_adopt_id(std::uint64_t) {}
-inline void set_tracing(bool) {}
-inline bool tracing_enabled() { return false; }
-inline void set_slow_threshold_ns(std::uint64_t) {}
-inline std::uint64_t slow_threshold_ns() { return 0; }
-
-constexpr std::size_t kTraceRingStripes = 8;
-constexpr std::size_t kTraceRingPerStripe = 64;
-constexpr std::size_t kSlowTracesPerVerb = 8;
-constexpr std::uint64_t kSlowWindowNs = 60ull * 1000 * 1000 * 1000;
-
-inline void trace_record(const TraceContext&) {}
-inline std::vector<TraceContext> recent_traces(std::size_t = 0) { return {}; }
-inline std::vector<TraceContext> slow_traces() { return {}; }
-inline std::string trace_json_line(const TraceContext&,
-                                   std::string_view = "trace") {
-  return {};
-}
-inline std::string trace_jsonl(std::size_t = 0) { return {}; }
-inline void trace_reset() {}
-
-}  // inline namespace off
-
-#endif  // DFKY_OBS_ENABLED
 
 }  // namespace dfky::obs

@@ -37,8 +37,8 @@ const Bigint& Polynomial::coeff(std::size_t i) const {
 }
 
 Bigint Polynomial::eval(const Bigint& x) const {
-  DFKY_OBS(static obs::Counter& c = obs::counter("dfky_poly_eval_total");
-           c.inc(););
+  static obs::Counter& evals = obs::counter("dfky_poly_eval_total");
+  evals.inc();
   Bigint acc(0);
   for (std::size_t i = coeffs_.size(); i-- > 0;) {
     acc = field_.add(field_.mul(acc, x), coeffs_[i]);

@@ -448,10 +448,7 @@ void MemFileIo::inject_durable_append(const std::string& path,
 namespace {
 
 inline void note_io_fault(const char* kind) {
-  DFKY_OBS(obs::counter("dfky_store_io_faults_total", {{"kind", kind}}).inc(););
-#if !DFKY_OBS_ENABLED
-  (void)kind;
-#endif
+  obs::counter("dfky_store_io_faults_total", {{"kind", kind}}).inc();
 }
 
 }  // namespace

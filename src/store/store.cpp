@@ -393,7 +393,9 @@ StateStore StateStore::create(FileIo& io, std::string dir,
 }
 
 StateStore StateStore::open(FileIo& io, std::string dir, StoreOptions opts) {
-  DFKY_OBS_TIMER(span, "dfky_store_recovery_ns");
+  static obs::Histogram& store_recovery_ns =
+      obs::histogram("dfky_store_recovery_ns");
+  obs::ScopedTimer span(store_recovery_ns);
   if (!io.is_dir(dir)) {
     throw DecodeError("state store: no such directory: " + dir);
   }
@@ -510,18 +512,17 @@ StateStore StateStore::open(FileIo& io, std::string dir, StoreOptions opts) {
   }
   if (dirty_dir) io.fsync_dir(dir);
 
-  DFKY_OBS(
-      obs::counter("dfky_store_recoveries_total").inc();
-      obs::counter("dfky_store_recovery_replayed_records_total")
-          .inc(rep.replayed_records);
-      obs::counter("dfky_store_recovery_truncated_records_total")
-          .inc(rep.truncated_records);
-      obs::counter("dfky_store_recovery_truncated_bytes_total")
-          .inc(rep.truncated_bytes);
-      obs::event({.name = "store_recovery",
-                  .period = static_cast<std::int64_t>(mgr->period()),
-                  .detail = rep.truncated_records > 0 ? "truncated" : "clean",
-                  .value = static_cast<std::int64_t>(rep.replayed_records)}););
+  obs::counter("dfky_store_recoveries_total").inc();
+  obs::counter("dfky_store_recovery_replayed_records_total")
+      .inc(rep.replayed_records);
+  obs::counter("dfky_store_recovery_truncated_records_total")
+      .inc(rep.truncated_records);
+  obs::counter("dfky_store_recovery_truncated_bytes_total")
+      .inc(rep.truncated_bytes);
+  obs::event({.name = "store_recovery",
+              .period = static_cast<std::int64_t>(mgr->period()),
+              .detail = rep.truncated_records > 0 ? "truncated" : "clean",
+              .value = static_cast<std::int64_t>(rep.replayed_records)});
 
   StateStore s(io, std::move(dir), opts, std::move(*mgr), std::move(key));
   s.start_generation(gen, seed, snap_bytes);
@@ -580,12 +581,14 @@ void StateStore::commit() {
 
 void StateStore::land_staged() {
   try {
-    DFKY_OBS_TIMER(span, "dfky_store_wal_append_ns");
+    static obs::Histogram& store_wal_append_ns =
+        obs::histogram("dfky_store_wal_append_ns");
+    obs::ScopedTimer span(store_wal_append_ns);
     io_->append(path(wal_name(gen_)), pending_);
-    DFKY_OBS(last_sync_append_done_ns_ = static_cast<std::uint64_t>(
-                 std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now().time_since_epoch())
-                     .count()););
+    last_sync_append_done_ns_ = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
     io_->fsync_file(path(wal_name(gen_)));
   } catch (...) {
     // The append may have landed (fully or torn) even though the fsync
@@ -595,10 +598,10 @@ void StateStore::land_staged() {
     // refuse further work, and let a fresh open() recover the valid
     // prefix that actually reached the file.
     poisoned_ = true;
-    DFKY_OBS(obs::counter("dfky_store_poisoned_total").inc(););
+    obs::counter("dfky_store_poisoned_total").inc();
     throw;
   }
-  DFKY_OBS(obs::counter("dfky_store_wal_appends_total").inc(staged_.size()););
+  obs::counter("dfky_store_wal_appends_total").inc(staged_.size());
   index_.insert(index_.end(), staged_.begin(), staged_.end());
   pending_.clear();
   staged_.clear();
@@ -608,9 +611,8 @@ void StateStore::flush_pending() {
   const std::size_t records = staged_.size();
   if (records == 0) return;
   land_staged();
-  DFKY_OBS(obs::counter("dfky_store_group_commits_total").inc();
-           obs::counter("dfky_store_group_commit_records_total")
-               .inc(records););
+  obs::counter("dfky_store_group_commits_total").inc();
+  obs::counter("dfky_store_group_commit_records_total").inc(records);
 }
 
 void StateStore::sync() {
@@ -692,14 +694,16 @@ SignedResetBundle StateStore::new_period(Rng& rng) {
 
 void StateStore::snapshot() { rotate("manual"); }
 
-void StateStore::rotate([[maybe_unused]] const char* trigger) {
+void StateStore::rotate(const char* trigger) {
   ensure_usable();
   // Batched frames were chained against the current generation's WAL;
   // land them there before rotating (the records are then superseded by
   // the snapshot, but the old WAL stays self-consistent if the rotation
   // is torn).
   flush_pending();
-  DFKY_OBS_TIMER(span, "dfky_store_snapshot_ns");
+  static obs::Histogram& store_snapshot_ns =
+      obs::histogram("dfky_store_snapshot_ns");
+  obs::ScopedTimer span(store_snapshot_ns);
   const std::uint64_t next = gen_ + 1;
   const Bytes payload = mgr_.save_state();
   Sha256::Digest tag{};
@@ -714,11 +718,11 @@ void StateStore::rotate([[maybe_unused]] const char* trigger) {
   io_->fsync_dir(dir_);
   const std::uint64_t old = gen_;
   start_generation(next, tag, frame.size());
-  DFKY_OBS(obs::counter("dfky_store_snapshots_total").inc();
-           obs::event({.name = "store_snapshot",
-                       .period = static_cast<std::int64_t>(mgr_.period()),
-                       .detail = trigger,
-                       .value = static_cast<std::int64_t>(payload.size())}););
+  obs::counter("dfky_store_snapshots_total").inc();
+  obs::event({.name = "store_snapshot",
+              .period = static_cast<std::int64_t>(mgr_.period()),
+              .detail = trigger,
+              .value = static_cast<std::int64_t>(payload.size())});
   // Best-effort cleanup; a crash from here on only leaves stale files that
   // the next open()/fsck removes.
   try {
@@ -863,7 +867,9 @@ std::uint64_t StateStore::replica_apply_frames(std::uint64_t gen,
   }
   if (!have_new) return index_.size();  // pure dup (or torn-only) shipment
   try {
-    DFKY_OBS_TIMER(span, "dfky_store_wal_append_ns");
+    static obs::Histogram& store_wal_append_ns =
+        obs::histogram("dfky_store_wal_append_ns");
+    obs::ScopedTimer span(store_wal_append_ns);
     io_->append(path(wal_name(gen_)),
                 Bytes(frames.begin() + static_cast<std::ptrdiff_t>(new_begin),
                       frames.begin() + static_cast<std::ptrdiff_t>(new_end)));
@@ -872,7 +878,7 @@ std::uint64_t StateStore::replica_apply_frames(std::uint64_t gen,
     // Same fail-stop contract as flush_pending: the frames may be partially
     // on disk, so this process can no longer extend the chain.
     poisoned_ = true;
-    DFKY_OBS(obs::counter("dfky_store_poisoned_total").inc(););
+    obs::counter("dfky_store_poisoned_total").inc();
     throw;
   }
   for (const ManagerMutation& m : muts) {
@@ -887,7 +893,7 @@ std::uint64_t StateStore::replica_apply_frames(std::uint64_t gen,
   }
   index_.insert(index_.end(), fresh.begin(), fresh.end());
   chain_tag_ = chain;
-  DFKY_OBS(obs::counter("dfky_store_replica_frames_total").inc(muts.size()););
+  obs::counter("dfky_store_replica_frames_total").inc(muts.size());
   return index_.size();
 }
 
@@ -917,7 +923,7 @@ void StateStore::replica_apply_snapshot(std::uint64_t new_gen,
   start_generation(new_gen, info->tag, frame.size());
   mgr_ = std::move(restored);
   mgr_.set_mutation_recording(true);
-  DFKY_OBS(obs::counter("dfky_store_replica_snapshots_total").inc(););
+  obs::counter("dfky_store_replica_snapshots_total").inc();
   try {
     io_->remove(path(snap_name(old)));
     io_->remove(path(wal_name(old)));
@@ -969,7 +975,7 @@ std::uint64_t StateStore::replica_truncate(std::uint64_t gen,
   if (kept.size() != keep_end) {
     throw DecodeError("state store: " + wal_name(gen_) + " truncated");
   }
-  [[maybe_unused]] const std::uint64_t dropped = index_.size() - records;
+  const std::uint64_t dropped = index_.size() - records;
   io_->truncate(path(wal_name(gen_)), keep_end);
   io_->fsync_file(path(wal_name(gen_)));
   try {
@@ -1003,11 +1009,11 @@ std::uint64_t StateStore::replica_truncate(std::uint64_t gen,
   mgr_.set_mutation_recording(true);
   mgr_.take_mutation_log();
   poisoned_ = false;  // disk and memory were just re-reconciled
-  DFKY_OBS(obs::counter("dfky_store_replica_truncates_total").inc();
-           obs::event({.name = "replica_truncate",
-                       .period = static_cast<std::int64_t>(mgr_.period()),
-                       .detail = dir_,
-                       .value = static_cast<std::int64_t>(dropped)}););
+  obs::counter("dfky_store_replica_truncates_total").inc();
+  obs::event({.name = "replica_truncate",
+              .period = static_cast<std::int64_t>(mgr_.period()),
+              .detail = dir_,
+              .value = static_cast<std::int64_t>(dropped)});
   return records;
 }
 
@@ -1199,8 +1205,8 @@ std::vector<StateStore> open_shard_set(FileIo& io, const std::string& root,
       report->recoveries.push_back(s.recovery_report());
     }
   }
-  DFKY_OBS(obs::counter("dfky_store_shard_set_opens_total").inc();
-           obs::counter("dfky_store_shard_rollforwards_total").inc(rolled););
+  obs::counter("dfky_store_shard_set_opens_total").inc();
+  obs::counter("dfky_store_shard_rollforwards_total").inc(rolled);
   return shards;
 }
 

@@ -138,8 +138,7 @@ class StateStore {
   std::size_t unsynced_records() const { return staged_.size(); }
   /// Steady-clock ns at which the last WAL append returned,
   /// before its fsync began — the wal_append/fsync split point request
-  /// traces use (DESIGN.md Sect. 13). 0 until the first flush, and always
-  /// 0 under DFKY_OBS=OFF.
+  /// traces use (DESIGN.md Sect. 13). 0 until the first flush.
   std::uint64_t last_sync_append_done_ns() const {
     return last_sync_append_done_ns_;
   }

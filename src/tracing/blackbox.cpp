@@ -37,7 +37,8 @@ PublicKey fake_public_key(const SystemParams& sp, const MasterSecret& msk,
                           std::span<const Bigint> keep_xs, Rng& rng) {
   require(keep_xs.size() <= sp.max_collusion(),
           "fake_public_key: suspect set larger than the collusion bound");
-  DFKY_OBS_TIMER(obs_span, "dfky_bbc_fake_pk_ns");
+  static obs::Histogram& bbc_fake_pk_ns = obs::histogram("dfky_bbc_fake_pk_ns");
+  obs::ScopedTimer span(bbc_fake_pk_ns);
   const Zq& zq = sp.group.zq();
   const Polynomial a_fake =
       constrained_random_poly(zq, msk.a, sp.v, keep_xs, rng);
@@ -65,9 +66,8 @@ double estimate_success(const SystemParams& sp, const PublicKey& pk,
                         PirateDecoder& decoder, std::size_t samples,
                         Rng& rng) {
   require(samples > 0, "estimate_success: need at least one sample");
-  DFKY_OBS(static obs::Counter& probes =
-               obs::counter("dfky_bbc_probes_total");
-           probes.inc(samples););
+  static obs::Counter& probes = obs::counter("dfky_bbc_probes_total");
+  probes.inc(samples);
   std::size_t hits = 0;
   for (std::size_t i = 0; i < samples; ++i) {
     const Gelt m = sp.group.random_element(rng);
@@ -86,8 +86,9 @@ BbcResult black_box_confirm(const SystemParams& sp, const MasterSecret& msk,
           "black_box_confirm: more than m suspects");
   require(options.epsilon > 0.0 && options.epsilon <= 1.0,
           "black_box_confirm: bad epsilon");
-  DFKY_OBS_TIMER(obs_span, "dfky_bbc_confirm_ns");
-  DFKY_OBS(obs::counter("dfky_bbc_confirm_total").inc(););
+  static obs::Histogram& bbc_confirm_ns = obs::histogram("dfky_bbc_confirm_ns");
+  obs::ScopedTimer span(bbc_confirm_ns);
+  obs::counter("dfky_bbc_confirm_total").inc();
   const std::size_t m = std::max<std::size_t>(sp.max_collusion(), 1);
   const double threshold = options.epsilon / (2.0 * static_cast<double>(m));
 
@@ -120,19 +121,18 @@ BbcResult black_box_confirm(const SystemParams& sp, const MasterSecret& msk,
     result.success_curve.push_back(next_est);
     if (cur - next_est >= threshold) {
       result.accused = candidate.id;
-      DFKY_OBS(obs::event(
-          {.name = "bbc_accuse",
-           .user = static_cast<std::int64_t>(candidate.id),
-           .detail = "confirmed",
-           .value = static_cast<std::int64_t>(result.queries)}););
+      obs::event({.name = "bbc_accuse",
+                  .user = static_cast<std::int64_t>(candidate.id),
+                  .detail = "confirmed",
+                  .value = static_cast<std::int64_t>(result.queries)});
       return result;
     }
     current = std::move(next);
     cur = next_est;
   }
-  DFKY_OBS(obs::event({.name = "bbc_accuse",
-                       .detail = "uncovered",
-                       .value = static_cast<std::int64_t>(result.queries)}););
+  obs::event({.name = "bbc_accuse",
+              .detail = "uncovered",
+              .value = static_cast<std::int64_t>(result.queries)});
   return result;  // "?": suspects do not cover the coalition
 }
 

@@ -116,26 +116,21 @@ for i in 1 2 3; do "$CLI" add sys2.d "w$i.key" --metrics-out "$M" >/dev/null; do
 
 head -n 1 "$M" | grep -q '"kind":"meta"' || fail "metrics file: no meta line"
 "$CLI" stats "$M" > stats.txt || fail "stats exited nonzero"
-if grep -q '"obs":"on"' "$M"; then
-  # Obs layer compiled in: the scripted session must have left real numbers.
-  grep -q 'obs layer: on' stats.txt || fail "stats: obs layer not reported on"
-  grep -Eq 'dfky_resets_generated_total\{mode="[a-z]+"\} +[1-9]' stats.txt \
-    || fail "stats: no reset generated for the period change"
-  # The offline revoke went through the daemon's request handler.
-  grep -Eq 'dfkyd_requests_total\{outcome="ok",verb="revoke"\} +[1-9]' stats.txt \
-    || fail "stats: offline revoke did not run through the request handler"
-  grep -Eq 'dfky_reset_apply_total\{outcome="applied"\} +[1-9]' stats.txt \
-    || fail "stats: reset apply not counted"
-  grep -Eq 'dfky_decrypt_ns\{path="user"\} +count=[1-9]' stats.txt \
-    || fail "stats: no decrypt timings"
-  # No grep -q on a long output: it exits at the first match and SIGPIPEs
-  # the writer, which pipefail turns into a failure.
-  "$CLI" stats "$M" --format prom | grep 'dfky_users_added_total' >/dev/null \
-    || fail "stats --format prom missing counters"
-else
-  # DFKY_OBS=OFF build: snapshots are meta-only and stats must say so.
-  grep -q 'obs layer: off' stats.txt || fail "stats: obs layer not reported off"
-fi
+grep -q '"obs":"on"' "$M" || fail "metrics file: meta line does not say obs on"
+# The scripted session must have left real numbers.
+grep -Eq 'dfky_resets_generated_total\{mode="[a-z]+"\} +[1-9]' stats.txt \
+  || fail "stats: no reset generated for the period change"
+# The offline revoke went through the daemon's request handler.
+grep -Eq 'dfkyd_requests_total\{outcome="ok",verb="revoke"\} +[1-9]' stats.txt \
+  || fail "stats: offline revoke did not run through the request handler"
+grep -Eq 'dfky_reset_apply_total\{outcome="applied"\} +[1-9]' stats.txt \
+  || fail "stats: reset apply not counted"
+grep -Eq 'dfky_decrypt_ns\{path="user"\} +count=[1-9]' stats.txt \
+  || fail "stats: no decrypt timings"
+# No grep -q on a long output: it exits at the first match and SIGPIPEs
+# the writer, which pipefail turns into a failure.
+"$CLI" stats "$M" --format prom | grep 'dfky_users_added_total' >/dev/null \
+  || fail "stats --format prom missing counters"
 if "$CLI" stats "$M" --format yaml >/dev/null 2>&1; then
   fail "stats accepted an unknown format"
 fi
@@ -153,22 +148,20 @@ fi
 # ---- stats --name/--user narrow the event log ---------------------------------
 # The scripted session above revoked users 1,2,3, so the revoke events
 # carry known user ids; filters print the matching event lines verbatim.
-if grep -q '"obs":"on"' "$M"; then
-  "$CLI" stats "$M" --name revoke > ev.txt || fail "stats --name exited nonzero"
-  grep -c '^event revoke ' ev.txt | grep -qx 3 \
-    || fail "stats --name revoke: want 3 event lines: $(grep -c '^event ' ev.txt)"
-  if grep '^event ' ev.txt | grep -v '^event revoke ' > /dev/null; then
-    fail "stats --name leaked foreign events"
-  fi
-  "$CLI" stats "$M" --name revoke --user 2 > ev2.txt \
-    || fail "stats --user exited nonzero"
-  grep -q '^event revoke .*user=2' ev2.txt \
-    || fail "stats --user 2 missed the matching revoke"
-  grep -c '^event ' ev2.txt | grep -qx 1 \
-    || fail "stats --user 2 kept non-matching events"
-  if "$CLI" stats "$M" --name no_such_event | grep '^event ' > /dev/null; then
-    fail "stats --name with an unknown event still printed events"
-  fi
+"$CLI" stats "$M" --name revoke > ev.txt || fail "stats --name exited nonzero"
+grep -c '^event revoke ' ev.txt | grep -qx 3 \
+  || fail "stats --name revoke: want 3 event lines: $(grep -c '^event ' ev.txt)"
+if grep '^event ' ev.txt | grep -v '^event revoke ' > /dev/null; then
+  fail "stats --name leaked foreign events"
+fi
+"$CLI" stats "$M" --name revoke --user 2 > ev2.txt \
+  || fail "stats --user exited nonzero"
+grep -q '^event revoke .*user=2' ev2.txt \
+  || fail "stats --user 2 missed the matching revoke"
+grep -c '^event ' ev2.txt | grep -qx 1 \
+  || fail "stats --user 2 kept non-matching events"
+if "$CLI" stats "$M" --name no_such_event | grep '^event ' > /dev/null; then
+  fail "stats --name with an unknown event still printed events"
 fi
 check_usage_error stats "$M" --user banana
 check_usage_error stats "$M" --name ''

@@ -145,13 +145,9 @@ printf 'GET /metrics HTTP/1.0\r\n\r\n' >&3
 cat <&3 > metrics.txt
 exec 3<&- 3>&-
 grep -q '200 OK' metrics.txt || fail "metrics endpoint did not answer 200"
-if grep -q 'dfkyd_requests_total' metrics.txt; then
-  # The commit counters carry a shard label even on a plain store.
-  grep -Eq 'dfkyd_commit_batches_total(\{[^}]*\})? [1-9]' metrics.txt \
-    || fail "metrics: no commit batches counted"
-else
-  grep -q 'compiled out' metrics.txt || fail "metrics body unrecognizable"
-fi
+# The commit counters carry a shard label even on a plain store.
+grep -Eq 'dfkyd_commit_batches_total(\{[^}]*\})? [1-9]' metrics.txt \
+  || fail "metrics: no commit batches counted"
 
 # ---- scraper flood: the connection cap sheds, the daemon keeps serving --------
 # 40 scrapers that connect and go silent: the reactor holds the first 32
@@ -182,10 +178,8 @@ for _ in $(seq 1 100); do
   sleep 0.05
 done
 [ "$flood_ok" = 1 ] || fail "metrics unreachable after the scraper flood"
-if grep -q 'dfkyd_requests_total' flood_metrics.txt; then
-  grep -Eq 'dfkyd_metrics_rejected_total(\{[^}]*\})? [1-9]' flood_metrics.txt \
-    || fail "scraper flood: no over-cap rejections counted"
-fi
+grep -Eq 'dfkyd_metrics_rejected_total(\{[^}]*\})? [1-9]' flood_metrics.txt \
+  || fail "scraper flood: no over-cap rejections counted"
 
 # ---- health: a machine-checkable verdict, exit status to match ----------------
 "$CLI" client "$SOCK" health > health.txt \
@@ -199,25 +193,22 @@ printf 'GET /trace HTTP/1.0\r\n\r\n' >&3
 cat <&3 > trace_http.txt
 exec 3<&- 3>&-
 grep -q '200 OK' trace_http.txt || fail "trace endpoint did not answer 200"
-OBS_ON=0
-if grep -q 'trace_meta' trace_http.txt; then
-  OBS_ON=1
-  grep -q '"kind":"trace"' trace_http.txt \
-    || fail "GET /trace carries no trace records"
-  "$CLI" client "$SOCK" trace > trace_cli.txt || fail "trace verb failed"
-  grep -q '"verb":"add-user"' trace_cli.txt \
-    || fail "trace verb output misses the adds we just ran"
-else
-  grep -q 'compiled out' trace_http.txt || fail "/trace body unrecognizable"
-fi
+grep -q '"kind":"trace"' trace_http.txt \
+  || fail "GET /trace carries no trace records"
+"$CLI" client "$SOCK" trace > trace_cli.txt || fail "trace verb failed"
+grep -q '"verb":"add-user"' trace_cli.txt \
+  || fail "trace verb output misses the adds we just ran"
 
 # ---- dfky_top renders one frame from /metrics + /trace ------------------------
-if [ -n "$TOP" ] && [ "$OBS_ON" = 1 ]; then
+if [ -n "$TOP" ]; then
   "$TOP" --port "$PORT" --iterations 1 > top.txt \
     || fail "dfky_top exited nonzero"
   grep -q '^dfkyd  role=primary' top.txt \
     || fail "dfky_top header unrecognizable: $(head -1 top.txt)"
   grep -q 'add-user' top.txt || fail "dfky_top table misses add-user"
+  # The encrypts above split their time into lock wait and the seal.
+  grep -q '^    lock_wait ' top.txt || fail "dfky_top shows no lock_wait span"
+  grep -q '^    crypto ' top.txt || fail "dfky_top shows no crypto span"
 fi
 
 # ---- streaming feed: live subscribe, replay catch-up, the storm client --------
@@ -248,16 +239,14 @@ grep -q 'recovered=200' storm.txt \
   || fail "storm left receivers behind: $(cat storm.txt)"
 grep -q ' failed=0' storm.txt || fail "storm receivers failed: $(cat storm.txt)"
 
-if [ "$OBS_ON" = 1 ]; then
-  exec 3<>"/dev/tcp/127.0.0.1/$PORT"
-  printf 'GET /metrics HTTP/1.0\r\n\r\n' >&3
-  cat <&3 > metrics_feed.txt
-  exec 3<&- 3>&-
-  grep -Eq 'dfkyd_feed_frames_total [1-9]' metrics_feed.txt \
-    || fail "metrics: no feed frames counted after the broadcasts"
-  grep -Eq 'dfkyd_feed_replayed_total [1-9]' metrics_feed.txt \
-    || fail "metrics: no feed replays counted after the storm"
-fi
+exec 3<>"/dev/tcp/127.0.0.1/$PORT"
+printf 'GET /metrics HTTP/1.0\r\n\r\n' >&3
+cat <&3 > metrics_feed.txt
+exec 3<&- 3>&-
+grep -Eq 'dfkyd_feed_frames_total [1-9]' metrics_feed.txt \
+  || fail "metrics: no feed frames counted after the broadcasts"
+grep -Eq 'dfkyd_feed_replayed_total [1-9]' metrics_feed.txt \
+  || fail "metrics: no feed replays counted after the storm"
 FEED_PERIOD=$("$CLI" client "$SOCK" status | sed -n 's/^period: //p')
 
 # ---- SIGTERM: drain, final snapshot, release the lock, exit 0 -----------------
@@ -322,31 +311,29 @@ fi
 # DFKYD_TEST_FSYNC_STALL_US delays every fsync inside the daemon; with the
 # slow threshold well below the stall, the mutation must surface as a
 # slow_trace that attributes the time to its fsync span (DESIGN.md 13.3).
-if [ "$OBS_ON" = 1 ]; then
-  "$CLI" init slow.d --v 4 --group test128 >/dev/null
-  : > slow.log
-  DFKYD_TEST_FSYNC_STALL_US=20000 "$DFKYD" slow.d --socket "$WORK/slow.sock" \
-    --trace-slow-us 5000 >> slow.log 2>&1 &
-  PID=$!
-  for _ in $(seq 1 200); do
-    grep -q 'dfkyd: ready' slow.log 2>/dev/null && break
-    kill -0 "$PID" 2>/dev/null || fail "stalled daemon died: $(cat slow.log)"
-    sleep 0.05
-  done
-  grep -q 'dfkyd: ready' slow.log || fail "stalled daemon never ready"
-  grep -q 'TEST fsync stall armed' slow.log || fail "fsync stall not armed"
-  "$CLI" client "$WORK/slow.sock" add slow_u.key >/dev/null \
-    || fail "add against the stalled daemon failed"
-  "$CLI" client "$WORK/slow.sock" trace > slow_trace.txt \
-    || fail "trace verb failed on the stalled daemon"
-  grep -q '"kind":"slow_trace".*"verb":"add-user".*"span":"fsync"' \
-    slow_trace.txt || fail "stalled add-user missing from the slow log"
-  "$CLI" client "$WORK/slow.sock" shutdown >/dev/null \
-    || fail "stalled daemon shutdown failed"
-  rc=0; wait "$PID" || rc=$?
-  PID=""
-  [ "$rc" = 0 ] || fail "stalled daemon shutdown exited $rc"
-fi
+"$CLI" init slow.d --v 4 --group test128 >/dev/null
+: > slow.log
+DFKYD_TEST_FSYNC_STALL_US=20000 "$DFKYD" slow.d --socket "$WORK/slow.sock" \
+  --trace-slow-us 5000 >> slow.log 2>&1 &
+PID=$!
+for _ in $(seq 1 200); do
+  grep -q 'dfkyd: ready' slow.log 2>/dev/null && break
+  kill -0 "$PID" 2>/dev/null || fail "stalled daemon died: $(cat slow.log)"
+  sleep 0.05
+done
+grep -q 'dfkyd: ready' slow.log || fail "stalled daemon never ready"
+grep -q 'TEST fsync stall armed' slow.log || fail "fsync stall not armed"
+"$CLI" client "$WORK/slow.sock" add slow_u.key >/dev/null \
+  || fail "add against the stalled daemon failed"
+"$CLI" client "$WORK/slow.sock" trace > slow_trace.txt \
+  || fail "trace verb failed on the stalled daemon"
+grep -q '"kind":"slow_trace".*"verb":"add-user".*"span":"fsync"' \
+  slow_trace.txt || fail "stalled add-user missing from the slow log"
+"$CLI" client "$WORK/slow.sock" shutdown >/dev/null \
+  || fail "stalled daemon shutdown failed"
+rc=0; wait "$PID" || rc=$?
+PID=""
+[ "$rc" = 0 ] || fail "stalled daemon shutdown exited $rc"
 
 # ---- fd exhaustion: EMFILE sheds new connections, never kills the daemon ------
 # The daemon runs with RLIMIT_NOFILE clamped to 64; a client herd holds
@@ -407,7 +394,7 @@ if [ "$IDLE" -ge 100 ]; then
     --hold-ms 3000 > soak_out.txt &
   SOAK=$!
   # While the herd is held, the conns gauge on /metrics must see it.
-  if [ "$OBS_ON" = 1 ] && [ -n "$SKPORT" ]; then
+  if [ -n "$SKPORT" ]; then
     seen_conns=0
     for _ in $(seq 1 100); do
       if exec 3<>"/dev/tcp/127.0.0.1/$SKPORT"; then

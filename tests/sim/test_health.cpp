@@ -106,8 +106,6 @@ TEST(SimHealth, PoisonedShardFails) {
       << h.fields.at("reasons");
 }
 
-#if DFKY_OBS_ENABLED
-
 /// The acceptance test (ISSUE 7): an add-user against a 2-shard
 /// primary+follower cluster yields a trace whose spans cover
 /// accept -> parse -> route -> queue_wait -> wal_append -> fsync ->
@@ -218,8 +216,6 @@ TEST(SimTrace, SlowLogCapturesFsyncStalledMutation) {
   obs::set_slow_threshold_ns(saved);
   obs::trace_reset();
 }
-
-#endif  // DFKY_OBS_ENABLED
 
 }  // namespace
 }  // namespace dfky::sim

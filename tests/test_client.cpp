@@ -236,7 +236,6 @@ TEST(ClientPipeline, StrayOrDuplicateIdsAreErrors) {
 }
 
 TEST(ClientPrometheus, ParsesTheExportersText) {
-  if (!obs::enabled()) GTEST_SKIP() << "observability layer compiled out";
   obs::counter("t_client_total", {{"verb", "add-user"}, {"outcome", "ok"}})
       .inc(7);
   obs::gauge("t_client_gauge").set(-3);

@@ -19,6 +19,8 @@
 #include "daemon/daemon.h"
 #include "daemon/group_commit.h"
 #include "daemon/protocol.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "rng/chacha_rng.h"
 #include "serial/codec.h"
 #include "store/store.h"
@@ -236,6 +238,28 @@ TEST(GroupCommit, SyncFailureNacksTheBatchAndFailsStop) {
   // frames behind the clients' backs.
   EXPECT_EQ(fs.read("store/wal.0"), wal_after_failure);
   EXPECT_EQ(fatal_calls.load(), 1);
+}
+
+TEST(GroupCommit, EachQueueTimesItsBatchesUnderItsOwnLabels) {
+  // Two queues labelled as a 2-shard daemon labels its committers. Every
+  // batch's timing and counts land in its own queue's series.
+  DaemonStore d0, d1;
+  const obs::Labels shard0 = {{"shard", "0"}}, shard1 = {{"shard", "1"}};
+  obs::Histogram& ns0 = obs::histogram("dfkyd_commit_batch_ns", shard0);
+  obs::Histogram& ns1 = obs::histogram("dfkyd_commit_batch_ns", shard1);
+  obs::Counter& batches1 = obs::counter("dfkyd_commit_batches_total", shard1);
+  GroupCommit c0(*d0.store, d0.state_mu, {}, shard0);
+  GroupCommit c1(*d1.store, d1.state_mu, {}, shard1);
+  ChaChaRng rng(3);
+  const std::uint64_t n0 = ns0.count(), n1 = ns1.count();
+  const std::uint64_t b1 = batches1.value();
+  c0.run([&] { d0.store->add_user(rng); });
+  EXPECT_EQ(ns0.count(), n0 + 1);
+  EXPECT_EQ(ns1.count(), n1);
+  c1.run([&] { d1.store->add_user(rng); });
+  EXPECT_EQ(ns1.count(), n1 + 1);
+  EXPECT_EQ(ns0.count(), n0 + 1);
+  EXPECT_EQ(batches1.value(), b1 + 1);
 }
 
 TEST(GroupCommit, DestructorReturnsStoreToImmediateMode) {
@@ -689,6 +713,35 @@ TEST(RequestHandler, FeedPublishesTheResetBeforeCiphertextsOfItsPeriod) {
       << stream[0].substr(0, 40);
   EXPECT_TRUE(stream[1].starts_with("bcast encrypt shard=0 "))
       << stream[1].substr(0, 40);
+}
+
+TEST(RequestHandler, EncryptTraceSplitsLockWaitFromCrypto) {
+  // A read verb's trace must show where its time went: the shard locks,
+  // then the seal, and only the response after that.
+  obs::trace_reset();
+  HandlerFixture f;
+  f.ok("encrypt " + hex_encode(Bytes(256, 0x5a)));
+  const std::vector<obs::TraceContext> traces = obs::recent_traces();
+  const auto t = std::find_if(
+      traces.begin(), traces.end(),
+      [](const obs::TraceContext& c) { return c.verb == "encrypt"; });
+  ASSERT_NE(t, traces.end());
+  std::vector<obs::SpanKind> kinds;
+  for (const obs::TraceSpan& sp : t->spans) kinds.push_back(sp.kind);
+  const std::vector<obs::SpanKind> want = {
+      obs::SpanKind::kAccept,   obs::SpanKind::kParse,
+      obs::SpanKind::kRoute,    obs::SpanKind::kLockWait,
+      obs::SpanKind::kCrypto,   obs::SpanKind::kRespond};
+  EXPECT_EQ(kinds, want);
+  // The spans tile [start, start + total]: no gap, no overlap.
+  std::uint64_t cursor = t->start_ns;
+  for (const obs::TraceSpan& sp : t->spans) {
+    EXPECT_EQ(sp.start_ns, cursor);
+    EXPECT_GE(sp.end_ns, sp.start_ns);
+    cursor = sp.end_ns;
+  }
+  EXPECT_EQ(cursor - t->start_ns, t->total_ns);
+  obs::trace_reset();
 }
 
 TEST(ShardRouter, EncryptTracksKeyChanges) {

@@ -20,11 +20,6 @@
 namespace dfky {
 namespace {
 
-// Everything up to the json.h section exercises the real (ON) layer and is
-// compiled out of a -DDFKY_OBS=OFF build, where the same binary still runs
-// the stub contract (test_obs_off.cpp) and the JSON tests below.
-#if DFKY_OBS_ENABLED
-
 // The registry is process-wide and shared with every other test in this
 // binary, so assertions use series with test-local names and, for golden
 // output, filter the export down to those series (ordering within the
@@ -111,13 +106,6 @@ TEST(ObsScopedTimer, RecordsElapsedNanoseconds) {
   }
   EXPECT_EQ(h.count(), n0 + 1);
   EXPECT_GT(h.sum(), 0u);
-}
-
-TEST(ObsMacros, StatementFormsCompileAndRun) {
-  DFKY_OBS(static obs::Counter& c = obs::counter("t_macro_counter");
-           c.inc(););
-  DFKY_OBS_TIMER(span, "t_macro_timer");
-  EXPECT_GE(obs::counter("t_macro_counter").value(), 1u);
 }
 
 TEST(ObsConcurrency, CountersFromManyThreads) {
@@ -338,8 +326,6 @@ TEST(ObsStore, CommitAndSnapshotTimersAccumulate) {
   EXPECT_EQ(snaps.value(), s0 + 1);
   EXPECT_GE(append_ns.count(), an0 + 2);
 }
-
-#endif  // DFKY_OBS_ENABLED
 
 // ---- json.h -------------------------------------------------------------------
 

@@ -704,9 +704,8 @@ class CountingFileIo final : public FileIo {
   std::size_t last_append_file_ = 0;
 };
 
-/// Triggers of the rotations in the event ring, oldest first. Only
-/// referenced from DFKY_OBS blocks, hence unused in OFF builds.
-[[maybe_unused]] std::vector<std::string> rotation_triggers() {
+/// Triggers of the rotations in the event ring, oldest first.
+std::vector<std::string> rotation_triggers() {
   std::vector<std::string> out;
   for (const obs::Event& e : obs::MetricsRegistry::instance().events()) {
     if (e.name == "store_snapshot") out.push_back(e.detail);
@@ -734,11 +733,9 @@ TEST(StateStore, DefaultRuleRotatesLogarithmicallyInThePopulation) {
   const std::uint64_t rotations = run(StoreOptions{});
   EXPECT_GE(rotations, 1u);
   EXPECT_LE(rotations, 12u);  // log2(4096)
-#if DFKY_OBS_ENABLED
   const std::vector<std::string> triggers = rotation_triggers();
   EXPECT_EQ(triggers.size(), rotations);
   for (const std::string& t : triggers) EXPECT_EQ(t, "bytes");
-#endif
 }
 
 TEST(StateStore, DefaultRuleBoundsWalBytesAndReplayWeight) {
@@ -788,11 +785,9 @@ TEST(StateStore, DefaultRuleBoundsWalBytesAndReplayWeight) {
     }
   }
   EXPECT_GE(store.generation(), 2u);
-#if DFKY_OBS_ENABLED
   const std::vector<std::string> triggers = rotation_triggers();
   EXPECT_EQ(triggers.size(), store.generation());
   for (const std::string& t : triggers) EXPECT_EQ(t, "replay");
-#endif
 }
 
 TEST(StateStore, ReopenMidWalRotatesAtTheSameRecord) {

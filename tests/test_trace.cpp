@@ -1,9 +1,7 @@
 // Request-tracing layer (obs/trace.h — DESIGN.md Sect. 13): span tiling
 // arithmetic, the lock-striped ring, the per-verb slow-request log and the
 // JSONL export. TraceConcurrency is the suite tools/sanitize_check.sh
-// re-runs under TSan. Everything here is wrapped in DFKY_OBS_ENABLED so
-// the same TU still builds (empty) in a -DDFKY_OBS=OFF tree;
-// test_trace_off.cpp covers the stub side.
+// re-runs under TSan.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,8 +10,6 @@
 
 #include "obs/json.h"
 #include "obs/trace.h"
-
-#if DFKY_OBS_ENABLED
 
 namespace dfky {
 namespace {
@@ -258,5 +254,3 @@ TEST_F(TraceConcurrency, ParallelTracesAndReadersStayConsistent) {
 
 }  // namespace
 }  // namespace dfky
-
-#endif  // DFKY_OBS_ENABLED

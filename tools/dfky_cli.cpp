@@ -897,29 +897,22 @@ int cmd_client(std::vector<std::string> args) {
 
 // ---- metrics snapshots and the stats subcommand -------------------------------
 
-/// Appends this process's metrics snapshot to `path`. In a DFKY_OBS=OFF
-/// build only the meta line is written, so `stats` (and scripts) can tell
-/// "layer disabled" apart from "nothing happened". Each snapshot's meta
+/// Appends this process's metrics snapshot to `path`. Each snapshot's meta
 /// line is stamped with the wall-clock time so `stats --since` can window
 /// a long-running session's file.
 void append_metrics_snapshot(const std::string& path) {
   std::ofstream out(path, std::ios::app);
   if (!out) die("cannot write metrics file " + path);
-  const std::string ts = ",\"ts\":" + std::to_string(std::time(nullptr));
-  if (obs::enabled()) {
-    // The registry's meta line leads the snapshot; splice the timestamp
-    // into it and pass the rest through untouched.
-    std::string snap = obs::MetricsRegistry::instance().jsonl();
-    const std::string marker = "\"kind\":\"meta\"";
-    const std::size_t at = snap.find(marker);
-    if (at != std::string::npos) {
-      snap.insert(at + marker.size(), ts);
-    }
-    out << snap;
-  } else {
-    out << "{\"kind\":\"meta\"" << ts
-        << ",\"obs\":\"off\",\"schema\":\"dfky-metrics-v1\"}\n";
+  // The registry's meta line leads the snapshot; splice the timestamp into
+  // it and pass the rest through untouched.
+  std::string snap = obs::MetricsRegistry::instance().jsonl();
+  const std::string marker = "\"kind\":\"meta\"";
+  const std::size_t at = snap.find(marker);
+  if (at != std::string::npos) {
+    snap.insert(at + marker.size(),
+                ",\"ts\":" + std::to_string(std::time(nullptr)));
   }
+  out << snap;
 }
 
 /// Metrics merged across the snapshots of a scripted session. Keys are the
@@ -938,7 +931,6 @@ struct MergedMetrics {
   std::map<std::string, std::size_t> event_counts;
   std::vector<json::Value> events;           // in file order
   std::size_t snapshots = 0;
-  bool obs_on = false;
 };
 
 std::string series_key(const json::Value& line) {
@@ -994,8 +986,6 @@ MergedMetrics read_metrics_file(const std::string& path,
       }
       if (!in_window) continue;
       ++m.snapshots;
-      const json::Value* o = v.find("obs");
-      if (o && o->as_string() == "on") m.obs_on = true;
     } else if (!in_window) {
       continue;
     } else if (k == "counter") {
@@ -1063,8 +1053,7 @@ std::string fmt_ns(double ns) {
 }
 
 void print_summary(const MergedMetrics& m) {
-  std::printf("snapshots: %zu  (obs layer: %s)\n", m.snapshots,
-              m.obs_on ? "on" : "off");
+  std::printf("snapshots: %zu\n", m.snapshots);
   if (!m.counters.empty()) {
     std::printf("\n# counters\n");
     for (const auto& [k, v] : m.counters) {

@@ -13,6 +13,7 @@
 // every --interval-ms while stdout is a tty.
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -135,7 +136,9 @@ void render(const std::string& metrics, const std::string& trace_jsonl) {
   // exporter's bucket lines arrive in ascending `le` order, so the rebuilt
   // vectors are already sorted for quantile().
   struct VerbSpans {
-    std::map<std::string, double> span_ns;  // summed across traces
+    // Summed across traces, in request-path order (first appearance), so
+    // a read verb shows route -> lock_wait -> crypto -> respond.
+    std::vector<std::pair<std::string, double>> span_ns;
     double total_ns = 0;
     std::size_t traces = 0;
   };
@@ -170,8 +173,13 @@ void render(const std::string& metrics, const std::string& trace_jsonl) {
     ++vs.traces;
     vs.total_ns += total;
     for (const Value& sp : v.find("spans")->as_array()) {
-      vs.span_ns[sp.find("span")->as_string()] +=
-          sp.find("dur_ns")->as_number();
+      const std::string& name = sp.find("span")->as_string();
+      auto it = std::find_if(vs.span_ns.begin(), vs.span_ns.end(),
+                             [&](const auto& e) { return e.first == name; });
+      if (it == vs.span_ns.end()) {
+        it = vs.span_ns.emplace(vs.span_ns.end(), name, 0.0);
+      }
+      it->second += sp.find("dur_ns")->as_number();
     }
   }
 

@@ -39,7 +39,7 @@ if [ "$mode" = "tsan" ]; then
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 else
   build_dir="${1:-$repo/build-asan}"
-  filter="${2:-FixedBase|Encryptor|FaultyBus|Recovery|FaultMatrixTest|Bus\.|Obs|MemFileIo|FaultyFileIo|StateStore|CrashMatrix|Fsck|PersistenceFuzz|ShardSet|ShardRouter|DaemonProto|Replication|SimCluster|SimHealth|SimTrace|SimFailover|SimFeed|TraceLifecycle|TraceSlow|TraceJson|TraceConcurrency|TraceOff|Term\.|Reactor\.|Client(Conn|Pipeline|Prometheus)\.|RequestHandler\.Feed}"
+  filter="${2:-FixedBase|Encryptor|FaultyBus|Recovery|FaultMatrixTest|Bus\.|Obs|MemFileIo|FaultyFileIo|StateStore|CrashMatrix|Fsck|PersistenceFuzz|ShardSet|ShardRouter|DaemonProto|Replication|SimCluster|SimHealth|SimTrace|SimFailover|SimFeed|TraceLifecycle|TraceSlow|TraceJson|TraceConcurrency|Term\.|Reactor\.|Client(Conn|Pipeline|Prometheus)\.|RequestHandler\.Feed}"
   sanitize_flag=-DDFKY_SANITIZE=ON
   targets=(unit_crypto_tests fault_tests system_tests obs_tests store_tests core_tests
     daemon_proto_tests daemon_tests sim_tests failover_sim_tests
