@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_json.h"
+#include "core/scheme.h"
 #include "group/fixed_base.h"
 #include "rng/chacha_rng.h"
 
@@ -163,6 +164,37 @@ int main(int argc, char** argv) {
                      });
     report.add_timed("fixedbase_pow", g.p().bit_length(), 0, 0, samples, [&] {
       benchmark::DoNotOptimize(table.pow(g, exps[0]));
+    });
+  }
+  {
+    // Public-key slots (sec512, v = 16), as revoke and new-period compute
+    // them: h = g^a g'^b three ways (the old 2-term multiexp, two
+    // Group::pows, the g/g' table pair), then a whole fresh key (y and v
+    // slots) on the two-pow path and on the pair.
+    const Group g(GroupParams::named(ParamId::kSec512));
+    ChaChaRng rng(7);
+    const SystemParams sp = SystemParams::create(g, 16, rng);
+    const GeneratorTables none;
+    const GeneratorTables pair = GeneratorTables::build(sp);
+    const std::array<Gelt, 2> bases = {sp.g, sp.g2};
+    const std::array<Bigint, 2> exps = {g.random_exponent(rng),
+                                        g.random_exponent(rng)};
+    const std::uint64_t bits = g.p().bit_length();
+    report.add_timed("slot_multiexp", bits, 0, 0, samples, [&] {
+      benchmark::DoNotOptimize(multiexp(g, bases, exps));
+    });
+    report.add_timed("slot_two_pow", bits, 0, 0, samples, [&] {
+      benchmark::DoNotOptimize(none.pow2(sp, exps[0], exps[1]));
+    });
+    report.add_timed("slot_table", bits, 0, 0, samples, [&] {
+      benchmark::DoNotOptimize(pair.pow2(sp, exps[0], exps[1]));
+    });
+    const SetupResult s = setup(sp, rng);
+    report.add_timed("fresh_pk_two_pow", bits, sp.v, 0, samples, [&] {
+      benchmark::DoNotOptimize(make_fresh_public_key(sp, s.msk, 1));
+    });
+    report.add_timed("fresh_pk_table", bits, sp.v, 0, samples, [&] {
+      benchmark::DoNotOptimize(make_fresh_public_key(sp, s.msk, 1, pair));
     });
   }
   if (!report.write()) return 1;

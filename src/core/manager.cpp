@@ -120,23 +120,22 @@ const UserRecord& SecurityManager::user(std::uint64_t id) const {
   return users_[id];
 }
 
-std::optional<SignedResetBundle> SecurityManager::remove_user(std::uint64_t id,
-                                                              Rng& rng) {
-  return remove_user(id, rng, default_mode_);
+std::optional<SignedResetBundle> SecurityManager::remove_user(
+    std::uint64_t id, Rng& rng, const Encryptor* kem) {
+  return remove_user(id, rng, default_mode_, kem);
 }
 
-std::optional<SignedResetBundle> SecurityManager::remove_user(std::uint64_t id,
-                                                              Rng& rng,
-                                                              ResetMode mode) {
+std::optional<SignedResetBundle> SecurityManager::remove_user(
+    std::uint64_t id, Rng& rng, ResetMode mode, const Encryptor* kem) {
   require(id < users_.size(), "remove_user: unknown user id");
   UserRecord& rec = users_[id];
   require(!rec.revoked, "remove_user: user already revoked");
 
   std::optional<SignedResetBundle> bundle;
   if (level_ == sp_.v) {
-    bundle = new_period(rng, mode);
+    bundle = new_period(rng, mode, kem);
   }
-  revoke_into_slot(sp_, msk_, pk_, level_, rec.x);
+  revoke_into_slot(sp_, msk_, pk_, level_, rec.x, gens_);
   ++level_;
   rec.revoked = true;
   rec.revoked_in_period = pk_.period;
@@ -154,12 +153,13 @@ std::optional<SignedResetBundle> SecurityManager::remove_user(std::uint64_t id,
 }
 
 std::vector<SignedResetBundle> SecurityManager::remove_users(
-    std::span<const std::uint64_t> ids, Rng& rng) {
-  return remove_users(ids, rng, default_mode_);
+    std::span<const std::uint64_t> ids, Rng& rng, const Encryptor* kem) {
+  return remove_users(ids, rng, default_mode_, kem);
 }
 
 std::vector<SignedResetBundle> SecurityManager::remove_users(
-    std::span<const std::uint64_t> ids, Rng& rng, ResetMode mode) {
+    std::span<const std::uint64_t> ids, Rng& rng, ResetMode mode,
+    const Encryptor* kem) {
   // All-or-nothing validation before any state change.
   std::set<std::uint64_t> seen;
   for (std::uint64_t id : ids) {
@@ -169,14 +169,14 @@ std::vector<SignedResetBundle> SecurityManager::remove_users(
   }
   std::vector<SignedResetBundle> bundles;
   for (std::uint64_t id : ids) {
-    auto bundle = remove_user(id, rng, mode);
+    auto bundle = remove_user(id, rng, mode, kem);
     if (bundle) bundles.push_back(std::move(*bundle));
   }
   return bundles;
 }
 
-SignedResetBundle SecurityManager::new_period(Rng& rng) {
-  return new_period(rng, default_mode_);
+SignedResetBundle SecurityManager::new_period(Rng& rng, const Encryptor* kem) {
+  return new_period(rng, default_mode_, kem);
 }
 
 SecurityManager::SecurityManager(RestoreTag, SystemParams sp,
@@ -333,7 +333,8 @@ SecurityManager SecurityManager::restore_state(BytesView state) {
                          std::move(archive));
 }
 
-SignedResetBundle SecurityManager::new_period(Rng& rng, ResetMode mode) {
+SignedResetBundle SecurityManager::new_period(Rng& rng, ResetMode mode,
+                                              const Encryptor* kem) {
   static obs::Histogram& new_period_ns = obs::histogram("dfky_new_period_ns");
   obs::ScopedTimer span(new_period_ns);
   obs::counter("dfky_resets_generated_total",
@@ -344,7 +345,14 @@ SignedResetBundle SecurityManager::new_period(Rng& rng, ResetMode mode) {
   const Polynomial e = Polynomial::random(zq, sp_.v, rng);
 
   SignedResetBundle bundle;
-  bundle.reset = build_reset_message(sp_, pk_, d, e, mode, rng);
+  // The caller's Encryptor serves only while it is complete and holds this
+  // key: a batch that rolls twice, or a laggard's later rolls, see a newer
+  // key than the one it was cached for.
+  std::optional<Encryptor> own;
+  if (!kem || !kem->complete() || kem->public_key() != pk_) {
+    kem = &own.emplace(sp_, pk_, gens_);
+  }
+  bundle.reset = build_reset_message(*kem, d, e, mode, rng);
   bundle.signature =
       sign_key_.sign(sp_.group, bundle.signed_payload(sp_.group), rng);
 
@@ -373,7 +381,7 @@ void SecurityManager::apply_new_period(const Polynomial& d,
                                        const SignedResetBundle& bundle) {
   msk_.a = msk_.a + d;
   msk_.b = msk_.b + e;
-  pk_ = make_fresh_public_key(sp_, msk_, pk_.period + 1);
+  pk_ = make_fresh_public_key(sp_, msk_, pk_.period + 1, gens_);
   level_ = 0;
   archive_.push_back(bundle);
   while (archive_.size() > archive_capacity_) archive_.pop_front();
@@ -417,7 +425,7 @@ void SecurityManager::apply_mutation(const ManagerMutation& m) {
         throw DecodeError(
             "apply_mutation: saturated without a new-period record");
       }
-      revoke_into_slot(sp_, msk_, pk_, level_, rec.x);
+      revoke_into_slot(sp_, msk_, pk_, level_, rec.x, gens_);
       ++level_;
       rec.revoked = true;
       rec.revoked_in_period = pk_.period;

@@ -76,23 +76,39 @@ class SecurityManager {
   /// Remove-user. If the saturation limit is already reached, a New-period
   /// operation is executed first and its signed bundle is returned; the
   /// public key is edited either way. Throws ContractError for unknown or
-  /// already-revoked users.
-  std::optional<SignedResetBundle> remove_user(std::uint64_t id, Rng& rng);
+  /// already-revoked users. `kem`, when given, is offered to that
+  /// New-period (see new_period).
   std::optional<SignedResetBundle> remove_user(std::uint64_t id, Rng& rng,
-                                               ResetMode mode);
+                                               const Encryptor* kem = nullptr);
+  std::optional<SignedResetBundle> remove_user(std::uint64_t id, Rng& rng,
+                                               ResetMode mode,
+                                               const Encryptor* kem = nullptr);
 
   /// Batch Remove-user, the paper's native form (Sect. 4: identities
   /// i_1..i_k with L + k <= v per period). Handles any batch size by
   /// rolling periods as needed; returns every reset bundle emitted, in
   /// broadcast order. Validates all ids upfront (all-or-nothing).
   std::vector<SignedResetBundle> remove_users(
-      std::span<const std::uint64_t> ids, Rng& rng);
+      std::span<const std::uint64_t> ids, Rng& rng,
+      const Encryptor* kem = nullptr);
   std::vector<SignedResetBundle> remove_users(
-      std::span<const std::uint64_t> ids, Rng& rng, ResetMode mode);
+      std::span<const std::uint64_t> ids, Rng& rng, ResetMode mode,
+      const Encryptor* kem = nullptr);
 
-  /// Proactive period change.
-  SignedResetBundle new_period(Rng& rng);
-  SignedResetBundle new_period(Rng& rng, ResetMode mode);
+  /// Proactive period change. The reset's KEM is sealed by `kem` when it
+  /// is complete and holds the current public key (the daemon passes the
+  /// shard's cached Encryptor), else by a table-less Encryptor that keeps
+  /// the installed generator tables. The bundle does not depend on which.
+  SignedResetBundle new_period(Rng& rng, const Encryptor* kem = nullptr);
+  SignedResetBundle new_period(Rng& rng, ResetMode mode,
+                               const Encryptor* kem = nullptr);
+
+  /// Installs the g/g' tables every public-key slot and y is then computed
+  /// through (revoke, new-period and their replay). They must be built
+  /// from this manager's SystemParams. They change no result, only its
+  /// cost; until installed, each generator power is a Group::pow.
+  void set_generator_tables(GeneratorTables t) { gens_ = std::move(t); }
+  const GeneratorTables& generator_tables() const { return gens_; }
 
   // -- catch-up recovery -------------------------------------------------------
   /// The manager archives the last K signed reset bundles (a ring buffer,
@@ -178,6 +194,7 @@ class SecurityManager {
   std::deque<SignedResetBundle> archive_;  // ascending new_period
   bool record_mutations_ = false;
   std::vector<ManagerMutation> mutation_log_;
+  GeneratorTables gens_;  // not part of the saved state
 };
 
 }  // namespace dfky

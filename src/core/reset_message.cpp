@@ -173,9 +173,11 @@ CatchUpResponse CatchUpResponse::deserialize(Reader& r, const Group& group) {
   return resp;
 }
 
-ResetMessage build_reset_message(const SystemParams& sp, const PublicKey& pk,
-                                 const Polynomial& d, const Polynomial& e,
-                                 ResetMode mode, Rng& rng) {
+ResetMessage build_reset_message(const Encryptor& enc, const Polynomial& d,
+                                 const Polynomial& e, ResetMode mode,
+                                 Rng& rng) {
+  const SystemParams& sp = enc.params();
+  const PublicKey& pk = enc.public_key();
   require(d.degree() <= static_cast<int>(sp.v) &&
               e.degree() <= static_cast<int>(sp.v),
           "build_reset_message: randomizer degree exceeds v");
@@ -191,15 +193,15 @@ ResetMessage build_reset_message(const SystemParams& sp, const PublicKey& pk,
     msg.coefficient_cts.reserve(2 * sp.v + 2);
     for (std::size_t i = 0; i <= sp.v; ++i) {
       msg.coefficient_cts.push_back(
-          encrypt(sp, pk, encode_to_group(sp.group, d.coeff(i)), rng));
+          enc.encrypt(encode_to_group(sp.group, d.coeff(i)), rng));
     }
     for (std::size_t i = 0; i <= sp.v; ++i) {
       msg.coefficient_cts.push_back(
-          encrypt(sp, pk, encode_to_group(sp.group, e.coeff(i)), rng));
+          enc.encrypt(encode_to_group(sp.group, e.coeff(i)), rng));
     }
   } else {
     const Gelt shared = sp.group.random_element(rng);
-    msg.kem = encrypt(sp, pk, shared, rng);
+    msg.kem = enc.encrypt(shared, rng);
     const Bytes key = kem_session_key(sp.group, shared);
     msg.sealed_coefficients = seal(key, pack_coefficients(d, e, sp.v));
   }

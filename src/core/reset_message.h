@@ -88,10 +88,13 @@ struct CatchUpResponse {
   static CatchUpResponse deserialize(Reader& r, const Group& group);
 };
 
-/// Builds a reset message for randomizers D, E under the current public key.
-ResetMessage build_reset_message(const SystemParams& sp, const PublicKey& pk,
-                                 const Polynomial& d, const Polynomial& e,
-                                 ResetMode mode, Rng& rng);
+class Encryptor;
+
+/// Builds a reset message for randomizers D, E under the current public key:
+/// every KEM ciphertext (one in hybrid mode, 2v + 2 in plain mode) is sealed
+/// by `enc`, which must hold that key. Its tables change only the cost.
+ResetMessage build_reset_message(const Encryptor& enc, const Polynomial& d,
+                                 const Polynomial& e, ResetMode mode, Rng& rng);
 
 /// Recovers the randomizing polynomials (D, E) from a reset message using a
 /// non-revoked user key. Throws DecodeError if the receiver cannot follow the

@@ -7,32 +7,37 @@
 
 namespace dfky {
 
-namespace {
-
-/// h = g^{A(z)} g'^{B(z)} for a slot identity z.
-Gelt slot_value(const SystemParams& sp, const MasterSecret& msk,
-                const Bigint& z) {
-  const std::array<Gelt, 2> bases = {sp.g, sp.g2};
-  const std::array<Bigint, 2> exps = {msk.a.eval(z), msk.b.eval(z)};
-  return multiexp(sp.group, bases, exps);
+Gelt fixed_pow(const Group& group, const FixedTable& table, const Gelt& base,
+               const Bigint& e) {
+  return table ? table->pow(group, e) : group.pow(base, e);
 }
 
-}  // namespace
+GeneratorTables GeneratorTables::build(const SystemParams& sp,
+                                       const std::function<bool()>& stop) {
+  return {std::make_shared<const FixedBaseTable>(sp.group, sp.g,
+                                                 kFixedBaseWindow, stop),
+          std::make_shared<const FixedBaseTable>(sp.group, sp.g2,
+                                                 kFixedBaseWindow, stop)};
+}
+
+Gelt GeneratorTables::pow2(const SystemParams& sp, const Bigint& a,
+                           const Bigint& b) const {
+  return sp.group.mul(fixed_pow(sp.group, g, sp.g, a),
+                      fixed_pow(sp.group, g2, sp.g2, b));
+}
 
 PublicKey make_fresh_public_key(const SystemParams& sp,
-                                const MasterSecret& msk,
-                                std::uint64_t period) {
+                                const MasterSecret& msk, std::uint64_t period,
+                                const GeneratorTables& gens) {
   PublicKey pk;
   pk.g = sp.g;
   pk.g2 = sp.g2;
   pk.period = period;
-  const std::array<Gelt, 2> bases = {sp.g, sp.g2};
-  const std::array<Bigint, 2> exps0 = {msk.a.coeff(0), msk.b.coeff(0)};
-  pk.y = multiexp(sp.group, bases, exps0);
+  pk.y = gens.pow2(sp, msk.a.coeff(0), msk.b.coeff(0));
   pk.slots.reserve(sp.v);
   for (std::size_t l = 1; l <= sp.v; ++l) {
     const Bigint z(static_cast<long>(l));
-    pk.slots.push_back(PkSlot{z, slot_value(sp, msk, z)});
+    pk.slots.push_back(PkSlot{z, gens.pow2(sp, msk.a.eval(z), msk.b.eval(z))});
   }
   return pk;
 }
@@ -55,14 +60,19 @@ UserKey issue_user_key(const SystemParams& sp, const MasterSecret& msk,
 }
 
 void revoke_into_slot(const SystemParams& sp, const MasterSecret& msk,
-                      PublicKey& pk, std::size_t slot_index, const Bigint& x) {
+                      PublicKey& pk, std::size_t slot_index, const Bigint& x,
+                      const GeneratorTables& gens) {
   require(slot_index < pk.slots.size(), "revoke_into_slot: bad slot index");
   require(!pk.has_slot_id(x), "revoke_into_slot: identity already revoked");
-  pk.slots[slot_index] = PkSlot{x, slot_value(sp, msk, x)};
+  pk.slots[slot_index] = PkSlot{x, gens.pow2(sp, msk.a.eval(x), msk.b.eval(x))};
 }
 
-Encryptor::Encryptor(SystemParams sp, PublicKey pk)
-    : sp_(std::move(sp)), pk_(std::move(pk)), tables_(pk_.slots.size() + 3) {}
+Encryptor::Encryptor(SystemParams sp, PublicKey pk,
+                     const GeneratorTables& gens)
+    : sp_(std::move(sp)), pk_(std::move(pk)), tables_(pk_.slots.size() + 3) {
+  tables_[0] = gens.g;
+  tables_[1] = gens.g2;
+}
 
 Encryptor::Encryptor(const Encryptor& prev, PublicKey pk)
     : Encryptor(prev.sp_, std::move(pk)) {
@@ -71,8 +81,11 @@ Encryptor::Encryptor(const Encryptor& prev, PublicKey pk)
   }
 }
 
-Encryptor Encryptor::with_tables(const std::function<bool()>& stop) const {
+Encryptor Encryptor::with_tables(const std::function<bool()>& stop,
+                                 const GeneratorTables& gens) const {
   Encryptor out = *this;
+  if (!out.tables_[0]) out.tables_[0] = gens.g;
+  if (!out.tables_[1]) out.tables_[1] = gens.g2;
   for (std::size_t i = 0; i < out.tables_.size(); ++i) {
     if (!out.tables_[i]) {
       try {
@@ -89,7 +102,7 @@ Encryptor Encryptor::with_tables(const std::function<bool()>& stop) const {
 std::size_t Encryptor::tables() const {
   return static_cast<std::size_t>(
       std::count_if(tables_.begin(), tables_.end(),
-                    [](const Table& t) { return t != nullptr; }));
+                    [](const FixedTable& t) { return t != nullptr; }));
 }
 
 const Gelt& Encryptor::base(std::size_t i) const {
@@ -110,7 +123,7 @@ Ciphertext Encryptor::encrypt(const Gelt& m, Rng& rng) const {
   encrypts.inc();
   const Bigint r = group.random_exponent(rng);
   const auto pow = [&](std::size_t i) {
-    return tables_[i] ? tables_[i]->pow(group, r) : group.pow(base(i), r);
+    return fixed_pow(group, tables_[i], base(i), r);
   };
   Ciphertext ct;
   ct.period = pk_.period;

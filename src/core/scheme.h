@@ -13,6 +13,30 @@
 
 namespace dfky {
 
+/// A shared, immutable fixed-base table; null means Group::pow.
+using FixedTable = std::shared_ptr<const FixedBaseTable>;
+
+/// base^e from `table` when there is one, else Group::pow: the one rule
+/// Encryptor and the public-key slots share.
+Gelt fixed_pow(const Group& group, const FixedTable& table, const Gelt& base,
+               const Bigint& e);
+
+/// Fixed-base tables for the two system generators g and g'. Either may
+/// be null (that base goes through Group::pow). One pair serves every
+/// scheme instance whose SystemParams it was built from; the daemon builds
+/// it once per process (DESIGN.md Sect. 11.1).
+struct GeneratorTables {
+  FixedTable g, g2;
+
+  /// Builds both at kFixedBaseWindow. `stop` is asked before each row, as
+  /// FixedBaseTable does; once it answers true this throws BuildStopped.
+  static GeneratorTables build(const SystemParams& sp,
+                               const std::function<bool()>& stop = {});
+
+  /// g^a g'^b, one fixed_pow per generator.
+  Gelt pow2(const SystemParams& sp, const Bigint& a, const Bigint& b) const;
+};
+
 struct SetupResult {
   MasterSecret msk;
   PublicKey pk;
@@ -23,10 +47,11 @@ struct SetupResult {
 SetupResult setup(const SystemParams& sp, Rng& rng);
 
 /// Rebuilds the public key for the current master secret with placeholder
-/// slots (used by Setup and by New-period).
+/// slots (used by Setup and by New-period). y and every h go through
+/// `gens`; the key does not depend on which tables it holds.
 PublicKey make_fresh_public_key(const SystemParams& sp,
-                                const MasterSecret& msk,
-                                std::uint64_t period);
+                                const MasterSecret& msk, std::uint64_t period,
+                                const GeneratorTables& gens = {});
 
 /// Add-user: SK_i = < x, A(x), B(x) >. The caller (the manager) is
 /// responsible for choosing x outside {1..v} and the set of issued values.
@@ -34,9 +59,10 @@ UserKey issue_user_key(const SystemParams& sp, const MasterSecret& msk,
                        const Bigint& x, std::uint64_t period);
 
 /// Remove-user public-key edit: overwrites slot `slot_index` with
-/// ( x, g^{A(x)} g'^{B(x)} ).
+/// ( x, g^{A(x)} g'^{B(x)} ), computed through `gens`.
 void revoke_into_slot(const SystemParams& sp, const MasterSecret& msk,
-                      PublicKey& pk, std::size_t slot_index, const Bigint& x);
+                      PublicKey& pk, std::size_t slot_index, const Bigint& x,
+                      const GeneratorTables& gens = {});
 
 /// Encryption bound to one public key, with an optional fixed-base table
 /// for each of its v + 3 bases (g, g', y, h_1..h_v); a base without one
@@ -46,20 +72,21 @@ void revoke_into_slot(const SystemParams& sp, const MasterSecret& msk,
 /// did not change.
 class Encryptor {
  public:
-  using Table = std::shared_ptr<const FixedBaseTable>;
-
-  /// No tables: every exponentiation is a Group::pow.
-  Encryptor(SystemParams sp, PublicKey pk);
+  /// No tables but `gens`' g and g' ones: every other exponentiation is a
+  /// Group::pow.
+  Encryptor(SystemParams sp, PublicKey pk, const GeneratorTables& gens = {});
   /// For `pk`, sharing each of `prev`'s tables whose base is unchanged
   /// (g and g' always; y and the untouched slots across a revoke). Builds
   /// nothing.
   Encryptor(const Encryptor& prev, PublicKey pk);
 
   /// A copy with a table on every base, building the missing ones at
-  /// kFixedBaseWindow. `stop` is asked before each row of a build; once it
-  /// answers true the table in hand is dropped and the copy comes back
-  /// with only the tables finished so far.
-  Encryptor with_tables(const std::function<bool()>& stop = {}) const;
+  /// kFixedBaseWindow; a missing g or g' table is taken from `gens` when
+  /// it has one, not built again. `stop` is asked before each row of a
+  /// build; once it answers true the table in hand is dropped and the copy
+  /// comes back with only the tables finished so far.
+  Encryptor with_tables(const std::function<bool()>& stop = {},
+                        const GeneratorTables& gens = {}) const;
 
   const SystemParams& params() const { return sp_; }
   const PublicKey& public_key() const { return pk_; }
@@ -67,6 +94,8 @@ class Encryptor {
   std::size_t tables() const;
   /// True when every base has a table.
   bool complete() const { return tables() == tables_.size(); }
+  /// The g and g' tables this Encryptor holds.
+  GeneratorTables generators() const { return {tables_[0], tables_[1]}; }
 
   /// Encryption of a group element M: draws r from `rng`, then
   /// u = g^r, u' = g'^r, w = y^r M and h_l^r per slot.
@@ -78,7 +107,7 @@ class Encryptor {
 
   SystemParams sp_;
   PublicKey pk_;
-  std::vector<Table> tables_;  // parallel to base(i); null = Group::pow
+  std::vector<FixedTable> tables_;  // parallel to base(i); null = Group::pow
 };
 
 /// Encryption of a group element M under PK: a table-less Encryptor.

@@ -45,9 +45,8 @@ const char* verb_label(const std::string& verb) {
   return "unknown";  // keep the metric label set closed
 }
 
-std::string saturation_field(const ShardRouter::Status& st) {
-  return std::to_string(st.saturation_level) + "/" +
-         std::to_string(st.saturation_limit);
+std::string saturation_field(std::size_t level, std::size_t limit) {
+  return std::to_string(level) + "/" + std::to_string(limit);
 }
 
 std::string periods_field(const ShardRouter::Status& st) {
@@ -218,7 +217,8 @@ std::string RequestHandler::dispatch(const std::vector<std::string>& tokens) {
          {"periods", periods_field(st)},
          {"active", std::to_string(st.active)},
          {"revoked", std::to_string(st.revoked)},
-         {"saturation", saturation_field(st)},
+         {"saturation",
+          saturation_field(st.saturation_level, st.saturation_limit)},
          {"generation", std::to_string(st.generation)},
          {"wal_records", std::to_string(st.wal_records)},
          {"commit_batches", std::to_string(st.commit_batches)},
@@ -252,7 +252,8 @@ std::string RequestHandler::dispatch(const std::vector<std::string>& tokens) {
       gate.rolled = r.rolled;
     }
     return ok_response({{"period", std::to_string(r.period)},
-                        {"saturation", saturation_field(router_.status())},
+                        {"saturation", saturation_field(r.saturation_level,
+                                                        r.saturation_limit)},
                         {"bundles", bundles_field(r.bundles)}});
   }
 
@@ -271,7 +272,8 @@ std::string RequestHandler::dispatch(const std::vector<std::string>& tokens) {
       }
     }
     return ok_response({{"period", std::to_string(r.period)},
-                        {"saturation", saturation_field(router_.status())},
+                        {"saturation", saturation_field(r.saturation_level,
+                                                        r.saturation_limit)},
                         {"bundles", bundles_field(r.bundles)}});
   }
 

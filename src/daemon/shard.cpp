@@ -59,7 +59,10 @@ ShardRouter::ShardRouter(std::vector<StateStore> stores,
   obs::gauge("dfkyd_role", {{"role", "primary"}}).set(follower ? 0 : 1);
   obs::gauge("dfkyd_role", {{"role", "follower"}}).set(follower ? 1 : 0);
   obs::gauge("dfky_repl_term").set(term);
-  builder_ = std::thread([this] { build_tables(); });
+  // Every shard of a set holds the same SystemParams (create_shard_set
+  // takes one), so one g/g' pair serves the set.
+  builder_ = std::thread(
+      [this, sp = shards_[0]->store.manager().params()] { build_tables(sp); });
 }
 
 void ShardRouter::start_committers() {
@@ -203,7 +206,24 @@ void ShardRouter::queue_tables(std::size_t shard) {
   build_cv_.notify_one();
 }
 
-void ShardRouter::build_tables() {
+void ShardRouter::build_tables(const SystemParams& sp) {
+  const auto stop = [this] { return build_stop_.load(); };
+  // First job: the generator pair, outside every lock, so neither start
+  // nor a mutation waits for it; until it is installed a slot costs two
+  // Group::pows. Checked for shutdown between rows like the tables below.
+  GeneratorTables gens;
+  try {
+    gens = GeneratorTables::build(sp, stop);
+  } catch (const BuildStopped&) {
+    return;
+  }
+  for (auto& sh : shards_) {
+    std::unique_lock state(sh->state_mu);
+    const SystemParams& own = sh->store.manager().params();
+    if (own.group == sp.group && own.g == sp.g && own.g2 == sp.g2) {
+      sh->store.set_generator_tables(gens);
+    }
+  }
   std::unique_lock lk(build_mu_);
   for (;;) {
     build_cv_.wait(lk, [this] { return build_stop_ || !build_queue_.empty(); });
@@ -216,8 +236,8 @@ void ShardRouter::build_tables() {
       // Checks for shutdown between table rows and drops an unfinished
       // build, so neither ~ShardRouter nor a one-shot process waits for a
       // key's tables.
-      auto next = std::make_shared<const Encryptor>(
-          from->with_tables([this] { return build_stop_.load(); }));
+      auto next =
+          std::make_shared<const Encryptor>(from->with_tables(stop, gens));
       // Fails if an encrypt swapped in a newer key's Encryptor meanwhile;
       // that encrypt queued the shard again.
       if (next->complete()) sh.swap_encryptor(from, std::move(next));
@@ -283,8 +303,8 @@ ShardRouter::RevokeResult ShardRouter::revoke(
     }
     commits->run([&] {
       std::lock_guard rng_lk(sh.rng_mu);
-      const std::vector<SignedResetBundle> bundles =
-          sh.store.remove_users(by_shard[k], *sh.rng);
+      const std::vector<SignedResetBundle> bundles = sh.store.remove_users(
+          by_shard[k], *sh.rng, sh.cached_encryptor().get());
       const Group& group = sh.store.manager().params().group;
       for (const SignedResetBundle& b : bundles) {
         out.bundles.push_back(serialize_bundle(b, group));
@@ -297,9 +317,14 @@ ShardRouter::RevokeResult ShardRouter::revoke(
                  {{"shard", std::to_string(k)}, {"verb", "revoke"}})
         .inc();
   }
+  // One pass for every field of the answer: each shared lock queues
+  // behind the other shards' pending batches.
   for (auto& sh : shards_) {
     std::shared_lock lk(sh->state_mu);
-    out.period = std::max(out.period, sh->store.manager().period());
+    const SecurityManager& mgr = sh->store.manager();
+    out.period = std::max(out.period, mgr.period());
+    out.saturation_level += mgr.saturation_level();
+    out.saturation_limit += mgr.saturation_limit();
   }
   return out;
 }
@@ -353,9 +378,12 @@ ShardRouter::NewPeriodResult ShardRouter::new_period_all() {
       std::lock_guard rng_lk(sh->rng_mu);
       const Group& group = sh->store.manager().params().group;
       while (sh->store.manager().period() < target) {
-        out.bundles.push_back(
-            serialize_bundle(sh->store.new_period(*sh->rng), group));
+        out.bundles.push_back(serialize_bundle(
+            sh->store.new_period(*sh->rng, sh->cached_encryptor().get()),
+            group));
       }
+      out.saturation_level += sh->store.manager().saturation_level();
+      out.saturation_limit += sh->store.manager().saturation_limit();
     }
     obs::trace_mark(obs::SpanKind::kBarrierPrepare);
     // Phase 2 — commit: one WAL append+fsync per shard. A crash between
@@ -525,7 +553,8 @@ ShardRouter::PromoteResult ShardRouter::promote(
     std::unique_lock lk(sh->state_mu);
     std::lock_guard rng_lk(sh->rng_mu);
     while (sh->store.manager().period() < target) {
-      sh->store.new_period(*sh->rng);  // durable: batching is off here
+      // Durable: batching is off here.
+      sh->store.new_period(*sh->rng, sh->cached_encryptor().get());
       ++rolled;
     }
   }
@@ -674,8 +703,9 @@ ShardRouter::Sealed ShardRouter::encrypt(BytesView payload,
     // the tables that carry over and leave the rest to the builder, so no
     // request pays for a table build.
     auto next = enc ? std::make_shared<const Encryptor>(*enc, mgr.public_key())
-                    : std::make_shared<const Encryptor>(mgr.params(),
-                                                        mgr.public_key());
+                    : std::make_shared<const Encryptor>(
+                          mgr.params(), mgr.public_key(),
+                          mgr.generator_tables());
     build = sh.swap_encryptor(enc, next) && !next->complete();
     enc = std::move(next);
   }

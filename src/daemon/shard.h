@@ -100,6 +100,7 @@ class ShardRouter {
 
   struct RevokeResult {
     std::uint64_t period = 0;  // max period across the whole set afterwards
+    std::size_t saturation_level = 0, saturation_limit = 0;  // summed, after
     std::vector<Bytes> bundles;  // serialized SignedResetBundles, all shards
     /// (shard, new period) of every shard this revoke rolled.
     std::vector<std::pair<std::size_t, std::uint64_t>> rolled;
@@ -112,6 +113,7 @@ class ShardRouter {
 
   struct NewPeriodResult {
     std::uint64_t period = 0;    // the new common epoch
+    std::size_t saturation_level = 0, saturation_limit = 0;  // summed, after
     std::vector<Bytes> bundles;  // one serialized reset bundle per shard
   };
   /// The two-phase cross-shard epoch barrier. Serialized against itself;
@@ -354,10 +356,12 @@ class ShardRouter {
   void stamp_trace(Shard& sh);
   /// Queues `shard` for the table builder (once until it is picked up).
   void queue_tables(std::size_t shard);
-  /// The builder thread: builds each queued shard's missing tables
-  /// outside every lock and installs the complete Encryptor if the cache
-  /// still holds the one it started from.
-  void build_tables();
+  /// The builder thread. Its first job is the g/g' table pair for `sp`
+  /// (the set's SystemParams), installed into every shard that shares
+  /// them. Then it builds each queued shard's missing Encryptor tables,
+  /// with g and g' from that pair, outside every lock and installs the
+  /// complete Encryptor if the cache still holds the one it started from.
+  void build_tables(const SystemParams& sp);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::function<void()> on_fatal_;

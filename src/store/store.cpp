@@ -678,16 +678,16 @@ SecurityManager::AddedUser StateStore::add_user_with_value(const Bigint& x) {
 }
 
 std::vector<SignedResetBundle> StateStore::remove_users(
-    std::span<const std::uint64_t> ids, Rng& rng) {
+    std::span<const std::uint64_t> ids, Rng& rng, const Encryptor* kem) {
   ensure_usable();
-  auto bundles = mgr_.remove_users(ids, rng);
+  auto bundles = mgr_.remove_users(ids, rng, kem);
   commit();
   return bundles;
 }
 
-SignedResetBundle StateStore::new_period(Rng& rng) {
+SignedResetBundle StateStore::new_period(Rng& rng, const Encryptor* kem) {
   ensure_usable();
-  auto bundle = mgr_.new_period(rng);
+  auto bundle = mgr_.new_period(rng, kem);
   commit();
   return bundle;
 }
@@ -910,6 +910,7 @@ void StateStore::replica_apply_snapshot(std::uint64_t new_gen,
                       std::to_string(new_gen) + " fails validation");
   }
   SecurityManager restored = SecurityManager::restore_state(info->payload);
+  restored.set_generator_tables(mgr_.generator_tables());
   // Durable install, mirroring snapshot(): temp + fsync + rename, fresh WAL
   // seeded from the snapshot tag, then directory fsync as the commit point.
   const std::string tmp = path(snap_name(new_gen) + kTmpSuffix);
@@ -986,6 +987,7 @@ std::uint64_t StateStore::replica_truncate(std::uint64_t gen,
                         " fails validation during truncate rebuild");
     }
     SecurityManager restored = SecurityManager::restore_state(info->payload);
+    restored.set_generator_tables(mgr_.generator_tables());
     const Group& group = restored.params().group;
     std::size_t off = kWalHeader;
     for (std::uint64_t i = 0; i < records; ++i) {

@@ -111,9 +111,17 @@ class StateStore {
   // -- mutating operations; each is durable before it returns -------------------
   SecurityManager::AddedUser add_user(Rng& rng);
   SecurityManager::AddedUser add_user_with_value(const Bigint& x);
+  /// `kem` as in SecurityManager::new_period.
   std::vector<SignedResetBundle> remove_users(
-      std::span<const std::uint64_t> ids, Rng& rng);
-  SignedResetBundle new_period(Rng& rng);
+      std::span<const std::uint64_t> ids, Rng& rng,
+      const Encryptor* kem = nullptr);
+  SignedResetBundle new_period(Rng& rng, const Encryptor* kem = nullptr);
+
+  /// SecurityManager::set_generator_tables on the live manager; the tables
+  /// stay installed across a replica snapshot or truncate, which replace it.
+  void set_generator_tables(GeneratorTables t) {
+    mgr_.set_generator_tables(std::move(t));
+  }
 
   /// Forces a snapshot rotation now (also taken automatically after a
   /// commit or sync, by the StoreOptions rule). Flushes any batched

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <ostream>
 #include <vector>
 
@@ -174,6 +175,75 @@ TEST(Encryptor, StoppedBuildKeepsTheTablesFinishedSoFar) {
   ChaChaRng r0(556), r1(556);
   expect_same(encrypt(sp, s.pk, m, r0), two.encrypt(m, r1));
   EXPECT_TRUE(two.with_tables().complete());
+}
+
+/// A slot's h = g^a g'^b by the bit-by-bit 2-term multiexp: the formula
+/// public keys used before the generator tables, kept as the oracle.
+Gelt multiexp_slot(const SystemParams& sp, const Bigint& a, const Bigint& b) {
+  const std::array<Gelt, 2> bases = {sp.g, sp.g2};
+  const std::array<Bigint, 2> exps = {a, b};
+  return multiexp(sp.group, bases, exps);
+}
+
+class GeneratorTablesOn : public ::testing::TestWithParam<ParamId> {};
+
+TEST_P(GeneratorTablesOn, PublicKeysMatchTheMultiexpFormula) {
+  // The g/g' tables change how y and each h are computed, never their
+  // values: for random master secrets and revoked identities, the table
+  // path, the two-pow path and the multiexp formula give equal keys.
+  ChaChaRng rng(30014);
+  const SystemParams sp =
+      SystemParams::create(Group(GroupParams::named(GetParam())), 4, rng);
+  const GeneratorTables gens = GeneratorTables::build(sp);
+  ASSERT_TRUE(gens.g && gens.g2);
+  for (int round = 0; round < 3; ++round) {
+    const SetupResult s = setup(sp, rng);
+    PublicKey tabled = make_fresh_public_key(sp, s.msk, 5, gens);
+    PublicKey plain = make_fresh_public_key(sp, s.msk, 5);
+    EXPECT_EQ(tabled, plain);
+    EXPECT_EQ(tabled.y, multiexp_slot(sp, s.msk.a.coeff(0), s.msk.b.coeff(0)));
+    for (const PkSlot& slot : tabled.slots) {
+      EXPECT_EQ(slot.h,
+                multiexp_slot(sp, s.msk.a.eval(slot.z), s.msk.b.eval(slot.z)));
+    }
+    for (std::size_t l = 0; l < sp.v; ++l) {
+      const Bigint x = rng.uniform_nonzero_below(sp.group.order());
+      revoke_into_slot(sp, s.msk, tabled, l, x, gens);
+      revoke_into_slot(sp, s.msk, plain, l, x);
+      EXPECT_EQ(tabled.slots[l].h,
+                multiexp_slot(sp, s.msk.a.eval(x), s.msk.b.eval(x)));
+    }
+    EXPECT_EQ(tabled, plain);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Groups, GeneratorTablesOn,
+    ::testing::Values(ParamId::kTest128, ParamId::kSec512),
+    [](const ::testing::TestParamInfo<ParamId>& info) {
+      return info.param == ParamId::kTest128 ? "test128" : "sec512";
+    });
+
+TEST(Encryptor, TakesTheGeneratorTablesItIsGiven) {
+  // The shard's Encryptors hold the one g/g' pair, never their own copy:
+  // both the constructor and with_tables take the given tables.
+  const SystemParams sp = test::test_params(3, 30016);
+  ChaChaRng rng(30017);
+  const SetupResult s = setup(sp, rng);
+  const GeneratorTables gens = GeneratorTables::build(sp);
+  const Encryptor seeded(sp, s.pk, gens);
+  EXPECT_EQ(seeded.tables(), 2u);
+  EXPECT_EQ(seeded.generators().g, gens.g);
+  EXPECT_EQ(seeded.generators().g2, gens.g2);
+  const Encryptor full = Encryptor(sp, s.pk).with_tables({}, gens);
+  EXPECT_TRUE(full.complete());
+  EXPECT_EQ(full.generators().g, gens.g);
+  EXPECT_EQ(full.generators().g2, gens.g2);
+  const Gelt m = sp.group.pow_g(Bigint(4242));
+  ChaChaRng r0(557), r1(557), r2(557);
+  const Ciphertext plain = encrypt(sp, s.pk, m, r0);
+  expect_same(plain, seeded.encrypt(m, r1));
+  expect_same(plain, full.encrypt(m, r2));
 }
 
 TEST(Encryptor, RejectsANonElementMessage) {

@@ -173,6 +173,44 @@ TEST(Manager, PlainAndHybridResetsBothWork) {
   }
 }
 
+TEST(Manager, ResetKemTakesOnlyACompleteEncryptorForTheCurrentKey) {
+  // new_period seals its KEM with the Encryptor it is offered when that
+  // one is complete and holds the current key, and falls back otherwise.
+  // Fed the same randomness, every choice yields the same bundle, and a
+  // stale or partial Encryptor never seals under the wrong key.
+  ChaChaRng rng(4101);
+  SecurityManager base(test::test_params(3, 4102), rng);
+  const auto alice = base.add_user(rng);
+  base.set_generator_tables(GeneratorTables::build(base.params()));
+  const Encryptor current =
+      Encryptor(base.params(), base.public_key()).with_tables();
+  const Encryptor partial(base.params(), base.public_key());
+  SecurityManager moved = base;
+  moved.new_period(rng);
+  const Encryptor stale =
+      Encryptor(moved.params(), moved.public_key()).with_tables();
+
+  const auto bundle_bytes = [&](const Encryptor* kem) {
+    SecurityManager m = base;
+    ChaChaRng r(4103);
+    const SignedResetBundle b = m.new_period(r, kem);
+    Writer w;
+    b.serialize(w, m.params().group);
+    return std::move(w).take();
+  };
+  const Bytes plain = bundle_bytes(nullptr);
+  EXPECT_EQ(bundle_bytes(&current), plain);
+  EXPECT_EQ(bundle_bytes(&partial), plain);
+  EXPECT_EQ(bundle_bytes(&stale), plain);
+
+  SecurityManager m = base;
+  Receiver rx(m.params(), alice.key, m.verification_key());
+  rx.apply_reset(m.new_period(rng, &current));
+  EXPECT_EQ(rx.period(), m.period());
+  const Gelt msg = m.params().group.random_element(rng);
+  EXPECT_EQ(rx.decrypt(encrypt(m.params(), m.public_key(), msg, rng)), msg);
+}
+
 TEST(Manager, BatchRemovalWithinPeriod) {
   ChaChaRng rng(113);
   SecurityManager mgr(test::test_params(4), rng);

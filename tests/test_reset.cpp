@@ -24,6 +24,9 @@ struct ResetFixture {
         s(setup(sp, rng)),
         d(Polynomial::random(sp.group.zq(), v, rng)),
         e(Polynomial::random(sp.group.zq(), v, rng)) {}
+
+  /// A table-less Encryptor for the setup key.
+  Encryptor enc() const { return Encryptor(sp, s.pk); }
 };
 
 class ResetModeTest : public ::testing::TestWithParam<ResetMode> {};
@@ -31,7 +34,7 @@ class ResetModeTest : public ::testing::TestWithParam<ResetMode> {};
 TEST_P(ResetModeTest, ActiveUserRecoversRandomizers) {
   ResetFixture fx(4);
   const ResetMessage msg =
-      build_reset_message(fx.sp, fx.s.pk, fx.d, fx.e, GetParam(), fx.rng);
+      build_reset_message(fx.enc(), fx.d, fx.e, GetParam(), fx.rng);
   EXPECT_EQ(msg.new_period, 1u);
   const UserKey sk = issue_user_key(fx.sp, fx.s.msk, Bigint(123), 0);
   const auto [d2, e2] = open_reset_message(fx.sp, sk, msg);
@@ -39,10 +42,32 @@ TEST_P(ResetModeTest, ActiveUserRecoversRandomizers) {
   EXPECT_EQ(e2, fx.e);
 }
 
+TEST_P(ResetModeTest, TablesChangeNoKemCiphertext) {
+  // The daemon seals a reset with the shard's complete Encryptor when it
+  // holds the current key: fed the same randomness, that reset is byte for
+  // byte the one a table-less Encryptor seals, and opens the same way.
+  ResetFixture fx(4);
+  const Encryptor full = fx.enc().with_tables();
+  ASSERT_TRUE(full.complete());
+  ChaChaRng r0(2002), r1(2002);
+  const ResetMessage tabled =
+      build_reset_message(full, fx.d, fx.e, GetParam(), r0);
+  const ResetMessage plain =
+      build_reset_message(fx.enc(), fx.d, fx.e, GetParam(), r1);
+  Writer wt, wp;
+  tabled.serialize(wt, fx.sp.group);
+  plain.serialize(wp, fx.sp.group);
+  EXPECT_EQ(wt.bytes(), wp.bytes());
+  const UserKey sk = issue_user_key(fx.sp, fx.s.msk, Bigint(124), 0);
+  const auto [d2, e2] = open_reset_message(fx.sp, sk, tabled);
+  EXPECT_EQ(d2, fx.d);
+  EXPECT_EQ(e2, fx.e);
+}
+
 TEST_P(ResetModeTest, SerializationRoundTrip) {
   ResetFixture fx(3);
   const ResetMessage msg =
-      build_reset_message(fx.sp, fx.s.pk, fx.d, fx.e, GetParam(), fx.rng);
+      build_reset_message(fx.enc(), fx.d, fx.e, GetParam(), fx.rng);
   Writer w;
   msg.serialize(w, fx.sp.group);
   Reader r(w.bytes());
@@ -61,7 +86,7 @@ TEST_P(ResetModeTest, RevokedUserCannotFollow) {
   PublicKey pk = fx.s.pk;
   revoke_into_slot(fx.sp, fx.s.msk, pk, 0, bad_x);
   const ResetMessage msg =
-      build_reset_message(fx.sp, pk, fx.d, fx.e, GetParam(), fx.rng);
+      build_reset_message(Encryptor(fx.sp, pk), fx.d, fx.e, GetParam(), fx.rng);
   // Plain mode: decryption has no leap-vector (ContractError).
   // Hybrid mode: same, surfaced through the KEM decryption.
   EXPECT_THROW(open_reset_message(fx.sp, bad, msg), Error);
@@ -73,16 +98,16 @@ INSTANTIATE_TEST_SUITE_P(Modes, ResetModeTest,
 
 TEST(ResetMessage, PlainHasExpectedCiphertextCount) {
   ResetFixture fx(5);
-  const ResetMessage msg = build_reset_message(fx.sp, fx.s.pk, fx.d, fx.e,
+  const ResetMessage msg = build_reset_message(fx.enc(), fx.d, fx.e,
                                                ResetMode::kPlain, fx.rng);
   EXPECT_EQ(msg.coefficient_cts.size(), 2 * 5 + 2u);
 }
 
 TEST(ResetMessage, HybridIsAsymptoticallySmaller) {
   ResetFixture fx(8);
-  const ResetMessage plain = build_reset_message(fx.sp, fx.s.pk, fx.d, fx.e,
+  const ResetMessage plain = build_reset_message(fx.enc(), fx.d, fx.e,
                                                  ResetMode::kPlain, fx.rng);
-  const ResetMessage hybrid = build_reset_message(fx.sp, fx.s.pk, fx.d, fx.e,
+  const ResetMessage hybrid = build_reset_message(fx.enc(), fx.d, fx.e,
                                                   ResetMode::kHybrid, fx.rng);
   // O(v^2) vs O(v) group elements.
   EXPECT_GT(plain.wire_size(fx.sp.group), 4 * hybrid.wire_size(fx.sp.group));
@@ -92,7 +117,7 @@ TEST(ResetMessage, StaleKeyFailsHybridAuthentication) {
   ResetFixture fx(4);
   UserKey sk = issue_user_key(fx.sp, fx.s.msk, Bigint(444), 0);
   sk.ax = fx.sp.group.zq().add(sk.ax, Bigint(1));  // stale/corrupted key
-  const ResetMessage msg = build_reset_message(fx.sp, fx.s.pk, fx.d, fx.e,
+  const ResetMessage msg = build_reset_message(fx.enc(), fx.d, fx.e,
                                                ResetMode::kHybrid, fx.rng);
   EXPECT_THROW(open_reset_message(fx.sp, sk, msg), DecodeError);
 }
@@ -101,7 +126,7 @@ TEST(SignedResetBundle, VerifiesAndRejectsTampering) {
   ResetFixture fx(3);
   const auto kp = SchnorrKeyPair::generate(fx.sp.group, fx.rng);
   SignedResetBundle bundle;
-  bundle.reset = build_reset_message(fx.sp, fx.s.pk, fx.d, fx.e,
+  bundle.reset = build_reset_message(fx.enc(), fx.d, fx.e,
                                      ResetMode::kHybrid, fx.rng);
   bundle.signature =
       kp.sign(fx.sp.group, bundle.signed_payload(fx.sp.group), fx.rng);
@@ -116,7 +141,7 @@ TEST(SignedResetBundle, SerializationRoundTrip) {
   ResetFixture fx(3);
   const auto kp = SchnorrKeyPair::generate(fx.sp.group, fx.rng);
   SignedResetBundle bundle;
-  bundle.reset = build_reset_message(fx.sp, fx.s.pk, fx.d, fx.e,
+  bundle.reset = build_reset_message(fx.enc(), fx.d, fx.e,
                                      ResetMode::kPlain, fx.rng);
   bundle.signature =
       kp.sign(fx.sp.group, bundle.signed_payload(fx.sp.group), fx.rng);
@@ -135,7 +160,7 @@ TEST(Receiver, FollowsPeriodChangeAndKeepsDecrypting) {
   Receiver receiver(fx.sp, sk, kp.public_key());
 
   SignedResetBundle bundle;
-  bundle.reset = build_reset_message(fx.sp, fx.s.pk, fx.d, fx.e,
+  bundle.reset = build_reset_message(fx.enc(), fx.d, fx.e,
                                      ResetMode::kHybrid, fx.rng);
   bundle.signature =
       kp.sign(fx.sp.group, bundle.signed_payload(fx.sp.group), fx.rng);
@@ -158,7 +183,7 @@ TEST(Receiver, RejectsForgedReset) {
   Receiver receiver(fx.sp, sk, manager_kp.public_key());
 
   SignedResetBundle bundle;
-  bundle.reset = build_reset_message(fx.sp, fx.s.pk, fx.d, fx.e,
+  bundle.reset = build_reset_message(fx.enc(), fx.d, fx.e,
                                      ResetMode::kHybrid, fx.rng);
   bundle.signature = attacker_kp.sign(
       fx.sp.group, bundle.signed_payload(fx.sp.group), fx.rng);
@@ -175,7 +200,7 @@ TEST(Receiver, RejectsWrongPeriodReset) {
   Receiver receiver(fx.sp, sk, kp.public_key(), /*strict=*/true);
 
   SignedResetBundle bundle;
-  bundle.reset = build_reset_message(fx.sp, fx.s.pk, fx.d, fx.e,
+  bundle.reset = build_reset_message(fx.enc(), fx.d, fx.e,
                                      ResetMode::kHybrid, fx.rng);
   bundle.reset.new_period = 5;  // skips ahead
   bundle.signature =
@@ -190,7 +215,7 @@ TEST(Receiver, LenientModeDistinguishesFailureModes) {
   Receiver receiver(fx.sp, sk, kp.public_key());
 
   SignedResetBundle next;
-  next.reset = build_reset_message(fx.sp, fx.s.pk, fx.d, fx.e,
+  next.reset = build_reset_message(fx.enc(), fx.d, fx.e,
                                    ResetMode::kHybrid, fx.rng);
   next.signature =
       kp.sign(fx.sp.group, next.signed_payload(fx.sp.group), fx.rng);
@@ -236,7 +261,8 @@ TEST(Receiver, DrainsPendingResetsOnceGapCloses) {
     const Polynomial d = Polynomial::random(fx.sp.group.zq(), 3, fx.rng);
     const Polynomial e = Polynomial::random(fx.sp.group.zq(), 3, fx.rng);
     SignedResetBundle b;
-    b.reset = build_reset_message(fx.sp, pk, d, e, ResetMode::kHybrid, fx.rng);
+    b.reset = build_reset_message(Encryptor(fx.sp, pk), d, e,
+                                  ResetMode::kHybrid, fx.rng);
     b.signature = kp.sign(fx.sp.group, b.signed_payload(fx.sp.group), fx.rng);
     msk.a = msk.a + d;
     msk.b = msk.b + e;
@@ -263,7 +289,7 @@ TEST(ResetMessage, RandomizerDegreeBoundEnforced) {
   ResetFixture fx(2);
   const Polynomial too_big =
       Polynomial::random(fx.sp.group.zq(), 5, fx.rng);
-  EXPECT_THROW(build_reset_message(fx.sp, fx.s.pk, too_big, fx.e,
+  EXPECT_THROW(build_reset_message(fx.enc(), too_big, fx.e,
                                    ResetMode::kPlain, fx.rng),
                ContractError);
 }

@@ -743,7 +743,7 @@ TEST(StateStore, DefaultRuleBoundsWalBytesAndReplayWeight) {
   // batched mix of adds, revokes and new-periods. At its largest (the
   // batch landed, the rotation not yet taken) the WAL holds at most the
   // snapshot's bytes plus that batch; after every sync a replay redoes
-  // fewer multiexps than the limit, also as reopened from disk.
+  // fewer slot computations than the limit, also as reopened from disk.
   MemFileIo fs;
   CountingFileIo io(fs);
   ChaChaRng rng(kScriptSeed);
@@ -822,6 +822,42 @@ TEST(StateStore, ReopenMidWalRotatesAtTheSameRecord) {
   const auto reopened = run(37);
   EXPECT_EQ(reopened.first, straight.first);
   EXPECT_EQ(reopened.second, straight.second);
+}
+
+TEST(StateStore, GeneratorTablesLeaveNoTraceInTheLog) {
+  // Revokes and new-periods committed with the g/g' pair installed (no
+  // multiexp, fixed-base pows instead) replay, with no pair, to the same
+  // public key and the same snapshot bytes.
+  MemFileIo fs;
+  ChaChaRng rng(kScriptSeed);
+  StoreOptions opts;
+  opts.snapshot_every = 1000;  // every record stays in the WAL
+  PublicKey pk;
+  Bytes state;
+  {
+    StateStore store =
+        StateStore::create(fs, "store", script_base_manager(rng), rng, opts);
+    store.set_generator_tables(
+        GeneratorTables::build(store.manager().params()));
+    obs::Counter& multiexps = obs::counter("dfky_group_multiexp_total");
+    obs::Counter& table_pows = obs::counter("dfky_fixedbase_pow_total");
+    const std::uint64_t multiexps0 = multiexps.value();
+    const std::uint64_t table_pows0 = table_pows.value();
+    run_script(store, rng, [] {});
+    store.add_user(rng);  // user 4
+    const std::uint64_t kill[] = {4};  // period 1 is saturated: rolls
+    EXPECT_EQ(store.remove_users(kill, rng).size(), 1u);
+    EXPECT_EQ(multiexps.value(), multiexps0);
+    EXPECT_GT(table_pows.value(), table_pows0);
+    EXPECT_EQ(store.generation(), 0u);
+    pk = store.manager().public_key();
+    state = store.manager().save_state();
+  }
+  StateStore reopened = StateStore::open(fs, "store", opts);
+  EXPECT_FALSE(reopened.manager().generator_tables().g);
+  EXPECT_GT(reopened.recovery_report().replayed_records, 0u);
+  EXPECT_EQ(reopened.manager().public_key(), pk);
+  EXPECT_EQ(reopened.manager().save_state(), state);
 }
 
 TEST(StateStore, ExplicitSnapshotEveryKeepsTheCountRule) {

@@ -36,9 +36,9 @@ int usage(std::FILE* out) {
                "Snapshots (DESIGN.md Sect. 9.2): by default a shard rotates\n"
                "its snapshot once its WAL holds 64 records and either its\n"
                "bytes reach the snapshot's or a replay would redo 64*(v+1)\n"
-               "multiexps, so an ack's share of rotation cost does not grow\n"
-               "with the user population. --snapshot-every N rotates every\n"
-               "N WAL records instead.\n"
+               "public-key slots, so an ack's share of rotation cost does not\n"
+               "grow with the user population. --snapshot-every N rotates\n"
+               "every N WAL records instead.\n"
                "\n"
                "Front end (DESIGN.md Sect. 15): connections are served by an\n"
                "epoll reactor; requests execute on --workers threads (default:\n"

@@ -5,10 +5,10 @@
 #   tools/sanitize_check.sh [--tsan] [build-dir] [ctest-regex]
 #
 # Default (ASan+UBSan, -DDFKY_SANITIZE=ON): build-dir = build-asan, regex =
-# the fixed-base kernel and Encryptor (raw limb indexing), the fault
-# matrix, the bus reentrancy regressions, the metrics registry, the
-# durable-store crash matrix, the persistence corruption fuzz, the reactor,
-# the client library and the feed-order check.
+# the fixed-base kernel, Encryptor and generator tables (raw limb
+# indexing), the fault matrix, the bus reentrancy regressions, the metrics
+# registry, the durable-store crash matrix, the persistence corruption
+# fuzz, the reactor, the client library and the feed-order check.
 # --tsan builds -DDFKY_SANITIZE_THREAD=ON instead and runs the
 # obs concurrency tests (metrics registry and trace ring hammered from
 # many threads), the shard router (concurrent encrypts against the table
@@ -39,7 +39,7 @@ if [ "$mode" = "tsan" ]; then
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 else
   build_dir="${1:-$repo/build-asan}"
-  filter="${2:-FixedBase|Encryptor|FaultyBus|Recovery|FaultMatrixTest|Bus\.|Obs|MemFileIo|FaultyFileIo|StateStore|CrashMatrix|Fsck|PersistenceFuzz|ShardSet|ShardRouter|DaemonProto|Replication|SimCluster|SimHealth|SimTrace|SimFailover|SimFeed|TraceLifecycle|TraceSlow|TraceJson|TraceConcurrency|Term\.|Reactor\.|Client(Conn|Pipeline|Prometheus)\.|RequestHandler\.Feed}"
+  filter="${2:-FixedBase|Encryptor|GeneratorTables|FaultyBus|Recovery|FaultMatrixTest|Bus\.|Obs|MemFileIo|FaultyFileIo|StateStore|CrashMatrix|Fsck|PersistenceFuzz|ShardSet|ShardRouter|DaemonProto|Replication|SimCluster|SimHealth|SimTrace|SimFailover|SimFeed|TraceLifecycle|TraceSlow|TraceJson|TraceConcurrency|Term\.|Reactor\.|Client(Conn|Pipeline|Prometheus)\.|RequestHandler\.Feed}"
   sanitize_flag=-DDFKY_SANITIZE=ON
   targets=(unit_crypto_tests fault_tests system_tests obs_tests store_tests core_tests
     daemon_proto_tests daemon_tests sim_tests failover_sim_tests
