@@ -36,6 +36,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -76,6 +77,17 @@ void remove_store_dir(FileIo& io, const std::string& dir) {
   ::rmdir(dir.c_str());
 }
 
+/// One client's durable ack: submit, then wait for the completion the
+/// committer runs once the covering fsync is done — one request in flight
+/// per client, through the same call the daemon's requests use.
+void ack(daemon::GroupCommit& commits, std::function<void()> op) {
+  const auto acked = std::make_shared<std::promise<void>>();
+  std::future<void> done = acked->get_future();
+  commits.submit(std::move(op),
+                 [acked](std::exception_ptr) { acked->set_value(); });
+  done.wait();
+}
+
 struct RunResult {
   std::uint64_t ns_per_ack = 0;      // median over repetitions
   std::uint64_t ns_per_ack_p95 = 0;  // p95 over repetitions
@@ -103,7 +115,7 @@ RunResult run_clients(FileIo& io, const std::string& dir,
       for (std::size_t c = 0; c < clients; ++c) {
         threads.emplace_back([&] {
           for (std::size_t i = 0; i < per_client; ++i) {
-            commits.run([&] {
+            ack(commits, [&] {
               std::lock_guard lk(rng_mu);
               store.add_user(rng);
             });
@@ -162,7 +174,14 @@ RunResult run_sharded(FileIo& io, const std::string& dir,
     for (std::size_t c = 0; c < clients; ++c) {
       threads.emplace_back([&] {
         for (std::size_t i = 0; i < per_client; ++i) {
-          router.add_user();  // durable on its shard before it returns
+          // Waits until the user is durable on its shard.
+          const auto acked = std::make_shared<std::promise<void>>();
+          std::future<void> durable = acked->get_future();
+          router.add_user(
+              [acked](daemon::ShardRouter::AddedUser, std::exception_ptr) {
+                acked->set_value();
+              });
+          durable.wait();
         }
       });
     }
@@ -265,10 +284,10 @@ ReactorResult run_reactor(FileIo& io, const std::string& dir,
   ropts.listen_fd = lfd;
   ropts.wake_fd = wake[0];
   ropts.workers = 8;
-  daemon::Reactor reactor(ropts, [&](const std::string& line) {
-    const daemon::RequestHandler::Result res = handler.handle(line);
-    return daemon::Reactor::Result{res.response, res.shutdown};
-  });
+  daemon::Reactor reactor(
+      ropts, [&](const std::string& line, daemon::Reply reply) {
+        handler.handle(line, std::move(reply));
+      });
   std::thread serving([&] { reactor.run(); });
 
   // The idle herd: connected, counted by the reactor, then silent.

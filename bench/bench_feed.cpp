@@ -87,10 +87,9 @@ struct Harness {
     const int wake_wr = wake[1];
     reactor.emplace(
         opts,
-        [](const std::string& line) {
+        [](const std::string& line, daemon::Reply reply) {
           const daemon::TaggedLine t = daemon::split_request_tag(line);
-          return daemon::Reactor::Result{
-              daemon::tag_response(t.id, daemon::ok_response()), false};
+          reply({daemon::tag_response(t.id, daemon::ok_response()), false});
         },
         std::function<std::size_t()>{},
         [wake_wr] {

@@ -16,6 +16,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <future>
 #include <memory>
 #include <random>
 #include <shared_mutex>
@@ -33,6 +34,19 @@ namespace dfky::daemon {
 // ---- RequestHandler ------------------------------------------------------------
 
 namespace {
+
+/// The `err` line for an exception that refused a request.
+std::string error_response(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const Error& e) {
+    return err_response(e.what());
+  } catch (const std::exception& e) {
+    return err_response(std::string("internal: ") + e.what());
+  } catch (...) {
+    return err_response("internal: unknown error");
+  }
+}
 
 const char* verb_label(const std::string& verb) {
   static constexpr const char* kVerbs[] = {
@@ -98,9 +112,11 @@ class RequestHandler::FeedGate {
     if (!h_.hooks_.publish) return;
     // With no gate open, every roll this handler made is announced and
     // any other (replication, promote, recovery) never will be, so the
-    // current periods are the baseline. Read before the lock: a value
-    // that goes stale meanwhile is only lower, which holds more, not less.
-    std::vector<std::uint64_t> periods = h_.router_.status().periods;
+    // current periods are the baseline. Read before the lock, and from
+    // each shard's last committed state rather than under its state lock:
+    // a value that goes stale meanwhile is only lower, which holds more,
+    // not less.
+    std::vector<std::uint64_t> periods = h_.router_.periods();
     std::lock_guard lk(h_.feed_mu_);
     if (h_.feed_gates_++ == 0) h_.announced_ = std::move(periods);
   }
@@ -148,53 +164,134 @@ void RequestHandler::publish_content(std::size_t shard, std::uint64_t period,
   hooks_.publish(std::move(line), 0);
 }
 
-RequestHandler::Result RequestHandler::handle(const std::string& line) {
-  // The request's whole lifetime inside the daemon. The destructor closes
-  // the final `respond` span (wakeup from the committer, response
-  // formatting, tagging) and files the trace; layers below stamp their own
-  // spans through the thread-local context or the group-commit ticket.
+struct RequestHandler::Answer {
+  std::optional<std::uint64_t> tag;
+  const char* verb;
+  obs::RequestTrace trace;
+  Reply reply;
+
+  /// Counts the request, closes its trace's `respond` span, files the
+  /// trace and replies — on whichever thread has the answer. Called once.
+  void send(std::string response, bool shutdown = false) {
+    const bool ok = response[0] == 'o';
+    obs::counter("dfkyd_requests_total",
+                 {{"verb", verb}, {"outcome", ok ? "ok" : "err"}})
+        .inc();
+    trace.set_outcome(ok);
+    trace.finish();
+    reply({tag_response(tag, std::move(response)), shutdown});
+  }
+};
+
+void RequestHandler::handle(const std::string& line, Reply reply) {
+  // The request's whole lifetime inside the daemon. Layers below stamp
+  // their spans through the thread-local context or the group-commit
+  // ticket; Answer closes the final `respond` span just before the reply,
+  // on the committer thread for a mutation.
   obs::ScopedTrace trace;
-  Result res;
   if (line.size() > kMaxLineBytes) {
-    res.response = err_response("request line too long");
-    return res;
+    reply({err_response("request line too long")});
+    return;
   }
   const TaggedLine tagged = split_request_tag(line);
   obs::trace_mark(obs::SpanKind::kAccept);
   if (tagged.bad_tag) {
-    res.response = err_response("malformed request tag");
-    return res;
+    reply({err_response("malformed request tag")});
+    return;
   }
   const std::vector<std::string> tokens = split_tokens(tagged.body);
   if (tokens.empty()) {
-    res.response = tag_response(tagged.id, err_response("empty request"));
-    return res;
+    reply({tag_response(tagged.id, err_response("empty request"))});
+    return;
   }
-  trace.set_verb(verb_label(tokens[0]));
+  const char* verb = verb_label(tokens[0]);
+  trace.set_verb(verb);
   obs::trace_mark(obs::SpanKind::kParse);
+  const auto answer = std::make_shared<Answer>(
+      tagged.id, verb, trace.release(), std::move(reply));
   if (tokens[0] == "shutdown") {
     if (tokens.size() != 1) {
-      res.response = err_response("shutdown takes no arguments");
+      answer->send(err_response("shutdown takes no arguments"));
     } else {
-      res.response = ok_response();
-      res.shutdown = true;
+      answer->send(ok_response(), /*shutdown=*/true);
     }
-  } else {
-    try {
-      res.response = dispatch(tokens);
-    } catch (const Error& e) {
-      res.response = err_response(e.what());
-    } catch (const std::exception& e) {
-      res.response = err_response(std::string("internal: ") + e.what());
-    }
+    return;
   }
-  obs::counter("dfkyd_requests_total",
-               {{"verb", verb_label(tokens[0])},
-                {"outcome", res.response[0] == 'o' ? "ok" : "err"}})
-      .inc();
-  trace.set_outcome(res.response[0] == 'o');
-  res.response = tag_response(tagged.id, std::move(res.response));
-  return res;
+  std::string response;
+  try {
+    if (tokens[0] == "add-user" || tokens[0] == "revoke") {
+      // Answered by the committer; nothing here may touch the trace
+      // once the mutation is queued.
+      return mutate(tokens, answer);
+    }
+    response = dispatch(tokens);
+  } catch (...) {
+    response = error_response(std::current_exception());
+  }
+  answer->send(std::move(response));
+}
+
+RequestHandler::Result RequestHandler::handle(const std::string& line) {
+  const auto done = std::make_shared<std::promise<Result>>();
+  std::future<Result> result = done->get_future();
+  handle(line, [done](Result r) { done->set_value(std::move(r)); });
+  return result.get();
+}
+
+void RequestHandler::mutate(const std::vector<std::string>& tokens,
+                            const std::shared_ptr<Answer>& answer) {
+  if (tokens[0] == "add-user") {
+    if (tokens.size() != 1) {
+      return answer->send(err_response("add-user takes no arguments"));
+    }
+    router_.add_user([answer](ShardRouter::AddedUser added,
+                              std::exception_ptr error) {
+      if (error) return answer->send(error_response(error));
+      answer->send(ok_response({{"id", std::to_string(added.global_id)},
+                                {"shard", std::to_string(added.shard)},
+                                {"key", hex_encode(added.key_file)}}));
+    });
+    return;
+  }
+  if (tokens.size() < 2) {
+    return answer->send(err_response("usage: revoke <id...>"));
+  }
+  std::vector<std::uint64_t> ids;
+  for (std::size_t i = 1; i < tokens.size(); ++i) {
+    const auto id = parse_u64(tokens[i]);
+    if (!id) {
+      return answer->send(err_response("bad user id '" + tokens[i] + "'"));
+    }
+    ids.push_back(*id);
+  }
+  // Held from before the first shard's roll until the last completion has
+  // published the reset (or the revoke failed).
+  auto gate = std::make_shared<FeedGate>(*this);
+  router_.revoke(ids, [this, answer, gate = std::move(gate)](
+                          ShardRouter::RevokeResult r,
+                          std::exception_ptr error) mutable {
+    std::string response;
+    try {
+      if (error) std::rethrow_exception(error);
+      // A revoke that crossed its shard's saturation threshold rolled the
+      // period reactively — subscribers need that reset like any other.
+      if (!r.bundles.empty() && hooks_.publish) {
+        hooks_.publish("bcast new-period period=" + std::to_string(r.period) +
+                           " bundles=" + bundles_field(r.bundles),
+                       r.period);
+        gate->rolled = r.rolled;
+      }
+      response = ok_response(
+          {{"period", std::to_string(r.period)},
+           {"saturation",
+            saturation_field(r.saturation_level, r.saturation_limit)},
+           {"bundles", bundles_field(r.bundles)}});
+    } catch (...) {
+      response = error_response(std::current_exception());
+    }
+    gate.reset();  // releases the frames the reset announced
+    answer->send(std::move(response));
+  });
 }
 
 std::string RequestHandler::dispatch(const std::vector<std::string>& tokens) {
@@ -223,38 +320,6 @@ std::string RequestHandler::dispatch(const std::vector<std::string>& tokens) {
          {"wal_records", std::to_string(st.wal_records)},
          {"commit_batches", std::to_string(st.commit_batches)},
          {"committed", std::to_string(st.committed)}});
-  }
-
-  if (verb == "add-user") {
-    if (tokens.size() != 1) return err_response("add-user takes no arguments");
-    const ShardRouter::AddedUser added = router_.add_user();
-    return ok_response({{"id", std::to_string(added.global_id)},
-                        {"shard", std::to_string(added.shard)},
-                        {"key", hex_encode(added.key_file)}});
-  }
-
-  if (verb == "revoke") {
-    if (tokens.size() < 2) return err_response("usage: revoke <id...>");
-    std::vector<std::uint64_t> ids;
-    for (std::size_t i = 1; i < tokens.size(); ++i) {
-      const auto id = parse_u64(tokens[i]);
-      if (!id) return err_response("bad user id '" + tokens[i] + "'");
-      ids.push_back(*id);
-    }
-    FeedGate gate(*this);
-    const ShardRouter::RevokeResult r = router_.revoke(ids);
-    // A revoke that crossed its shard's saturation threshold rolled the
-    // period reactively — subscribers need that reset like any other.
-    if (!r.bundles.empty() && hooks_.publish) {
-      hooks_.publish("bcast new-period period=" + std::to_string(r.period) +
-                         " bundles=" + bundles_field(r.bundles),
-                     r.period);
-      gate.rolled = r.rolled;
-    }
-    return ok_response({{"period", std::to_string(r.period)},
-                        {"saturation", saturation_field(r.saturation_level,
-                                                        r.saturation_limit)},
-                        {"bundles", bundles_field(r.bundles)}});
   }
 
   if (verb == "new-period") {
@@ -1000,9 +1065,8 @@ int Daemon::run() {
   {
     Reactor reactor(
         ropts,
-        [this](const std::string& line) {
-          const RequestHandler::Result res = handler_->handle(line);
-          return Reactor::Result{res.response, res.shutdown};
+        [this](const std::string& line, Reply reply) {
+          handler_->handle(line, std::move(reply));
         },
         [this] { return router_->queue_depth_total(); },
         [this] { request_stop(); });

@@ -5,11 +5,12 @@
 // protocol of daemon/protocol.h over a unix-domain stream socket through
 // a ShardRouter. Connections are owned by an epoll reactor
 // (daemon/reactor.h) and requests execute on its small fixed worker
-// pool. Mutations (`add-user`, `revoke`, `new-period`) are funneled
-// through the owning shard's GroupCommit queue (new-period through the
-// cross-shard epoch barrier) and acknowledged only after their fsync;
-// reads (`status`, `encrypt`) run on the worker threads under shared
-// state locks. Requests tagged `@<id>` run concurrently and may
+// pool. Mutations (`add-user`, `revoke`) are funneled through the owning
+// shard's GroupCommit queue and answered by its committer only after
+// their fsync, so the worker is free as soon as the mutation is queued;
+// `new-period` runs the cross-shard epoch barrier on the worker. Reads
+// (`status`, `encrypt`) run on the worker threads under shared state
+// locks. Requests tagged `@<id>` run concurrently and may
 // complete out of order; untagged requests keep strict ordering.
 // SIGINT/SIGTERM (or a `shutdown` request) drain in-flight requests,
 // take a final snapshot on every shard and release the stores. An
@@ -26,6 +27,7 @@
 
 #include "daemon/failover.h"
 #include "daemon/feed.h"
+#include "daemon/protocol.h"
 #include "daemon/repl.h"
 #include "daemon/shard.h"
 #include "rng/system_rng.h"
@@ -35,8 +37,7 @@ namespace dfky::daemon {
 
 /// Request dispatch, socket-free so tests can drive it directly: one
 /// protocol line in, one response line out (no trailing newline); a
-/// leading `@<id>` tag is echoed on the response. Thread-safe; mutations
-/// block until durable on their shard.
+/// leading `@<id>` tag is echoed on the response. Thread-safe.
 class RequestHandler {
  public:
   /// Daemon-level integration points for verbs that reach beyond the
@@ -61,28 +62,41 @@ class RequestHandler {
     /// Invoked after a committed broadcast-worthy mutation (`new-period`,
     /// a revoke that rolled its shard's period, `encrypt`) with the push
     /// line for the streaming feed (DESIGN.md Sect. 16). Runs on a worker
-    /// thread AFTER durability — subscribers never see an epoch the store
-    /// could still lose — and never hands over a ciphertext before the
-    /// reset that introduced its period (see FeedGate).
+    /// thread (a revoke's on its last shard's committer) AFTER
+    /// durability — subscribers never see an epoch the store could still
+    /// lose — and never hands over a ciphertext before the reset that
+    /// introduced its period (see FeedGate).
     std::function<void(std::string line, std::uint64_t period)> publish;
   };
 
   explicit RequestHandler(ShardRouter& router, Hooks hooks = {});
 
-  struct Result {
-    std::string response;
-    bool shutdown = false;  // a `shutdown` request was acknowledged
-  };
+  using Result = HandlerResult;
+  /// Starts one request; the answer goes to `reply`, exactly once. A read
+  /// (and every malformed request) is answered before this returns. An
+  /// `add-user` or `revoke` is answered by the completion its shard's
+  /// committer runs once the mutation is durable — this returns as soon
+  /// as it is queued, so the calling worker never waits for an fsync.
+  void handle(const std::string& line, Reply reply);
+  /// handle() that waits for the reply — for callers without a reactor
+  /// (the CLI's offline verbs, the simulator, tests and benches).
   Result handle(const std::string& line);
 
  private:
+  /// What a request owes its caller once its verb has an answer.
+  struct Answer;
   std::string dispatch(const std::vector<std::string>& tokens);
+  /// `add-user` and `revoke`: answered from their shard's completion.
+  /// Throws when the request is refused before anything is queued.
+  void mutate(const std::vector<std::string>& tokens,
+              const std::shared_ptr<Answer>& answer);
 
   // Feed order (DESIGN.md Sect. 16): an `encrypt` frame sealed at period p
   // on shard s reaches hooks_.publish only after the reset to p for s. The
   // verbs that roll periods (new-period, revoke) hold a FeedGate from
   // before the roll until their reset frame is out, because a concurrent
-  // encrypt can seal under the new key in between. While a gate is open,
+  // encrypt can seal under the new key in between (a revoke's gate rides
+  // its completion and closes on the committer). While a gate is open,
   // an encrypt frame sealed past the period last announced for its shard
   // is held back, and goes out when a gate closes on its reset.
   class FeedGate;

@@ -37,23 +37,21 @@ void GroupCommit::shut_down() {
   });
 }
 
-void GroupCommit::run(const std::function<void()>& op) {
-  Ticket ticket{&op, nullptr, false, obs::current_trace()};
+void GroupCommit::submit(std::function<void()> op, Done done,
+                         obs::TraceContext* trace) {
   {
-    std::unique_lock lk(mu_);
+    std::lock_guard lk(mu_);
     if (fatal_) throw ContractError("group commit: store failed (fail-stop)");
     if (stop_) throw ContractError("group commit: shutting down");
-    queue_.push_back(&ticket);
+    queue_.push_back(Ticket{std::move(op), std::move(done), trace, nullptr});
     depth_.fetch_add(1, std::memory_order_relaxed);
-    work_cv_.notify_one();
-    done_cv_.wait(lk, [&] { return ticket.done; });
   }
-  if (ticket.error) std::rethrow_exception(ticket.error);
+  work_cv_.notify_one();
 }
 
 void GroupCommit::committer_loop() {
   for (;;) {
-    std::vector<Ticket*> batch;
+    std::vector<Ticket> batch;
     {
       std::unique_lock lk(mu_);
       work_cv_.wait(lk, [&] { return stop_ || !queue_.empty(); });
@@ -64,13 +62,13 @@ void GroupCommit::committer_loop() {
     {
       obs::ScopedTimer span(batch_ns_);
       std::unique_lock state(state_mu_);
-      for (Ticket* t : batch) {
+      for (Ticket& t : batch) {
         // The ticket's queue wait ends as its op starts executing.
-        if (t->trace) t->trace->mark(obs::SpanKind::kQueueWait);
+        if (t.trace) t.trace->mark(obs::SpanKind::kQueueWait);
         try {
-          (*t->op)();
+          t.op();
         } catch (...) {
-          t->error = std::current_exception();
+          t.error = std::current_exception();
         }
       }
       try {
@@ -80,10 +78,10 @@ void GroupCommit::committer_loop() {
         // stamp splits the two.
         const std::uint64_t append_done = store_.last_sync_append_done_ns();
         const std::uint64_t sync_done = obs::TraceContext::now_ns();
-        for (Ticket* t : batch) {
-          if (!t->trace) continue;
-          t->trace->mark_at(obs::SpanKind::kWalAppend, append_done);
-          t->trace->mark_at(obs::SpanKind::kFsync, sync_done);
+        for (Ticket& t : batch) {
+          if (!t.trace) continue;
+          t.trace->mark_at(obs::SpanKind::kWalAppend, append_done);
+          t.trace->mark_at(obs::SpanKind::kFsync, sync_done);
         }
       } catch (...) {
         // The batch's fsync (or rotation) failed: nothing in this batch is
@@ -91,11 +89,11 @@ void GroupCommit::committer_loop() {
         // re-appending the staged frames. The batch's mutations are live
         // in the in-memory manager though — serving on would let a later
         // flush (or shutdown) silently commit NACKed state. Fail-stop:
-        // this thread exits, run() refuses new work, and the owner is
+        // this thread exits, submit() refuses new work, and the owner is
         // told to shut down so a restart can recover the true prefix.
         const std::exception_ptr err = std::current_exception();
-        for (Ticket* t : batch) {
-          if (!t->error) t->error = err;
+        for (Ticket& t : batch) {
+          if (!t.error) t.error = err;
         }
         sync_failed = true;
       }
@@ -103,9 +101,8 @@ void GroupCommit::committer_loop() {
     std::string repl_label;
     if (!sync_failed && post_sync_) {
       // Replication gate, outside the state lock (the sender's shipping
-      // threads take it shared to read the WAL) and before any ticket is
-      // marked done — submitters never see their ack until live followers
-      // hold the batch.
+      // threads take it shared to read the WAL) and before any completion
+      // runs — no ticket is acked until live followers hold the batch.
       try {
         repl_label = post_sync_();
       } catch (...) {
@@ -116,46 +113,45 @@ void GroupCommit::committer_loop() {
         // failure. The un-acked suffix is discarded when this node
         // re-seeds from the new primary (DESIGN.md Sect. 14).
         const std::exception_ptr err = std::current_exception();
-        for (Ticket* t : batch) {
-          if (!t->error) t->error = err;
+        for (Ticket& t : batch) {
+          if (!t.error) t.error = err;
         }
         sync_failed = true;
       }
     }
     if (!sync_failed) {
       const std::uint64_t acked = obs::TraceContext::now_ns();
-      for (Ticket* t : batch) {
-        if (t->trace)
-          t->trace->mark_at(obs::SpanKind::kReplAck, acked, repl_label);
+      for (Ticket& t : batch) {
+        if (t.trace) {
+          t.trace->mark_at(obs::SpanKind::kReplAck, acked, repl_label);
+        }
       }
       batches_.fetch_add(1, std::memory_order_relaxed);
       committed_.fetch_add(batch.size(), std::memory_order_relaxed);
       batches_total_.inc();
       mutations_total_.inc(batch.size());
     } else {
-      // Before any submitter wakes to its NACK: by the time a client sees
-      // the error, the shutdown is already underway.
+      // Before any completion runs: by the time a client sees the error,
+      // the shutdown is already underway.
       failures_total_.inc();
       if (on_fatal_) on_fatal_();
-    }
-    {
+      // Anything enqueued while the failed batch ran is failed too; from
+      // here on submit() rejects at the door.
       std::lock_guard lk(mu_);
-      for (Ticket* t : batch) t->done = true;
-      depth_.fetch_sub(batch.size(), std::memory_order_relaxed);
-      if (sync_failed) {
-        // Anything enqueued while the failed batch ran gets failed too —
-        // after fatal_ is set, run() rejects at the door.
-        fatal_ = true;
-        for (Ticket* t : queue_) {
-          t->error = std::make_exception_ptr(
-              ContractError("group commit: store failed (fail-stop)"));
-          t->done = true;
-        }
-        depth_.fetch_sub(queue_.size(), std::memory_order_relaxed);
-        queue_.clear();
+      fatal_ = true;
+      for (Ticket& t : queue_) {
+        t.error = std::make_exception_ptr(
+            ContractError("group commit: store failed (fail-stop)"));
+        batch.push_back(std::move(t));
       }
+      queue_.clear();
     }
-    done_cv_.notify_all();
+    // Completions run outside every lock, in submission order; a ticket
+    // leaves the depth count as its completion starts.
+    for (Ticket& t : batch) {
+      depth_.fetch_sub(1, std::memory_order_relaxed);
+      t.done(t.error);
+    }
     if (sync_failed) return;
   }
 }

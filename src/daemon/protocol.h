@@ -24,6 +24,7 @@
 // one-out ordering and never overlap tagged ones.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -86,6 +87,16 @@ struct Response {
 /// leading `@<id>` echo; nullopt when the line fits neither grammar
 /// production.
 std::optional<Response> parse_response(std::string_view line);
+
+/// A request's answer, as the request handler gives it to the front end.
+struct HandlerResult {
+  std::string response;   // one response line, no trailing newline
+  bool shutdown = false;  // a `shutdown` request was acknowledged
+};
+/// Delivers a request's answer. Called exactly once, from any thread: a
+/// read is answered on the thread that handles it, a mutation on its
+/// shard's committer once the mutation is durable.
+using Reply = std::function<void(HandlerResult)>;
 
 /// Incremental LF framing for a non-blocking byte stream (the reactor's
 /// per-connection read path, DESIGN.md Sect. 15). Bytes go in as they

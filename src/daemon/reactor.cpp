@@ -187,6 +187,11 @@ struct Reactor::Impl {
   bool jobs_stop = false;
   std::mutex comp_mu;
   std::vector<Completion> completions;
+  /// Requests handed to the pool and not yet answered, connections that
+  /// closed meanwhile included. Reactor thread only.
+  std::size_t outstanding = 0;
+  /// Repliers between queuing their completion and writing the pipe.
+  std::atomic<int> kicks{0};
 
   // Stats, readable from other threads (tests poll while run() serves).
   std::atomic<std::uint64_t> accepted{0};
@@ -325,6 +330,7 @@ struct Reactor::Impl {
   // ---- request dispatch ----
 
   void submit(std::uint64_t conn_id, std::string line, bool untagged) {
+    ++outstanding;
     {
       std::lock_guard lk(jobs_mu);
       jobs.push_back(Job{conn_id, std::move(line), untagged});
@@ -698,6 +704,7 @@ struct Reactor::Impl {
       done.swap(completions);
     }
     const auto now = Clock::now();
+    outstanding -= done.size();
     for (Completion& comp : done) {
       bool alive = true;
       if (Conn* c = find(comp.conn_id)) {
@@ -792,10 +799,12 @@ struct Reactor::Impl {
       // those frames out BEFORE deciding whether anything is unflushed,
       // so in-flight broadcasts reach every subscriber's last flush.
       on_feed_ready();
-      bool executing = false;
+      // A mutation's reply comes from its shard's committer, also for a
+      // connection that is gone: wait for every one, not just the live
+      // connections', so no Reply outlives the completion pipe.
+      const bool executing = outstanding > 0;
       bool unflushed = false;
       for (const auto& [id, c] : conns) {
-        if (c->in_flight > 0 || c->untagged_running) executing = true;
         if (c->wq_size() > 0) unflushed = true;
       }
       if (!executing && !unflushed) break;
@@ -847,16 +856,34 @@ struct Reactor::Impl {
         job = std::move(jobs.front());
         jobs.pop_front();
       }
-      Result res = handler(job.line);
-      res.response += '\n';
-      {
-        std::lock_guard lk(comp_mu);
-        completions.push_back(Completion{job.conn_id, std::move(res.response),
-                                         job.untagged, res.shutdown});
-      }
-      // Nonblocking kick; a full pipe already means a wakeup is pending.
+      handler(job.line, [this, conn_id = job.conn_id,
+                         untagged = job.untagged](Result res) {
+        complete(conn_id, untagged, std::move(res));
+      });
+    }
+  }
+
+  /// A Reply, on whichever thread answers: queue the completion and kick
+  /// the reactor. Only the push onto an empty list writes the pipe — the
+  /// reactor drains the pipe before it swaps the list, so a later push
+  /// finds the list empty again. The write happens after comp_mu is
+  /// released (the woken reactor takes it at once); `kicks` counts the
+  /// writes still to come, so run() closes the pipe only after them.
+  void complete(std::uint64_t conn_id, bool untagged, Result res) {
+    res.response += '\n';
+    bool kick = false;
+    {
+      std::lock_guard lk(comp_mu);
+      kick = completions.empty();
+      completions.push_back(Completion{conn_id, std::move(res.response),
+                                       untagged, res.shutdown});
+      if (kick) kicks.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (kick) {
+      // Nonblocking; a full pipe already means a wakeup is pending.
       const char b = 1;
       [[maybe_unused]] const ssize_t n = ::write(comp_pipe[1], &b, 1);
+      kicks.fetch_sub(1, std::memory_order_release);
     }
   }
 
@@ -942,6 +969,11 @@ struct Reactor::Impl {
     }
 
     drain();
+    // drain() took every completion under comp_mu, so every replier that
+    // still has to write the pipe is counted in `kicks` by now.
+    while (kicks.load(std::memory_order_acquire) > 0) {
+      std::this_thread::yield();
+    }
 
     ::close(comp_pipe[0]);
     ::close(comp_pipe[1]);

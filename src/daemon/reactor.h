@@ -4,8 +4,10 @@
 // connection incremental line framing (LineFramer), and per-connection
 // bounded write queues flushed on EPOLLOUT. Request execution happens on
 // a small fixed worker pool — the reactor thread never blocks on a
-// handler (mutations park inside group commit until their fsync), and no
-// per-connection or per-request thread is ever spawned. This replaces
+// handler, and no per-connection or per-request thread is ever spawned.
+// A handler answers through a Reply that may run on any thread: reads
+// reply from the worker, mutations from their shard's committer once
+// durable, so no worker waits for an fsync. This replaces
 // the thread-per-connection serve path, whose ~2 threads + 2 stacks per
 // idle client put a low ceiling on concurrent connections.
 //
@@ -82,13 +84,14 @@ struct ReactorOptions {
 
 class Reactor {
  public:
-  struct Result {
-    std::string response;   // one response line, no trailing newline
-    bool shutdown = false;  // a `shutdown` request was acknowledged
-  };
-  /// Executes one request line; called from worker threads, must be
-  /// thread-safe (RequestHandler::handle is).
-  using Handler = std::function<Result(const std::string&)>;
+  using Result = HandlerResult;
+  using Reply = daemon::Reply;
+  /// Starts one request line; called from worker threads, must be
+  /// thread-safe (RequestHandler::handle is). The answer goes to the
+  /// Reply, exactly once, from whichever thread has it — the worker may
+  /// return first. Its completion is queued to the reactor thread through
+  /// the completion pipe.
+  using Handler = std::function<void(const std::string&, Reply)>;
 
   /// Counters/levels for tests and gauges; snapshot via stats().
   struct Stats {
@@ -119,8 +122,9 @@ class Reactor {
 
   /// Serves until wake_fd becomes readable, then drains: accepting
   /// stops, undispatched input is dropped, every request already handed
-  /// to the pool completes and has its response flushed (bounded by a
-  /// drain deadline), the pool joins. Client fds are closed; the listen
+  /// to the pool is answered (also on connections that closed meanwhile)
+  /// and has its response flushed (bounded by a drain deadline), the pool
+  /// joins. Client fds are closed; the listen
   /// fds and wake_fd stay open (the owner closes them).
   void run();
 

@@ -39,7 +39,14 @@ ShardRouter::ShardRouter(std::vector<StateStore> stores,
     shards_.push_back(std::make_unique<Shard>(std::move(s)));
   }
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->rng = make_rng(i);
+    Shard& sh = *shards_[i];
+    sh.rng = make_rng(i);
+    sh.note_state();
+    const std::string k = std::to_string(i);
+    sh.add_users = &obs::counter("dfkyd_shard_mutations_total",
+                                 {{"shard", k}, {"verb", "add-user"}});
+    sh.revokes = &obs::counter("dfkyd_shard_mutations_total",
+                               {{"shard", k}, {"verb", "revoke"}});
   }
   // The node's failover term is the max across shard TERM files: a crash
   // between adopt_term's per-shard writes leaves some shards behind, and
@@ -134,9 +141,9 @@ void ShardRouter::note_term(Shard& sh, std::uint64_t term, const char* verb) {
   if (term > ours) adopt_term(term);
 }
 
-void ShardRouter::stamp_trace(Shard& sh) {
-  if (const obs::TraceContext* t = obs::current_trace()) {
-    sh.last_trace_id.store(t->id, std::memory_order_relaxed);
+void ShardRouter::stamp_trace(Shard& sh, const obs::TraceContext* trace) {
+  if (trace != nullptr) {
+    sh.last_trace_id.store(trace->id, std::memory_order_relaxed);
   }
 }
 
@@ -253,80 +260,106 @@ void ShardRouter::fail_stop() {
   }
 }
 
-ShardRouter::AddedUser ShardRouter::add_user() {
+void ShardRouter::add_user(Then<AddedUser> done) {
   ensure_primary("add-user");
   const std::size_t k = static_cast<std::size_t>(
       next_add_.fetch_add(1, std::memory_order_relaxed) % shards_.size());
   Shard& sh = *shards_[k];
-  AddedUser out;
-  out.shard = k;
   // Routing is done; the queue wait starts at submission.
   obs::trace_mark(obs::SpanKind::kRoute);
-  stamp_trace(sh);
+  stamp_trace(sh, obs::current_trace());
   const std::shared_ptr<GroupCommit> commits = sh.commits.load();
   if (!commits) {  // demoted since the entry check
     ensure_primary("add-user");
     throw ContractError("add-user: shard committer is gone (demoting)");
   }
-  commits->run([&] {
-    std::lock_guard rng_lk(sh.rng_mu);
-    const SecurityManager::AddedUser added = sh.store.add_user(*sh.rng);
-    out.global_id = global_of(added.id, k);
-    out.key_file = encode_key_file(sh.store.manager().params(),
-                                   sh.store.manager().verification_key(),
-                                   added.key);
-  });
-  obs::counter("dfkyd_shard_mutations_total",
-               {{"shard", std::to_string(k)}, {"verb", "add-user"}})
-      .inc();
-  return out;
+  // Filled by the op, read by the completion; both run on the committer.
+  auto out = std::make_shared<AddedUser>();
+  out->shard = k;
+  commits->submit(
+      [this, &sh, k, out] {
+        std::lock_guard rng_lk(sh.rng_mu);
+        const SecurityManager::AddedUser added = sh.store.add_user(*sh.rng);
+        out->global_id = global_of(added.id, k);
+        out->key_file = encode_key_file(sh.store.manager().params(),
+                                        sh.store.manager().verification_key(),
+                                        added.key);
+      },
+      [&sh, out, done = std::move(done)](std::exception_ptr err) {
+        if (err) return done({}, err);
+        sh.add_users->inc();
+        done(std::move(*out), nullptr);
+      });
 }
 
-ShardRouter::RevokeResult ShardRouter::revoke(
-    std::span<const std::uint64_t> global_ids) {
+void ShardRouter::revoke(std::span<const std::uint64_t> global_ids,
+                         Then<RevokeResult> done) {
   ensure_primary("revoke");
+  auto chain = std::make_shared<RevokeChain>();
   // Partition by shard, preserving the caller's order within a shard.
-  std::vector<std::vector<std::uint64_t>> by_shard(shards_.size());
+  chain->by_shard.resize(shards_.size());
   for (const std::uint64_t id : global_ids) {
-    by_shard[shard_of(id)].push_back(local_of(id));
+    chain->by_shard[shard_of(id)].push_back(local_of(id));
   }
-  RevokeResult out;
+  chain->trace = obs::current_trace();
+  chain->done = std::move(done);
   obs::trace_mark(obs::SpanKind::kRoute);
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    if (by_shard[k].empty()) continue;
-    Shard& sh = *shards_[k];
-    stamp_trace(sh);
-    const std::shared_ptr<GroupCommit> commits = sh.commits.load();
-    if (!commits) {  // demoted since the entry check
-      ensure_primary("revoke");
-      throw ContractError("revoke: shard committer is gone (demoting)");
+  revoke_next(chain);
+}
+
+void ShardRouter::revoke_next(const std::shared_ptr<RevokeChain>& chain) {
+  while (chain->next < shards_.size() &&
+         chain->by_shard[chain->next].empty()) {
+    ++chain->next;
+  }
+  if (chain->next == shards_.size()) {
+    // Every shard committed its part. The answer's period and saturation
+    // come from each shard's last committed state, so this takes no
+    // shard's lock (a committer would otherwise wait on another's batch).
+    RevokeResult& out = chain->out;
+    for (const auto& sh : shards_) {
+      out.period =
+          std::max(out.period, sh->period.load(std::memory_order_relaxed));
+      out.saturation_level +=
+          sh->saturation_level.load(std::memory_order_relaxed);
+      out.saturation_limit +=
+          sh->saturation_limit.load(std::memory_order_relaxed);
     }
-    commits->run([&] {
-      std::lock_guard rng_lk(sh.rng_mu);
-      const std::vector<SignedResetBundle> bundles = sh.store.remove_users(
-          by_shard[k], *sh.rng, sh.cached_encryptor().get());
-      const Group& group = sh.store.manager().params().group;
-      for (const SignedResetBundle& b : bundles) {
-        out.bundles.push_back(serialize_bundle(b, group));
-      }
-      if (!bundles.empty()) {
-        out.rolled.emplace_back(k, bundles.back().reset.new_period);
-      }
-    });
-    obs::counter("dfkyd_shard_mutations_total",
-                 {{"shard", std::to_string(k)}, {"verb", "revoke"}})
-        .inc();
+    chain->done(std::move(out), nullptr);
+    return;
   }
-  // One pass for every field of the answer: each shared lock queues
-  // behind the other shards' pending batches.
-  for (auto& sh : shards_) {
-    std::shared_lock lk(sh->state_mu);
-    const SecurityManager& mgr = sh->store.manager();
-    out.period = std::max(out.period, mgr.period());
-    out.saturation_level += mgr.saturation_level();
-    out.saturation_limit += mgr.saturation_limit();
+  const std::size_t k = chain->next++;
+  Shard& sh = *shards_[k];
+  stamp_trace(sh, chain->trace);
+  const std::shared_ptr<GroupCommit> commits = sh.commits.load();
+  if (!commits) {  // demoted since the entry check
+    ensure_primary("revoke");
+    throw ContractError("revoke: shard committer is gone (demoting)");
   }
-  return out;
+  commits->submit(
+      [&sh, k, chain] {
+        std::lock_guard rng_lk(sh.rng_mu);
+        const std::vector<SignedResetBundle> bundles = sh.store.remove_users(
+            chain->by_shard[k], *sh.rng, sh.cached_encryptor().get());
+        sh.note_state();
+        const Group& group = sh.store.manager().params().group;
+        for (const SignedResetBundle& b : bundles) {
+          chain->out.bundles.push_back(serialize_bundle(b, group));
+        }
+        if (!bundles.empty()) {
+          chain->out.rolled.emplace_back(k, bundles.back().reset.new_period);
+        }
+      },
+      [this, &sh, chain](std::exception_ptr err) {
+        if (err) return chain->done({}, err);
+        sh.revokes->inc();
+        try {
+          revoke_next(chain);
+        } catch (...) {
+          chain->done({}, std::current_exception());
+        }
+      },
+      chain->trace);
 }
 
 ShardRouter::NewPeriodResult ShardRouter::new_period_all() {
@@ -374,7 +407,7 @@ ShardRouter::NewPeriodResult ShardRouter::new_period_all() {
     // The stores are in batching mode (the committers own them), so this
     // touches no file: a crash here loses everything uniformly.
     for (auto& sh : shards_) {
-      stamp_trace(*sh);
+      stamp_trace(*sh, obs::current_trace());
       std::lock_guard rng_lk(sh->rng_mu);
       const Group& group = sh->store.manager().params().group;
       while (sh->store.manager().period() < target) {
@@ -382,6 +415,7 @@ ShardRouter::NewPeriodResult ShardRouter::new_period_all() {
             sh->store.new_period(*sh->rng, sh->cached_encryptor().get()),
             group));
       }
+      sh->note_state();
       out.saturation_level += sh->store.manager().saturation_level();
       out.saturation_limit += sh->store.manager().saturation_limit();
     }
@@ -439,6 +473,7 @@ std::uint64_t ShardRouter::replica_append(std::size_t shard, std::uint64_t gen,
   stamp_primary_contact();
   const std::uint64_t seq =
       sh.store.replica_apply_frames(gen, start_record, frames);
+  sh.note_state();
   // The current-term primary is feeding us again: whatever fencing put us
   // here has been repaired (the forked suffix is gone, or never existed).
   fenced_.store(false);
@@ -462,6 +497,7 @@ void ShardRouter::replica_snapshot(std::size_t shard, std::uint64_t gen,
   note_term(sh, term, "repl-snap");
   stamp_primary_contact();
   sh.store.replica_apply_snapshot(gen, frame);
+  sh.note_state();
   fenced_.store(false);
   obs::counter("dfkyd_shard_mutations_total",
                {{"shard", std::to_string(shard)}, {"verb", "repl-snap"}})
@@ -486,6 +522,7 @@ std::uint64_t ShardRouter::replica_truncate(std::size_t shard,
   stamp_primary_contact();
   const std::uint64_t seq =
       sh.store.replica_truncate(gen, records, expected_tag_hex);
+  sh.note_state();
   obs::counter("dfkyd_shard_mutations_total",
                {{"shard", std::to_string(shard)}, {"verb", "repl-truncate"}})
       .inc();
@@ -557,6 +594,7 @@ ShardRouter::PromoteResult ShardRouter::promote(
       sh->store.new_period(*sh->rng, sh->cached_encryptor().get());
       ++rolled;
     }
+    sh->note_state();
   }
   start_committers();
   fenced_.store(false);
@@ -633,6 +671,15 @@ ShardRouter::Status ShardRouter::status() const {
     }
   }
   return st;
+}
+
+std::vector<std::uint64_t> ShardRouter::periods() const {
+  std::vector<std::uint64_t> out;
+  out.reserve(shards_.size());
+  for (const auto& sh : shards_) {
+    out.push_back(sh->period.load(std::memory_order_relaxed));
+  }
+  return out;
 }
 
 ShardRouter::HealthReport ShardRouter::health() const {

@@ -26,6 +26,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -37,6 +38,8 @@
 #include "core/scheme.h"
 #include "daemon/group_commit.h"
 #include "daemon/state_mutex.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "store/store.h"
 
 namespace dfky::daemon {
@@ -89,14 +92,24 @@ class ShardRouter {
     return local_id * shards_.size() + shard;
   }
 
-  // -- mutations (durable before they return, per the shard's committer) --------
+  // -- mutations (answered once durable, by the shard's committer) ------------
+
+  /// A mutation's answer: called once with the result, or with the error
+  /// that NACKed it (the result is then empty). It runs on the committer
+  /// thread that acked the mutation, after its fsync and the replication
+  /// gate, and must not throw or block. A mutation refused before it is
+  /// queued (a follower, a fenced node, a stopped committer) throws from
+  /// the call instead and never calls it.
+  template <class T>
+  using Then = std::function<void(T result, std::exception_ptr error)>;
 
   struct AddedUser {
     std::uint64_t global_id = 0;
     std::size_t shard = 0;
     Bytes key_file;  // ready-to-write key file (group + vk + user key)
   };
-  AddedUser add_user();
+  /// Places the user round-robin and queues it on that shard's committer.
+  void add_user(Then<AddedUser> done);
 
   struct RevokeResult {
     std::uint64_t period = 0;  // max period across the whole set afterwards
@@ -105,11 +118,14 @@ class ShardRouter {
     /// (shard, new period) of every shard this revoke rolled.
     std::vector<std::pair<std::size_t, std::uint64_t>> rolled;
   };
-  /// Partitions `global_ids` by shard and revokes per shard. Ids are
-  /// validated against their shard by the manager; an unknown id fails
-  /// that shard's sub-batch (earlier shards' revocations stand — the
+  /// Partitions `global_ids` by shard and revokes per shard, in shard
+  /// order: each shard's sub-batch is queued by the completion of the one
+  /// before, and `done` runs from the last. Ids are validated against
+  /// their shard by the manager; an unknown id fails that shard's
+  /// sub-batch and ends the chain (earlier shards' revocations stand — the
   /// operation is atomic per shard, not across shards).
-  RevokeResult revoke(std::span<const std::uint64_t> global_ids);
+  void revoke(std::span<const std::uint64_t> global_ids,
+              Then<RevokeResult> done);
 
   struct NewPeriodResult {
     std::uint64_t period = 0;    // the new common epoch
@@ -133,6 +149,9 @@ class ShardRouter {
     std::uint64_t commit_batches = 0, committed = 0;  // summed
   };
   Status status() const;
+  /// Each shard's period as its last mutation left it, read without any
+  /// state lock (a roll in progress shows the period before it).
+  std::vector<std::uint64_t> periods() const;
 
   /// Raw material for the `health` verb (DESIGN.md Sect. 13.4): role and
   /// fail-stop state, per-shard poisoned/epoch/queue-depth, and — with a
@@ -325,6 +344,23 @@ class ShardRouter {
     /// follower.
     std::atomic<std::shared_ptr<GroupCommit>> commits;
     std::atomic<std::uint64_t> last_trace_id{0};  // repl trace propagation
+    /// The manager's period and saturation as the last mutation left them,
+    /// stored by note_state() under the exclusive state lock. Mutation
+    /// answers and the feed gate read these, so neither waits on another
+    /// shard's state lock.
+    std::atomic<std::uint64_t> period{0};
+    std::atomic<std::size_t> saturation_level{0}, saturation_limit{0};
+    obs::Counter* add_users = nullptr;  // dfkyd_shard_mutations_total
+    obs::Counter* revokes = nullptr;    // of this shard, by verb
+
+    void note_state() {
+      const SecurityManager& mgr = store.manager();
+      period.store(mgr.period(), std::memory_order_relaxed);
+      saturation_level.store(mgr.saturation_level(),
+                             std::memory_order_relaxed);
+      saturation_limit.store(mgr.saturation_limit(),
+                             std::memory_order_relaxed);
+    }
     /// The Encryptor for the public key the last encrypt saw. Encrypt
     /// swaps in one for a new key (tables carried over, none built); the
     /// builder swaps in the complete one only over the Encryptor it
@@ -349,11 +385,23 @@ class ShardRouter {
     }
   };
 
+  /// One revoke's way through its shards (see revoke()).
+  struct RevokeChain {
+    std::vector<std::vector<std::uint64_t>> by_shard;  // local ids
+    std::size_t next = 0;  // the first shard not yet queued
+    RevokeResult out;
+    obs::TraceContext* trace = nullptr;
+    Then<RevokeResult> done;
+  };
+  /// Queues the chain's next non-empty shard, or answers when none is
+  /// left. Throws when that shard's committer refuses the submit.
+  void revoke_next(const std::shared_ptr<RevokeChain>& chain);
+
   void fail_stop();  // sets fatal_, invokes on_fatal_ once
   void start_committers();
   void ensure_primary(const char* verb) const;
   void note_term(Shard& sh, std::uint64_t term, const char* verb);
-  void stamp_trace(Shard& sh);
+  void stamp_trace(Shard& sh, const obs::TraceContext* trace);
   /// Queues `shard` for the table builder (once until it is picked up).
   void queue_tables(std::size_t shard);
   /// The builder thread. Its first job is the g/g' table pair for `sp`

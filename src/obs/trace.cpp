@@ -96,35 +96,42 @@ void trace_adopt_id(std::uint64_t id) {
   if (t_current != nullptr) t_current->id = id;
 }
 
-ScopedTrace::ScopedTrace() {
-  if (!g_tracing.load(std::memory_order_relaxed)) return;
-  ctx_.id = g_next_id.fetch_add(1, std::memory_order_relaxed);
-  ctx_.start_ns = TraceContext::now_ns();
-  ctx_.cursor_ns = ctx_.start_ns;
-  ctx_.spans.reserve(8);
-  prev_ = t_current;
-  t_current = &ctx_;
-  active_ = true;
+RequestTrace RequestTrace::start() {
+  RequestTrace t;
+  if (!g_tracing.load(std::memory_order_relaxed)) return t;
+  t.ctx_ = std::make_unique<TraceContext>();
+  t.ctx_->id = g_next_id.fetch_add(1, std::memory_order_relaxed);
+  t.ctx_->start_ns = TraceContext::now_ns();
+  t.ctx_->cursor_ns = t.ctx_->start_ns;
+  t.ctx_->spans.reserve(8);
+  return t;
 }
 
-ScopedTrace::~ScopedTrace() {
-  if (!active_) return;
-  t_current = prev_;
-  ctx_.mark(SpanKind::kRespond);
-  ctx_.total_ns = ctx_.cursor_ns - ctx_.start_ns;
+void RequestTrace::set_verb(std::string_view verb) {
+  if (ctx_) ctx_->verb.assign(verb);
+}
+
+void RequestTrace::set_outcome(bool ok) {
+  if (ctx_) ctx_->ok = ok;
+}
+
+void RequestTrace::finish() {
+  if (!ctx_) return;
+  const std::unique_ptr<TraceContext> ctx = std::move(ctx_);
+  ctx->mark(SpanKind::kRespond);
+  ctx->total_ns = ctx->cursor_ns - ctx->start_ns;
   // Per-verb end-to-end latency; the verb set is closed (verb_label), so
   // the label cardinality is bounded.
-  histogram("dfkyd_request_ns", {{"verb", ctx_.verb}}).observe(ctx_.total_ns);
-  trace_record(ctx_);
+  histogram("dfkyd_request_ns", {{"verb", ctx->verb}}).observe(ctx->total_ns);
+  trace_record(*ctx);
 }
 
-void ScopedTrace::set_verb(std::string_view verb) {
-  if (active_) ctx_.verb.assign(verb);
+ScopedTrace::ScopedTrace() : trace_(RequestTrace::start()) {
+  prev_ = t_current;
+  if (trace_.get() != nullptr) t_current = trace_.get();
 }
 
-void ScopedTrace::set_outcome(bool ok) {
-  if (active_) ctx_.ok = ok;
-}
+ScopedTrace::~ScopedTrace() { t_current = prev_; }
 
 void trace_mark(SpanKind k) {
   if (t_current != nullptr) t_current->mark(k);

@@ -10,12 +10,14 @@
 //     traced total — the property the span-sum acceptance test checks.
 //   * The active trace is a thread-local pointer installed by ScopedTrace
 //     (RAII over one request inside RequestHandler::handle). Code below
-//     the handler (ShardRouter, GroupCommit's committer thread) reaches it
-//     via current_trace(), or via the TraceContext* that rides each queued
-//     group-commit ticket; the committer stamps wal_append / fsync /
-//     repl_ack into blocked submitters' contexts. The submitter only reads
-//     its context after the ticket's done-flag hand-off (mutex + condvar),
-//     which gives the required happens-before edge.
+//     the handler (ShardRouter) reaches it via current_trace(). A mutation
+//     is answered on another thread: its TraceContext* rides the queued
+//     group-commit ticket, the committer stamps queue_wait / wal_append /
+//     fsync / repl_ack into it, and the ticket's completion — which owns
+//     the RequestTrace the worker released — closes `respond` and files
+//     the trace on the committer thread. The worker stops touching the
+//     context once the ticket is queued, and the queue's mutex gives the
+//     happens-before edge from its marks to the committer's.
 //   * Completed traces land in a lock-striped bounded ring (8 stripes x 64
 //     entries, striped by trace id, one mutex per stripe) and — when the
 //     total exceeds the slow threshold — in a slow-request log retaining
@@ -24,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -79,8 +82,8 @@ struct TraceSpan {
   std::string label;
 };
 
-/// The timeline of one request. Cheap to move; owned by ScopedTrace on
-/// the handling thread for the request's whole lifetime.
+/// The timeline of one request. Owned by its RequestTrace for the
+/// request's whole lifetime.
 struct TraceContext {
   std::uint64_t id = 0;
   std::string verb = "unknown";
@@ -105,11 +108,33 @@ struct TraceContext {
 /// always nullptr while tracing is runtime-disabled).
 TraceContext* current_trace();
 
-/// RAII over one request: allocates a trace id, starts the clock and
-/// installs the context as the thread's current trace. At scope exit it
-/// closes the final `respond` span, stamps the total and files the trace
-/// into the ring and (if slow enough) the slow-request log. Inactive —
-/// near-zero cost, current_trace() stays null — when set_tracing(false).
+/// One request's trace, from its first byte to its response. Movable, so
+/// a request answered on another thread takes its trace along. Inactive —
+/// null, near-zero cost — when set_tracing(false).
+class RequestTrace {
+ public:
+  RequestTrace() = default;  // inactive
+  /// Allocates a trace id and starts the clock.
+  static RequestTrace start();
+  RequestTrace(RequestTrace&&) noexcept = default;
+  RequestTrace& operator=(RequestTrace&&) = delete;
+  ~RequestTrace() { finish(); }
+
+  TraceContext* get() const { return ctx_.get(); }
+  void set_verb(std::string_view verb);
+  void set_outcome(bool ok);
+  /// Closes the final `respond` span, stamps the total, observes
+  /// dfkyd_request_ns{verb} and files the trace into the ring and (if slow
+  /// enough) the slow-request log. Later calls do nothing.
+  void finish();
+
+ private:
+  std::unique_ptr<TraceContext> ctx_;
+};
+
+/// RAII over one request on the thread that starts it: a RequestTrace,
+/// installed as the thread's current trace. At scope exit it is
+/// uninstalled and, unless release() handed it on, finished.
 class ScopedTrace {
  public:
   ScopedTrace();
@@ -117,14 +142,17 @@ class ScopedTrace {
   ScopedTrace(const ScopedTrace&) = delete;
   ScopedTrace& operator=(const ScopedTrace&) = delete;
 
-  bool active() const { return active_; }
-  void set_verb(std::string_view verb);
-  void set_outcome(bool ok);
+  bool active() const { return trace_.get() != nullptr; }
+  void set_verb(std::string_view verb) { trace_.set_verb(verb); }
+  void set_outcome(bool ok) { trace_.set_outcome(ok); }
+  /// Hands the trace to whoever answers the request. It stays this
+  /// thread's current trace until scope exit, so the layers below may
+  /// still mark it up to the point where they pass it to another thread.
+  RequestTrace release() { return std::move(trace_); }
 
  private:
-  TraceContext ctx_;
+  RequestTrace trace_;
   TraceContext* prev_ = nullptr;
-  bool active_ = false;
 };
 
 /// Convenience: close a span on the thread's current trace (no-op when

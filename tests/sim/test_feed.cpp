@@ -230,9 +230,9 @@ struct FeedHarness {
     const int wake_wr = wake[1];
     reactor.emplace(
         opts,
-        [&node](const std::string& line) {
+        [&node](const std::string& line, daemon::Reply reply) {
           const auto resp = node.request(line);
-          return daemon::Reactor::Result{resp.value_or("err node-dead"), false};
+          reply({resp.value_or("err node-dead"), false});
         },
         std::function<std::size_t()>{},
         [wake_wr] {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <chrono>
 #include <condition_variable>
 #include <future>
@@ -15,11 +16,19 @@
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
+#include "client/client.h"
 #include "core/content.h"
 #include "core/keyfile.h"
 #include "daemon/daemon.h"
 #include "daemon/group_commit.h"
 #include "daemon/protocol.h"
+#include "daemon/reactor.h"
+#include "daemon/repl.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rng/chacha_rng.h"
@@ -133,6 +142,50 @@ TEST(Protocol, ResponsesRoundTrip) {
 
 // ---- group commit -------------------------------------------------------------
 
+/// Submits `op` and waits for its completion, rethrowing a NACK.
+void commit(GroupCommit& commits, std::function<void()> op) {
+  const auto acked = std::make_shared<std::promise<void>>();
+  std::future<void> result = acked->get_future();
+  commits.submit(std::move(op), [acked](std::exception_ptr error) {
+    if (error) {
+      acked->set_exception(error);
+    } else {
+      acked->set_value();
+    }
+  });
+  result.get();
+}
+
+/// Runs one asynchronous ShardRouter mutation and waits for its answer.
+template <class T, class Call>
+T await(Call call) {
+  const auto answer = std::make_shared<std::promise<T>>();
+  std::future<T> result = answer->get_future();
+  call([answer](T r, std::exception_ptr error) {
+    if (error) {
+      answer->set_exception(error);
+    } else {
+      answer->set_value(std::move(r));
+    }
+  });
+  return result.get();
+}
+
+ShardRouter::AddedUser add_user(ShardRouter& router) {
+  return await<ShardRouter::AddedUser>(
+      [&](ShardRouter::Then<ShardRouter::AddedUser> done) {
+        router.add_user(std::move(done));
+      });
+}
+
+ShardRouter::RevokeResult revoke(ShardRouter& router,
+                                 std::span<const std::uint64_t> ids) {
+  return await<ShardRouter::RevokeResult>(
+      [&](ShardRouter::Then<ShardRouter::RevokeResult> done) {
+        router.revoke(ids, std::move(done));
+      });
+}
+
 struct DaemonStore {
   MemFileIo fs;
   std::optional<StateStore> store;
@@ -156,7 +209,7 @@ TEST(GroupCommit, ConcurrentMutationsAreAllDurableWhenAcked) {
     for (std::size_t t = 0; t < kThreads; ++t) {
       threads.emplace_back([&] {
         for (std::size_t i = 0; i < kPerThread; ++i) {
-          commits.run([&] {
+          commit(commits, [&] {
             std::lock_guard lk(rng_mu);
             d.store->add_user(rng);
           });
@@ -179,12 +232,12 @@ TEST(GroupCommit, OpErrorReachesOnlyItsSubmitter) {
   DaemonStore d;
   GroupCommit commits(*d.store, d.state_mu);
   ChaChaRng rng(2);
-  // A bad op (unknown user) must throw at its own run() call...
+  // A bad op (unknown user) must NACK its own ticket...
   const std::uint64_t bogus[] = {404};
-  EXPECT_THROW(commits.run([&] { d.store->remove_users(bogus, rng); }),
+  EXPECT_THROW(commit(commits, [&] { d.store->remove_users(bogus, rng); }),
                ContractError);
   // ...and leave the queue fully usable for the next, valid op.
-  commits.run([&] { d.store->add_user(rng); });
+  commit(commits, [&] { d.store->add_user(rng); });
   EXPECT_EQ(d.store->manager().users().size(), 1u);
 }
 
@@ -208,7 +261,7 @@ TEST(GroupCommit, SyncFailureNacksTheBatchAndFailsStop) {
     StateMutex mu;
     GroupCommit commits(store, mu);
     ChaChaRng rng(1);
-    commits.run([&] { store.add_user(rng); });
+    commit(commits, [&] { store.add_user(rng); });
     total_ops = io.fault_counters().mutating_ops;
   }
   ASSERT_GT(total_ops, 0u);
@@ -226,14 +279,15 @@ TEST(GroupCommit, SyncFailureNacksTheBatchAndFailsStop) {
     GroupCommit commits(store, mu, [&] { fatal_calls.fetch_add(1); });
     ChaChaRng rng(1);
     // The sync failure is rethrown at the submitter: a NACK.
-    EXPECT_THROW(commits.run([&] { store.add_user(rng); }), CrashPoint);
+    EXPECT_THROW(commit(commits, [&] { store.add_user(rng); }), CrashPoint);
     EXPECT_TRUE(commits.fatal());
     EXPECT_EQ(fatal_calls.load(), 1);
     EXPECT_TRUE(store.poisoned());
     EXPECT_EQ(commits.committed(), 0u);
     wal_after_failure = fs.read("store/wal.0");
     // The queue refuses further work instead of batching on a dead store.
-    EXPECT_THROW(commits.run([&] { store.add_user(rng); }), ContractError);
+    EXPECT_THROW(commit(commits, [&] { store.add_user(rng); }),
+                 ContractError);
   }
   // Destruction (the daemon's shutdown path) did not flush the NACKed
   // frames behind the clients' backs.
@@ -254,13 +308,167 @@ TEST(GroupCommit, EachQueueTimesItsBatchesUnderItsOwnLabels) {
   ChaChaRng rng(3);
   const std::uint64_t n0 = ns0.count(), n1 = ns1.count();
   const std::uint64_t b1 = batches1.value();
-  c0.run([&] { d0.store->add_user(rng); });
+  commit(c0, [&] { d0.store->add_user(rng); });
   EXPECT_EQ(ns0.count(), n0 + 1);
   EXPECT_EQ(ns1.count(), n1);
-  c1.run([&] { d1.store->add_user(rng); });
+  commit(c1, [&] { d1.store->add_user(rng); });
   EXPECT_EQ(ns1.count(), n1 + 1);
   EXPECT_EQ(ns0.count(), n0 + 1);
   EXPECT_EQ(batches1.value(), b1 + 1);
+}
+
+TEST(GroupCommit, PostSyncGateHoldsEveryCompletion) {
+  // Durable-before-ack: a ticket's completion runs only after its batch's
+  // sync AND the replication gate have returned. The first batch waits in
+  // the gate while seven more tickets queue; none is answered until the
+  // gate lets go, and then all are.
+  DaemonStore d;
+  constexpr std::size_t kTickets = 8;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool in_gate = false, open = false;  // guarded by mu
+  std::size_t answered = 0;            // guarded by mu
+  std::atomic<int> gate_returns{0};
+  std::vector<int> returns_seen(kTickets, -1);  // per ticket, under mu
+  ChaChaRng rng(5);
+  {
+    GroupCommit commits(*d.store, d.state_mu, {}, {}, [&] {
+      std::unique_lock lk(mu);
+      in_gate = true;
+      cv.notify_all();
+      cv.wait(lk, [&] { return open; });
+      gate_returns.fetch_add(1);
+      return std::string();
+    });
+    const auto submit = [&](std::size_t i) {
+      commits.submit([&] { d.store->add_user(rng); },
+                     [&, i](std::exception_ptr error) {
+                       EXPECT_FALSE(error);
+                       std::lock_guard lk(mu);
+                       returns_seen[i] = gate_returns.load();
+                       ++answered;
+                       cv.notify_all();
+                     });
+    };
+    submit(0);
+    {
+      std::unique_lock lk(mu);
+      ASSERT_TRUE(cv.wait_for(lk, std::chrono::seconds(10),
+                              [&] { return in_gate; }));
+    }
+    for (std::size_t i = 1; i < kTickets; ++i) submit(i);
+    EXPECT_EQ(commits.depth(), kTickets);  // one in the gate, seven queued
+    {
+      std::unique_lock lk(mu);
+      EXPECT_EQ(answered, 0u);
+      open = true;
+      cv.notify_all();
+      ASSERT_TRUE(cv.wait_for(lk, std::chrono::seconds(10),
+                              [&] { return answered == kTickets; }));
+    }
+    EXPECT_EQ(commits.batches(), 2u);
+    EXPECT_EQ(commits.depth(), 0u);
+  }
+  // Each completion saw its own batch's gate return: the first batch's
+  // after one, the queued batch's after two.
+  EXPECT_EQ(returns_seen[0], 1);
+  for (std::size_t i = 1; i < kTickets; ++i) EXPECT_EQ(returns_seen[i], 2);
+  MemFileIo cut = d.fs;
+  cut.crash();
+  EXPECT_EQ(StateStore::open(cut, "store").manager().users().size(),
+            kTickets);
+}
+
+TEST(GroupCommit, SyncFailureNacksEveryTicketExactlyOnce) {
+  // The batch's fsync fails while more tickets wait in the queue: the
+  // in-flight ticket gets the I/O error, every queued one the fail-stop,
+  // each exactly once, and the queue refuses what comes after.
+  const auto make_store = [](FileIo& io) {
+    ChaChaRng rng(31);
+    SecurityManager mgr(test::test_params(2, /*seed=*/31), rng);
+    return StateStore::create(io, "store", std::move(mgr), rng);
+  };
+  std::uint64_t total_ops = 0;  // the one-add batch's fsync is the last op
+  {
+    MemFileIo fs;
+    FaultyFileIo io(fs, FilePlan{});
+    StateStore store = make_store(io);
+    StateMutex mu;
+    GroupCommit commits(store, mu);
+    ChaChaRng rng(1);
+    commit(commits, [&] { store.add_user(rng); });
+    total_ops = io.fault_counters().mutating_ops;
+  }
+  MemFileIo fs;
+  FilePlan plan;
+  plan.seed = 77;
+  plan.crash_at = total_ops - 1;
+  FaultyFileIo io(fs, plan);
+  StateStore store = make_store(io);
+  StateMutex state_mu;
+  constexpr std::size_t kTickets = 6;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool running = false, go = false;  // guarded by mu
+  std::vector<int> calls(kTickets, 0);                       // under mu
+  std::vector<std::exception_ptr> errors(kTickets, nullptr);  // under mu
+  std::atomic<int> fatal_calls{0};
+  ChaChaRng rng(1);
+  {
+    GroupCommit commits(store, state_mu, [&] { fatal_calls.fetch_add(1); });
+    const auto done = [&](std::size_t i) {
+      return [&, i](std::exception_ptr error) {
+        std::lock_guard lk(mu);
+        ++calls[i];
+        errors[i] = error;
+        cv.notify_all();
+      };
+    };
+    // Ticket 0 holds the committer inside its op until the rest queued.
+    commits.submit(
+        [&] {
+          std::unique_lock lk(mu);
+          running = true;
+          cv.notify_all();
+          cv.wait(lk, [&] { return go; });
+          lk.unlock();
+          store.add_user(rng);
+        },
+        done(0));
+    {
+      std::unique_lock lk(mu);
+      ASSERT_TRUE(cv.wait_for(lk, std::chrono::seconds(10),
+                              [&] { return running; }));
+    }
+    for (std::size_t i = 1; i < kTickets; ++i) {
+      commits.submit([&] { store.add_user(rng); }, done(i));
+    }
+    EXPECT_EQ(commits.depth(), kTickets);
+    {
+      std::unique_lock lk(mu);
+      go = true;
+      cv.notify_all();
+      ASSERT_TRUE(cv.wait_for(lk, std::chrono::seconds(10), [&] {
+        return std::count(calls.begin(), calls.end(), 1) ==
+               static_cast<std::ptrdiff_t>(kTickets);
+      }));
+    }
+    EXPECT_TRUE(commits.fatal());
+    EXPECT_EQ(fatal_calls.load(), 1);
+    EXPECT_EQ(commits.committed(), 0u);
+    EXPECT_EQ(commits.depth(), 0u);
+    EXPECT_THROW(commits.submit([] {}, [](std::exception_ptr) {}),
+                 ContractError);
+  }
+  std::lock_guard lk(mu);
+  for (std::size_t i = 0; i < kTickets; ++i) {
+    EXPECT_EQ(calls[i], 1) << "ticket " << i;
+    ASSERT_TRUE(errors[i]) << "ticket " << i;
+  }
+  EXPECT_THROW(std::rethrow_exception(errors[0]), CrashPoint);
+  for (std::size_t i = 1; i < kTickets; ++i) {
+    EXPECT_THROW(std::rethrow_exception(errors[i]), ContractError);
+  }
 }
 
 TEST(GroupCommit, DestructorReturnsStoreToImmediateMode) {
@@ -533,6 +741,42 @@ TEST(ShardRouter, MutationAnswersCarryTheSetsSaturation) {
   EXPECT_EQ(f.ok("new-period").fields.at("saturation"), "0/4");
 }
 
+TEST(ShardRouter, RevokeAnswersWithoutAnotherShardsLock) {
+  // The feed gate's baseline and the revoke's answer read each shard's
+  // period and saturation as its last mutation left them, not under its
+  // state lock: with shard 1's lock held (as by a committer mid-batch), a
+  // revoke on shard 0 — one that rolls its period, too — still completes
+  // and answers what status reports once the lock is free.
+  HandlerFixture f(/*shards=*/2);
+  std::atomic<int> resets{0};
+  RequestHandler h(*f.router,
+                   RequestHandler::Hooks{
+                       .pre_demote = {},
+                       .post_demote = {},
+                       .post_promote = {},
+                       .watchdog_state = {},
+                       .publish = [&](std::string line, std::uint64_t) {
+                         if (line.starts_with("bcast new-period ")) ++resets;
+                       }});
+  for (int i = 0; i < 6; ++i) f.ok("add-user");  // ids 0,2,4 on shard 0
+  f.ok("revoke 1");
+  std::unique_lock held(f.router->state_mu(1));
+  auto revoke = std::async(std::launch::async,
+                           [&] { return h.handle("revoke 0 2 4").response; });
+  const bool answered =
+      revoke.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  held.unlock();
+  EXPECT_TRUE(answered) << "revoke waited on shard 1's state lock";
+  const auto r = parse_response(revoke.get());
+  ASSERT_TRUE(r && r->ok);
+  EXPECT_NE(r->fields.at("bundles"), "");  // saturated v = 2: shard 0 rolled
+  EXPECT_EQ(resets.load(), 1);
+  const Response st = f.ok("status");
+  EXPECT_EQ(st.fields.at("periods"), "1,0");
+  EXPECT_EQ(r->fields.at("period"), st.fields.at("period"));
+  EXPECT_EQ(r->fields.at("saturation"), st.fields.at("saturation"));
+}
+
 TEST(ShardRouter, NewPeriodIsACrossShardBarrier) {
   HandlerFixture f(/*shards=*/3);
   const Response r = f.ok("new-period");
@@ -593,7 +837,7 @@ TEST(ShardRouter, ConcurrentMutationsLandOnTheRightShardsDurably) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (std::size_t i = 0; i < kPerThread; ++i) {
-        const ShardRouter::AddedUser added = f.router->add_user();
+        const ShardRouter::AddedUser added = add_user(*f.router);
         std::lock_guard lk(ids_mu);
         ids.push_back(added.global_id);
       }
@@ -636,7 +880,7 @@ TEST(ShardRouter, MutationsAreNotStarvedByEncryptLoad) {
   const bool barrier_in_time =
       barrier.wait_for(kBudget) == std::future_status::ready;
   auto add = std::async(std::launch::async,
-                        [&] { return f.router->add_user().global_id; });
+                        [&] { return add_user(*f.router).global_id; });
   const bool add_in_time = add.wait_for(kBudget) == std::future_status::ready;
   stop = true;
   for (std::thread& t : load) t.join();
@@ -653,7 +897,7 @@ TEST(ShardRouter, ConcurrentEncryptsOpenAndNeverShareRandomness) {
   // open to its own payload, and no two may reuse an encryption exponent
   // r (a shared u = g^r would mean a shared stream).
   HandlerFixture f;
-  const KeyFileData key = decode_key_file(f.router->add_user().key_file);
+  const KeyFileData key = decode_key_file(add_user(*f.router).key_file);
   constexpr std::size_t kThreads = 4, kPerThread = 32;
   std::vector<std::vector<Bytes>> cts(kThreads);
   const auto payload_of = [](std::size_t t, std::size_t i) {
@@ -766,6 +1010,46 @@ TEST(RequestHandler, EncryptTraceSplitsLockWaitFromCrypto) {
   obs::trace_reset();
 }
 
+TEST(RequestHandler, AddUserTraceTilesAcrossTheCommitterThread) {
+  // An add-user is answered by its shard's committer, so its trace is
+  // finished there: the spans still run accept..respond in order, tile
+  // the total, and dfkyd_request_ns times the whole request.
+  obs::trace_reset();
+  HandlerFixture f;
+  obs::Histogram& request_ns =
+      obs::histogram("dfkyd_request_ns", {{"verb", "add-user"}});
+  const std::uint64_t n0 = request_ns.count(), sum0 = request_ns.sum();
+  std::promise<std::thread::id> replied_on;
+  f.handler->handle("add-user", [&](RequestHandler::Result r) {
+    EXPECT_TRUE(r.response.starts_with("ok ")) << r.response;
+    replied_on.set_value(std::this_thread::get_id());
+  });
+  EXPECT_NE(replied_on.get_future().get(), std::this_thread::get_id());
+  const std::vector<obs::TraceContext> traces = obs::recent_traces();
+  const auto t = std::find_if(
+      traces.begin(), traces.end(),
+      [](const obs::TraceContext& c) { return c.verb == "add-user"; });
+  ASSERT_NE(t, traces.end());
+  std::vector<obs::SpanKind> kinds;
+  for (const obs::TraceSpan& sp : t->spans) kinds.push_back(sp.kind);
+  const std::vector<obs::SpanKind> want = {
+      obs::SpanKind::kAccept,    obs::SpanKind::kParse,
+      obs::SpanKind::kRoute,     obs::SpanKind::kQueueWait,
+      obs::SpanKind::kWalAppend, obs::SpanKind::kFsync,
+      obs::SpanKind::kReplAck,   obs::SpanKind::kRespond};
+  EXPECT_EQ(kinds, want);
+  std::uint64_t cursor = t->start_ns;
+  for (const obs::TraceSpan& sp : t->spans) {
+    EXPECT_EQ(sp.start_ns, cursor);
+    EXPECT_GE(sp.end_ns, sp.start_ns);
+    cursor = sp.end_ns;
+  }
+  EXPECT_EQ(cursor - t->start_ns, t->total_ns);
+  EXPECT_EQ(request_ns.count(), n0 + 1);
+  EXPECT_EQ(request_ns.sum() - sum0, t->total_ns);
+  obs::trace_reset();
+}
+
 TEST(ShardRouter, EncryptTracksKeyChanges) {
   // Each encrypt seals under the key the shard holds now: right after a
   // revoke or a new period through an Encryptor that carried the
@@ -774,8 +1058,8 @@ TEST(ShardRouter, EncryptTracksKeyChanges) {
   constexpr std::size_t kV = 4;
   HandlerFixture f(/*shards=*/1, kV);
   ShardRouter& router = *f.router;
-  const ShardRouter::AddedUser active = router.add_user();
-  const ShardRouter::AddedUser revoked = router.add_user();
+  const ShardRouter::AddedUser active = add_user(router);
+  const ShardRouter::AddedUser revoked = add_user(router);
   const KeyFileData ka = decode_key_file(active.key_file);
   const KeyFileData kr = decode_key_file(revoked.key_file);
   const Group& group = ka.sp.group;
@@ -820,13 +1104,13 @@ TEST(ShardRouter, EncryptTracksKeyChanges) {
   check(kr, nullptr);  // not yet revoked
 
   const std::uint64_t revoked_id = revoked.global_id;
-  router.revoke(std::span(&revoked_id, 1));
+  revoke(router, std::span(&revoked_id, 1));
   check(ka, &kr);  // at once: every table but the revoked slot's carries
   EXPECT_GE(router.encryptor(0)->tables(), kV + 2);
   until_complete(ka, &kr);
 
   router.new_period_all();
-  const KeyFileData kn = decode_key_file(router.add_user().key_file);
+  const KeyFileData kn = decode_key_file(add_user(router).key_file);
   check(kn, &kr);  // at once: only the g and g' tables carry over
   EXPECT_GE(router.encryptor(0)->tables(), 2u);
   until_complete(kn, &kr);
@@ -943,7 +1227,7 @@ TEST(ShardRouter, GeneratorPairHoldsUpNeitherARequestNorShutdown) {
       return std::make_unique<ChaChaRng>(300 + round + k);
     });
     const std::uint64_t id = 0;
-    router->revoke(std::span(&id, 1));
+    revoke(*router, std::span(&id, 1));
     revokes.push_back(Clock::now() - t0);
     EXPECT_EQ(router->status().revoked, 1u);
     const Clock::time_point t1 = Clock::now();
@@ -1182,6 +1466,129 @@ TEST(Replication, PromoteEqualizesMixedEpochs) {
   f.ok(*f.fh, "promote");
   EXPECT_EQ(f.ok(*f.fh, "status").fields.at("periods"), "1,1");
   f.ok(*f.fh, "add-user");  // and it serves
+}
+
+
+// ---- acks from the committer: the worker pool does not bound a batch -------
+
+/// Holds a replication shipment while armed: the primary's committer then
+/// waits in its post_sync gate for the follower's ack.
+struct ShipmentHold {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool armed = true;     // guarded by mu
+  bool holding = false;  // guarded by mu
+};
+
+/// A replication link straight into a follower's RequestHandler.
+class HeldLink : public ReplLink {
+ public:
+  HeldLink(RequestHandler& follower, ShipmentHold& hold)
+      : follower_(follower), hold_(hold) {}
+  std::optional<std::string> roundtrip(const std::string& line) override {
+    if (line.starts_with("repl-append ")) {
+      std::unique_lock lk(hold_.mu);
+      if (hold_.armed) {
+        hold_.holding = true;
+        hold_.cv.notify_all();
+        hold_.cv.wait(lk, [&] { return !hold_.armed; });
+      }
+    }
+    return follower_.handle(line).response;
+  }
+
+ private:
+  RequestHandler& follower_;
+  ShipmentHold& hold_;
+};
+
+TEST(GroupCommit, OneReactorWorkerStillFillsTheNextBatch) {
+  // A worker hands a mutation to its shard and is free again, so the
+  // mutations in flight are bounded by the clients, not by the pool. One
+  // worker serves 16 pipelined add-users; the first batch waits in the
+  // replication gate until the other 15 are queued, and those 15 then
+  // commit as one batch.
+  ReplFixture f(/*shards=*/1);
+  ShipmentHold hold;
+  const auto sender = std::make_shared<ReplicationSender>(
+      *f.prim,
+      std::vector<FollowerSpec>{FollowerSpec{"f1", [&] {
+        return std::make_unique<HeldLink>(*f.fh, hold);
+      }}});
+  f.prim->attach_replication(sender);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!sender->status()[0].live) {  // until the follower gates acks
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  char tmpl[] = "/tmp/dfky_daemon_test_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl, sock = dir + "/d.sock";
+  const int lfd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, sock.c_str(), sizeof addr.sun_path - 1);
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(::listen(lfd, 16), 0);
+  int wake[2];
+  ASSERT_EQ(::pipe2(wake, O_CLOEXEC), 0);
+  ReactorOptions opts;
+  opts.listen_fd = lfd;
+  opts.wake_fd = wake[0];
+  opts.workers = 1;
+  Reactor reactor(opts, [&](const std::string& line, Reply reply) {
+    f.ph->handle(line, std::move(reply));
+  });
+  std::thread serving([&] { reactor.run(); });
+
+  constexpr std::size_t kAdds = 16;
+  client::Conn c(sock);
+  c.send("@0 add-user");
+  {
+    std::unique_lock lk(hold.mu);
+    ASSERT_TRUE(hold.cv.wait_for(lk, std::chrono::seconds(10),
+                                 [&] { return hold.holding; }));
+  }
+  std::string burst;
+  for (std::size_t i = 1; i < kAdds; ++i) {
+    if (i > 1) burst += '\n';
+    burst += "@" + std::to_string(i) + " add-user";
+  }
+  c.send(burst);
+  while (f.prim->queue_depth_total() < kAdds) {  // all 16 at the committer
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  {
+    std::lock_guard lk(hold.mu);
+    hold.armed = false;
+  }
+  hold.cv.notify_all();
+  std::set<std::uint64_t> answered;
+  for (std::size_t i = 0; i < kAdds; ++i) {
+    const std::optional<std::string> line = c.recv(10000);
+    ASSERT_TRUE(line);
+    const auto r = parse_response(*line);
+    ASSERT_TRUE(r && r->ok && r->id) << *line;
+    answered.insert(*r->id);
+  }
+  EXPECT_EQ(answered.size(), kAdds);
+  const Response st = f.ok(*f.ph, "status");
+  EXPECT_EQ(st.fields.at("committed"), std::to_string(kAdds));
+  EXPECT_EQ(st.fields.at("commit_batches"), "2");
+
+  const char b = 1;
+  ASSERT_EQ(::write(wake[1], &b, 1), 1);
+  serving.join();
+  f.prim->attach_replication(nullptr);
+  sender->stop();
+  ::close(lfd);
+  ::close(wake[0]);
+  ::close(wake[1]);
+  ::unlink(sock.c_str());
+  ::rmdir(dir.c_str());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // tools/sanitize_check.sh re-runs this binary under ASan and TSan.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -104,6 +105,20 @@ struct Harness {
   std::optional<Reactor> reactor;
   std::thread thr;
   bool stopped = false;
+
+  /// A handler that answers on the worker, before it returns.
+  using InlineHandler = std::function<Reactor::Result(const std::string&)>;
+
+  explicit Harness(ReactorOptions opts, InlineHandler handler,
+                   std::function<std::size_t()> depth = {},
+                   bool with_metrics = false)
+      : Harness(opts,
+                Reactor::Handler(
+                    [handler = std::move(handler)](const std::string& line,
+                                                   Reactor::Reply reply) {
+                      reply(handler(line));
+                    }),
+                std::move(depth), with_metrics) {}
 
   explicit Harness(ReactorOptions opts, Reactor::Handler handler,
                    std::function<std::size_t()> depth = {},
@@ -539,6 +554,79 @@ TEST(Reactor, DrainAnswersInFlightRequests) {
   EXPECT_EQ(c.recv(kMs), "@1 ok body=slow");
   EXPECT_THROW(c.recv(kMs), client::ConnError);
   stopper.join();
+}
+
+TEST(Reactor, RepliesFromAnotherThreadFreeTheWorker) {
+  // A handler may return before it answers (a mutation waits for its
+  // fsync on the committer, not on the worker): one worker takes all
+  // three requests, and replies given later from another thread reach the
+  // client in the order they are given.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::pair<std::string, Reactor::Reply>> parked;  // guarded by mu
+  ReactorOptions opts;
+  opts.workers = 1;
+  Harness h(opts, Reactor::Handler([&](const std::string& line,
+                                       Reactor::Reply reply) {
+    std::lock_guard lk(mu);
+    parked.emplace_back(line, std::move(reply));
+    cv.notify_all();
+  }));
+  client::Conn c(h.sock);
+  c.send("@1 a\n@2 b\n@3 c");
+  std::vector<std::pair<std::string, Reactor::Reply>> took;
+  {
+    std::unique_lock lk(mu);
+    ASSERT_TRUE(
+        cv.wait_for(lk, kDeadline, [&] { return parked.size() == 3; }));
+    took.swap(parked);
+  }
+  std::thread answerer([&] {
+    for (auto it = took.rbegin(); it != took.rend(); ++it) {
+      const TaggedLine t = split_request_tag(it->first);
+      it->second(
+          {tag_response(t.id, "ok body=" + std::string(t.body)), false});
+    }
+  });
+  answerer.join();
+  EXPECT_EQ(c.recv(kMs), "@3 ok body=c");
+  EXPECT_EQ(c.recv(kMs), "@2 ok body=b");
+  EXPECT_EQ(c.recv(kMs), "@1 ok body=a");
+}
+
+TEST(Reactor, DrainWaitsForTheReplyOfAClosedConnection) {
+  // The reply of a request whose client hung up still comes (from the
+  // committer, in the daemon). The drain must wait for it — the Reply
+  // writes the completion pipe, which run() closes on its way out.
+  std::mutex mu;
+  std::condition_variable cv;
+  Reactor::Reply parked;  // guarded by mu
+  Harness h(ReactorOptions{}, Reactor::Handler([&](const std::string&,
+                                                   Reactor::Reply reply) {
+    std::lock_guard lk(mu);
+    parked = std::move(reply);
+    cv.notify_all();
+  }));
+  {
+    client::Conn c(h.sock);
+    c.send("@1 slow");
+    std::unique_lock lk(mu);
+    ASSERT_TRUE(cv.wait_for(lk, kDeadline, [&] { return bool(parked); }));
+  }  // the client is gone, its request is not
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    h.stop();
+    stopped = true;
+  });
+  EXPECT_FALSE(stopped.load());
+  Reactor::Reply reply;
+  {
+    std::lock_guard lk(mu);
+    reply = std::move(parked);
+  }
+  reply({"@1 ok", false});
+  stopper.join();
+  EXPECT_TRUE(stopped.load());
 }
 
 }  // namespace
