@@ -293,9 +293,7 @@ void bench_catchup(std::size_t n_subs, std::uint64_t gap) {
   for (std::uint64_t p = 1; p <= gap; ++p) hist.push_back(make_frame(p, 1536));
   h.hub.set_replay([&hist, gap](std::optional<std::uint64_t> from) {
     daemon::FeedReplay rep;
-    rep.ok = true;
     rep.current = gap;
-    rep.oldest = 1;
     const std::uint64_t f = from.value_or(gap);
     for (std::uint64_t p = f + 1; p <= gap; ++p) {
       rep.lines.push_back(hist[p - 1]);

@@ -1,16 +1,19 @@
-// E10: receiver catch-up recovery (DESIGN.md "Channel model and recovery
-// protocol"). Claims: a receiver that slept through g New-period transitions
-// recovers with one request/response round whose size is linear in g, up to
-// the manager's archive bound K (beyond which it is terminally
-// unrecoverable); under a lossy channel the bounded retry-with-backoff
-// still converges, with attempt counts growing gracefully with loss.
+// E10: receiver catch-up (DESIGN.md Sect. 7.3, "Catch-up — one served
+// path"). Claim: a receiver that slept through g New-period transitions
+// catches up with one `subscribe from` answer whose size is linear in g, up
+// to the manager's archive bound K; beyond it the answer is one signed
+// eviction verdict and the receiver is terminally unrecoverable. The answer
+// is built by ShardRouter::catch_up, the code dfkyd serves, and applied by
+// client::apply_replay, the code every client runs.
 #include <cstdio>
 
 #include "bench_json.h"
-#include "broadcast/faulty_bus.h"
-#include "broadcast/recovery.h"
+#include "client/client.h"
 #include "core/manager.h"
+#include "daemon/shard.h"
 #include "rng/chacha_rng.h"
+#include "store/file_io.h"
+#include "store/store.h"
 
 using namespace dfky;
 
@@ -24,108 +27,69 @@ SystemParams make_params() {
                               rng);
 }
 
-struct RecoveryRun {
-  bool recovered = false;
-  bool unrecoverable = false;
-  std::size_t probes = 0;          // content messages until recovered
-  std::size_t requests = 0;
-  std::size_t bundles = 0;
-  std::size_t response_bytes = 0;  // kCatchUpResponse bytes on the wire
+struct CatchUpRun {
+  std::size_t bundles = 0;  // replayed bundles
+  std::size_t bytes = 0;    // binary bundles plus verdicts in the answer
+  ReceiverState state = ReceiverState::kStale;
+  bool at_period = false;  // the receiver reached the manager's period
 };
 
-/// A receiver sleeps through `gap` transitions, then the channel (with the
-/// given fault plan) carries content probes until it recovers or gives up.
-RecoveryRun run_gap(const SystemParams& sp, std::size_t gap,
-                    std::size_t archive_capacity, const FaultPlan& plan,
-                    std::size_t max_probes) {
+/// A receiver sleeps through `gap` transitions, then catches up from its
+/// issue period against a one-shard router with archive capacity K.
+CatchUpRun run_gap(const SystemParams& sp, std::size_t gap,
+                   std::size_t archive_capacity) {
   ChaChaRng rng(1000 + gap);
-  FaultyBus bus(plan);
   SecurityManager mgr(sp, rng);
   mgr.set_reset_archive_capacity(archive_capacity);
-  ChaChaRng responder_rng(2000 + gap);
-  CatchUpResponder responder(mgr, bus, responder_rng);
-
   const auto u = mgr.add_user(rng);
   for (std::size_t i = 0; i < gap; ++i) mgr.new_period(rng);
+  Receiver rx(sp, u.key, mgr.verification_key());
 
-  SubscriberClient sub(sp, u.key, mgr.verification_key(), bus);
-  RecoveryClient recovery(sub, bus, RecoveryPolicy{.attempt_budget = 32,
-                                                   .backoff_base = 1,
-                                                   .nonce = 7});
-  ContentProvider tv("tv", sp, mgr.public_key(), bus);
+  MemFileIo fs;
+  std::vector<StateStore> stores;
+  stores.push_back(StateStore::create(fs, "store", std::move(mgr), rng));
+  daemon::ShardRouter router(std::move(stores), [gap](std::size_t) {
+    return std::make_unique<ChaChaRng>(2000 + gap);
+  });
+  const daemon::FeedReplay rep = router.catch_up(rx.period());
 
-  RecoveryRun run;
-  const Bytes probe = {0x70};
-  for (std::size_t i = 0; i < max_probes; ++i) {
-    tv.broadcast(probe, rng);
-    ++run.probes;
-    // kCurrent alone is not "done": before the first delivered probe the
-    // receiver still believes its stale period is current.
-    if (sub.state() == ReceiverState::kCurrent && sub.period() == mgr.period())
-      break;
-    if (sub.state() == ReceiverState::kUnrecoverable) break;
+  CatchUpRun run;
+  // Hex on the wire: each encoded byte is two characters.
+  for (const std::string& line : rep.lines) {
+    const std::string_view bundles =
+        std::string_view(line).substr(line.find(" bundles=") + 9);
+    run.bytes += bundles.size() / 2;
   }
-  run.recovered = sub.state() == ReceiverState::kCurrent &&
-                  sub.period() == mgr.period();
-  run.unrecoverable = sub.state() == ReceiverState::kUnrecoverable;
-  run.requests = recovery.requests_sent();
-  run.bundles = recovery.bundles_replayed();
-  run.response_bytes = bus.bytes_sent(MsgType::kCatchUpResponse);
+  for (const std::string& v : rep.verdicts) run.bytes += v.size() / 2;
+  run.bundles = client::apply_replay(rx, rep).applied;
+  run.state = rx.state();
+  run.at_period = rx.period() == router.status().period;
   return run;
-}
-
-void lossless_table(const SystemParams& sp) {
-  std::printf(
-      "# E10a: lossless catch-up vs gap size (archive capacity K = 8).\n"
-      "#       One request bridges any gap <= K; response size is linear in\n"
-      "#       the gap; past K the receiver is terminally unrecoverable.\n");
-  std::printf("%6s %10s %10s %10s %14s %16s\n", "gap", "probes", "requests",
-              "bundles", "resp-bytes", "outcome");
-  const std::vector<std::size_t> gaps =
-      benchjson::smoke() ? std::vector<std::size_t>{1, 4}
-                         : std::vector<std::size_t>{1, 2, 4, 6, 8, 9, 12};
-  for (std::size_t gap : gaps) {
-    const RecoveryRun r = run_gap(sp, gap, /*archive_capacity=*/8,
-                                  FaultPlan{.seed = 1}, /*max_probes=*/4);
-    std::printf("%6zu %10zu %10zu %10zu %14zu %16s\n", gap, r.probes,
-                r.requests, r.bundles, r.response_bytes,
-                r.recovered        ? "recovered"
-                : r.unrecoverable ? "UNRECOVERABLE"
-                                  : "stale");
-    g_report.add({"catchup", gap, 3, 0, 0, r.response_bytes, 1});
-  }
-}
-
-void lossy_table(const SystemParams& sp) {
-  std::printf(
-      "\n# E10b: catch-up under loss (gap = 4, K = 16, drop applied to\n"
-      "#       every message including requests and responses; probes keep\n"
-      "#       flowing so retries tick).\n");
-  std::printf("%8s %10s %10s %10s %16s\n", "drop", "probes", "requests",
-              "bundles", "outcome");
-  const std::vector<double> drops =
-      benchjson::smoke() ? std::vector<double>{0.0, 0.25}
-                         : std::vector<double>{0.0, 0.1, 0.25, 0.5};
-  for (const double drop : drops) {
-    const FaultPlan plan{.seed = 77, .drop_prob = drop};
-    const RecoveryRun r =
-        run_gap(sp, /*gap=*/4, /*archive_capacity=*/16, plan,
-                /*max_probes=*/400);
-    std::printf("%8.2f %10zu %10zu %10zu %16s\n", drop, r.probes, r.requests,
-                r.bundles, r.recovered ? "recovered" : "stale");
-    // n = drop probability in percent; bytes field reused for request count.
-    g_report.add({"catchup_lossy",
-                  static_cast<std::uint64_t>(drop * 100.0), 3, 0, 0,
-                  r.requests, 1});
-  }
 }
 
 }  // namespace
 
 int main() {
-  std::printf("=== E10: catch-up recovery latency vs gap size ===\n\n");
+  std::printf("=== E10: catch-up vs gap size ===\n\n");
   const SystemParams sp = make_params();
-  lossless_table(sp);
-  lossy_table(sp);
+  std::printf(
+      "# E10: served catch-up vs gap size (archive capacity K = 8).\n"
+      "#      One answer bridges any gap <= K; its size is linear in the\n"
+      "#      gap; past K it is one signed verdict and the receiver is\n"
+      "#      terminally unrecoverable.\n");
+  std::printf("%6s %10s %12s %16s\n", "gap", "bundles", "answer-bytes",
+              "outcome");
+  const std::vector<std::size_t> gaps =
+      benchjson::smoke() ? std::vector<std::size_t>{1, 4, 12}
+                         : std::vector<std::size_t>{1, 2, 4, 6, 8, 9, 12};
+  for (std::size_t gap : gaps) {
+    const CatchUpRun r = run_gap(sp, gap, /*archive_capacity=*/8);
+    const bool recovered = r.state == ReceiverState::kCurrent && r.at_period;
+    std::printf("%6zu %10zu %12zu %16s\n", gap, r.bundles, r.bytes,
+                recovered ? "recovered"
+                : r.state == ReceiverState::kUnrecoverable ? "UNRECOVERABLE"
+                                                           : "stale");
+    g_report.add({"catchup", gap, 3, 0, 0, r.bytes, 1});
+  }
   return g_report.write() ? 0 : 1;
 }

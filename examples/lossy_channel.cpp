@@ -1,13 +1,14 @@
 // Lossy channel walkthrough: the DFKY broadcast running over a channel that
 // drops, duplicates, corrupts and reorders messages — including a dropped
-// New-period bundle — and the catch-up recovery protocol bringing every
-// legitimate subscriber back while a revoked one stays expired.
+// New-period bundle — and catch-up from the manager's reset archive
+// bringing every legitimate subscriber back while a revoked one stays
+// expired.
 //
 // Build & run:  ./build/examples/lossy_channel
 #include <cstdio>
 
 #include "broadcast/faulty_bus.h"
-#include "broadcast/recovery.h"
+#include "broadcast/provider.h"
 #include "core/manager.h"
 #include "rng/chacha_rng.h"
 
@@ -46,21 +47,18 @@ int main() {
                           .duplicate_prob = 0.10,
                           .corrupt_prob = 0.05});
   SecurityManager manager(sp, rng);
-  ChaChaRng responder_rng(2025);
-  CatchUpResponder responder(manager, bus, responder_rng);
 
   const auto alice = manager.add_user(rng);
   const auto mallory = manager.add_user(rng);
   SubscriberClient alice_sub(sp, alice.key, manager.verification_key(), bus);
-  RecoveryClient alice_rec(alice_sub, bus, RecoveryPolicy{.nonce = 1});
   SubscriberClient mallory_sub(sp, mallory.key, manager.verification_key(),
                                bus);
-  RecoveryClient mallory_rec(mallory_sub, bus, RecoveryPolicy{.nonce = 2});
-  ContentProvider tv("tv", sp, manager.public_key(), bus);
+  ContentProvider tv("tv", sp, manager.public_key(),
+                     manager.verification_key(), bus);
 
   std::printf("revoking mallory...\n");
   manager.remove_user(mallory.id, rng);
-  announce_public_key(bus, sp.group, manager.public_key());
+  announce_public_key(bus, sp.group, manager.signed_public_key(rng));
 
   // Guarantee alice misses at least one New-period bundle outright, on top
   // of whatever the probabilistic faults eat.
@@ -68,7 +66,7 @@ int main() {
 
   for (int t = 0; t < 5; ++t) {
     announce_reset(bus, sp.group, manager.new_period(rng));
-    announce_public_key(bus, sp.group, manager.public_key());
+    announce_public_key(bus, sp.group, manager.signed_public_key(rng));
     for (int c = 0; c < 4; ++c) tv.broadcast(str("episode"), rng);
     std::printf(
         "period %llu | alice: %-7s period=%llu got=%zu | "
@@ -80,11 +78,25 @@ int main() {
         mallory_sub.received_content().size());
   }
 
-  std::printf("\nchannel heals; one more broadcast...\n");
+  std::printf("\nchannel heals; both subscribers catch up, one more "
+              "broadcast...\n");
   bus.heal();
-  announce_public_key(bus, sp.group, manager.public_key());
+  announce_public_key(bus, sp.group, manager.signed_public_key(rng));
+  // Each subscriber takes what it missed from the manager's archive: the
+  // signed bundles since its period (or a signed eviction verdict, had it
+  // slept past the archive).
+  std::size_t replayed[2] = {0, 0};
+  SubscriberClient* subs[2] = {&alice_sub, &mallory_sub};
+  for (int i = 0; i < 2; ++i) {
+    Receiver& rx = subs[i]->receiver();
+    const SecurityManager::CatchUp cu =
+        manager.handle_catch_up(rx.period(), 0, rng);
+    for (const SignedResetBundle& b : cu.bundles) {
+      if (rx.apply_reset(b) == ResetOutcome::kApplied) ++replayed[i];
+    }
+    if (cu.verdict) rx.apply_eviction(*cu.verdict);
+  }
   tv.broadcast(str("season finale"), rng);
-  tv.broadcast(str("season finale"), rng);  // retry after any catch-up round
 
   const auto& counters = bus.fault_counters();
   std::printf(
@@ -95,9 +107,8 @@ int main() {
       (unsigned long long)counters.targeted_drops,
       (unsigned long long)counters.duplicated,
       (unsigned long long)counters.corrupted);
-  std::printf("recovery: alice sent %zu catch-up requests, replayed %zu "
-              "signed bundles\n",
-              alice_rec.requests_sent(), alice_rec.bundles_replayed());
+  std::printf("catch-up: alice applied %zu signed bundle(s), mallory %zu\n",
+              replayed[0], replayed[1]);
 
   const bool alice_ok =
       alice_sub.state() == ReceiverState::kCurrent &&
@@ -110,7 +121,7 @@ int main() {
               (unsigned long long)alice_sub.period(),
               alice_ok ? "yes" : "NO");
   std::printf("mallory: period %llu, content received: %zu (expired, the "
-              "archive answered her requests but the bundles do not open)\n",
+              "archive served her the bundles but they do not open)\n",
               (unsigned long long)mallory_sub.period(),
               mallory_sub.received_content().size());
   return alice_ok && mallory_out ? 0 : 1;

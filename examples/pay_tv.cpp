@@ -34,9 +34,12 @@ int main() {
 
   // Three channels share the infrastructure. None holds any secret: they
   // learn the public key from the bus like everyone else.
-  ContentProvider sports("SportsOne", sp, manager.public_key(), bus);
-  ContentProvider movies("MovieMax", sp, manager.public_key(), bus);
-  ContentProvider news("NewsNow", sp, manager.public_key(), bus);
+  ContentProvider sports("SportsOne", sp, manager.public_key(),
+                         manager.verification_key(), bus);
+  ContentProvider movies("MovieMax", sp, manager.public_key(),
+                         manager.verification_key(), bus);
+  ContentProvider news("NewsNow", sp, manager.public_key(),
+                       manager.verification_key(), bus);
 
   // Subscribers join over time.
   std::vector<std::unique_ptr<SubscriberClient>> subscribers;
@@ -56,7 +59,7 @@ int main() {
   // Subscriber #2 stops paying: revoke. Only the public key changes; the
   // manager republishes it so providers stay current.
   manager.remove_user(ids[2], rng);
-  announce_public_key(bus, sp.group, manager.public_key());
+  announce_public_key(bus, sp.group, manager.signed_public_key(rng));
   news.broadcast(str("headline: traitor revoked"), rng);
 
   // Churn until the saturation limit forces a period change; the signed
@@ -70,7 +73,7 @@ int main() {
                   static_cast<unsigned long long>(manager.period()),
                   bundle->wire_size(sp.group));
     }
-    announce_public_key(bus, sp.group, manager.public_key());
+    announce_public_key(bus, sp.group, manager.signed_public_key(rng));
   }
   sports.broadcast(str("full time"), rng);
 

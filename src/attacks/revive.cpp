@@ -1,6 +1,6 @@
 #include "attacks/revive.h"
 
-#include "broadcast/recovery.h"
+#include "core/receiver.h"
 
 namespace dfky {
 
@@ -86,24 +86,19 @@ ReviveOutcome run_revive_attack(const SystemParams& sp, Rng& rng) {
   }
   out.scheme_revived = scheme_adversary_decrypts(sp, mgr, adversary_key, rng);
 
-  // ---- Catch-up abuse: pose as a stale receiver and request replay. ----
+  // ---- Catch-up abuse: pose as a stale receiver and ask for replay. ----
   // The adversary's key is still at its issue period; the manager's archive
   // obligingly serves every missed signed bundle. None of them opens under
-  // a revoked key, so the catch-up path must not revive her either.
-  BroadcastBus bus;
-  CatchUpResponder responder(mgr, bus, rng);
-  SubscriberClient adversary(sp, adversary_key, mgr.verification_key(), bus);
-  RecoveryClient recovery(adversary, bus, RecoveryPolicy{});
-  ContentProvider provider("post-revocation", sp, mgr.public_key(), bus);
-  // Fresh content exposes the period gap and triggers the recovery protocol
-  // (request, archive replay, failed bundle applications).
-  for (int i = 0; i < 3; ++i) {
-    provider.broadcast(Bytes{0x42}, rng);
+  // a revoked key, so catching up must not revive her either.
+  Receiver adversary(sp, adversary_key, mgr.verification_key());
+  for (const SignedResetBundle& b :
+       mgr.handle_catch_up(adversary.period(), 0, rng).bundles) {
+    if (adversary.apply_reset(b) == ResetOutcome::kCannotFollow) {
+      ++out.catch_up_bundles_refused;
+    }
   }
-  out.catch_up_requests_answered = responder.requests_answered();
   out.scheme_revived_via_catch_up =
-      !adversary.received_content().empty() ||
-      scheme_adversary_decrypts(sp, mgr, adversary.receiver().key(), rng);
+      scheme_adversary_decrypts(sp, mgr, adversary.key(), rng);
   return out;
 }
 

@@ -22,14 +22,13 @@ struct ReviveOutcome {
   /// scheme period change)?
   bool baseline_revived = false;
   bool scheme_revived = false;
-  /// ...and after also abusing the catch-up recovery protocol (requesting
-  /// the missed signed reset bundles from the manager's archive)?
+  /// ...and after also catching up (taking the missed signed reset
+  /// bundles from the manager's archive)?
   bool scheme_revived_via_catch_up = false;
-  /// Diagnostics: number of further revocations staged, and catch-up
-  /// requests the manager's archive answered for the (still-expired)
-  /// adversary.
+  /// Diagnostics: number of further revocations staged, and archived
+  /// bundles the (still-expired) adversary was served but could not open.
   std::size_t extra_revocations = 0;
-  std::size_t catch_up_requests_answered = 0;
+  std::size_t catch_up_bundles_refused = 0;
 };
 
 /// Stages the attack: subscribe adversary + population, revoke the
@@ -37,10 +36,10 @@ struct ReviveOutcome {
 /// adversary's entry falls out of the revocation list; in the paper's scheme
 /// the same pressure triggers a New-period the adversary cannot follow.
 /// The adversary attack against the scheme tries its raw (stale) key, the
-/// reset message it eavesdropped, AND the catch-up recovery path: it poses
-/// as a stale-but-legitimate receiver and asks the manager's archive to
-/// replay the missed bundles. The replayed bundles are the same ones it
-/// already failed to open, so recovery must not revive it.
+/// reset message it eavesdropped, AND catch-up: it poses as a
+/// stale-but-legitimate receiver and takes the missed bundles from the
+/// manager's archive (SecurityManager::handle_catch_up). They are the same
+/// ones it already failed to open, so catching up must not revive it.
 ReviveOutcome run_revive_attack(const SystemParams& sp, Rng& rng);
 
 }  // namespace dfky

@@ -9,8 +9,6 @@ const char* msg_type_name(MsgType type) {
     case MsgType::kContent: return "content";
     case MsgType::kPublicKeyUpdate: return "public_key_update";
     case MsgType::kChangePeriod: return "change_period";
-    case MsgType::kCatchUpRequest: return "catch_up_request";
-    case MsgType::kCatchUpResponse: return "catch_up_response";
   }
   return "unknown";
 }

@@ -21,8 +21,6 @@ enum class MsgType : std::uint8_t {
   kContent = 0,          // ContentMessage from a provider
   kPublicKeyUpdate = 1,  // PublicKey republished by the manager
   kChangePeriod = 2,     // SignedResetBundle
-  kCatchUpRequest = 3,   // CatchUpRequest from a stale receiver
-  kCatchUpResponse = 4,  // CatchUpResponse from the manager's archive
 };
 
 struct Envelope {

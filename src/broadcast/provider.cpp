@@ -3,22 +3,27 @@
 namespace dfky {
 
 ContentProvider::ContentProvider(std::string name, SystemParams sp,
-                                 PublicKey initial, BroadcastBus& bus)
+                                 PublicKey initial, Gelt manager_vk,
+                                 BroadcastBus& bus)
     : name_(std::move(name)),
       sp_(std::move(sp)),
       pk_(std::move(initial)),
+      manager_vk_(std::move(manager_vk)),
       bus_(bus) {
   token_ = bus_.subscribe([this](const Envelope& env) {
     if (env.type != MsgType::kPublicKeyUpdate) return;
     try {
       Reader r(env.payload);
-      PublicKey pk = PublicKey::deserialize(r, sp_.group);
+      SignedPublicKey update = SignedPublicKey::deserialize(r, sp_.group);
       r.expect_end();
+      if (!update.verify(sp_.group, manager_vk_)) {
+        throw DecodeError("public-key update signature invalid");
+      }
       // A delayed/reordered update must not roll the provider's key back
       // to an earlier period (same-period updates carry new revocations).
-      if (pk.period >= pk_.period) pk_ = std::move(pk);
+      if (update.pk.period >= pk_.period) pk_ = std::move(update.pk);
     } catch (const Error&) {
-      ++quarantined_updates_;  // corrupted on the wire
+      ++quarantined_updates_;  // corrupted on the wire, or forged
     }
   });
 }
@@ -36,7 +41,7 @@ ContentMessage ContentProvider::broadcast(BytesView payload, Rng& rng) {
 }
 
 void announce_public_key(BroadcastBus& bus, const Group& group,
-                         const PublicKey& pk) {
+                         const SignedPublicKey& pk) {
   Writer w;
   pk.serialize(w, group);
   bus.publish(Envelope{MsgType::kPublicKeyUpdate, std::move(w).take()});
@@ -118,9 +123,7 @@ void SubscriberClient::on_message(const Envelope& env) {
       break;
     }
     case MsgType::kPublicKeyUpdate:
-    case MsgType::kCatchUpRequest:
-    case MsgType::kCatchUpResponse:
-      break;  // handled by providers / RecoveryClient, not the subscriber
+      break;  // handled by providers, not the subscriber
   }
 }
 

@@ -18,9 +18,10 @@ namespace dfky {
 
 class ContentProvider {
  public:
-  /// Subscribes to public-key updates on the bus.
+  /// Subscribes to public-key updates on the bus; only updates signed by
+  /// `manager_vk`'s key are taken.
   ContentProvider(std::string name, SystemParams sp, PublicKey initial,
-                  BroadcastBus& bus);
+                  Gelt manager_vk, BroadcastBus& bus);
   ~ContentProvider();
 
   ContentProvider(const ContentProvider&) = delete;
@@ -28,8 +29,8 @@ class ContentProvider {
 
   const std::string& name() const { return name_; }
   const PublicKey& current_public_key() const { return pk_; }
-  /// Corrupted key-update envelopes ignored (the provider keeps encrypting
-  /// under its last good key).
+  /// Corrupted or forged key-update envelopes ignored (the provider keeps
+  /// encrypting under its last good key).
   std::size_t quarantined_updates() const { return quarantined_updates_; }
 
   /// Encrypts `payload` under the current public key and broadcasts it.
@@ -39,15 +40,16 @@ class ContentProvider {
   std::string name_;
   SystemParams sp_;
   PublicKey pk_;
+  Gelt manager_vk_;
   BroadcastBus& bus_;
   std::size_t token_;
   std::size_t quarantined_updates_ = 0;
 };
 
-/// Publishes the manager's current public key on the bus (done after every
+/// Publishes the manager's signed public key on the bus (done after every
 /// Remove-user / New-period so providers stay current).
 void announce_public_key(BroadcastBus& bus, const Group& group,
-                         const PublicKey& pk);
+                         const SignedPublicKey& pk);
 
 /// Publishes a signed reset bundle on the bus.
 void announce_reset(BroadcastBus& bus, const Group& group,
@@ -55,8 +57,10 @@ void announce_reset(BroadcastBus& bus, const Group& group,
 
 /// Wraps a Receiver on the bus. Resilient by construction: envelopes that
 /// fail to parse or authenticate are counted and quarantined, never thrown
-/// through the bus callback; period gaps flip the receiver into kStale
-/// (attach a RecoveryClient, see broadcast/recovery.h, to drive catch-up).
+/// through the bus callback; period gaps flip the receiver into kStale.
+/// The bus carries no catch-up: a stale receiver catches up through
+/// SecurityManager::handle_catch_up, or over dfkyd's `subscribe from`
+/// (client::catch_up).
 class SubscriberClient {
  public:
   /// Subscribes to content and period-change messages.
@@ -69,7 +73,7 @@ class SubscriberClient {
 
   const SystemParams& params() const { return sp_; }
   const Receiver& receiver() const { return receiver_; }
-  /// Mutable access for the recovery path (catch-up bundle replay).
+  /// Mutable access for catch-up (replayed bundles, eviction verdicts).
   Receiver& receiver() { return receiver_; }
   std::uint64_t period() const { return receiver_.period(); }
   ReceiverState state() const { return receiver_.state(); }

@@ -28,6 +28,19 @@ using Clock = std::chrono::steady_clock;
   throw ConnError(what + ": " + std::strerror(err));
 }
 
+constexpr std::string_view kNewPeriodFrame = "bcast new-period ";
+
+/// The non-empty items of a comma-separated list.
+std::vector<std::string_view> split_list(std::string_view list) {
+  std::vector<std::string_view> out;
+  while (!list.empty()) {
+    const std::size_t comma = std::min(list.find(','), list.size());
+    if (comma > 0) out.push_back(list.substr(0, comma));
+    list.remove_prefix(std::min(comma + 1, list.size()));
+  }
+  return out;
+}
+
 bool transient_connect_errno(int err) {
   return err == ECONNREFUSED || err == ENOENT || err == EAGAIN ||
          err == ECONNRESET || err == ETIMEDOUT;
@@ -232,6 +245,85 @@ daemon::Response subscribe(Conn& c, std::optional<std::uint64_t> from_period,
   std::optional<daemon::Response> r = daemon::parse_response(line);
   if (!r) throw ConnError("malformed answer to subscribe: " + line);
   return std::move(*r);
+}
+
+CatchUpReport apply_replay(Receiver& receiver,
+                           const daemon::FeedReplay& rep) {
+  const Group& group = receiver.params().group;
+  const auto decoded = [](std::string_view hex) {
+    std::optional<Bytes> raw = daemon::hex_decode(hex);
+    if (!raw) throw DecodeError("catch-up: bad hex");
+    return std::move(*raw);
+  };
+  CatchUpReport out;
+  out.period = rep.current;
+  out.replayed = rep.lines.size();
+  out.verdicts = rep.verdicts.size();
+  for (const std::string& line : rep.lines) {
+    const std::size_t at = line.find(" bundles=");
+    if (at == std::string::npos) throw DecodeError("catch-up: no bundles");
+    for (const std::string_view hex :
+         split_list(std::string_view(line).substr(at + 9))) {
+      const Bytes raw = decoded(hex);
+      Reader r(raw);
+      const SignedResetBundle b = SignedResetBundle::deserialize(r, group);
+      r.expect_end();
+      if (!b.verify(group, receiver.manager_vk())) continue;
+      switch (receiver.apply_reset(b)) {
+        case ResetOutcome::kApplied: ++out.applied; break;
+        case ResetOutcome::kCannotFollow: ++out.cannot_follow; break;
+        default: break;
+      }
+    }
+  }
+  for (const std::string& hex : rep.verdicts) {
+    const Bytes raw = decoded(hex);
+    Reader r(raw);
+    const EvictionVerdict v = EvictionVerdict::deserialize(r, group);
+    r.expect_end();
+    receiver.apply_eviction(v);
+  }
+  return out;
+}
+
+namespace {
+
+/// subscribe() from `from`, then the replayed epochs.
+daemon::FeedReplay subscribe_from(Conn& c, std::uint64_t from,
+                                  int timeout_ms) {
+  const daemon::Response r = subscribe(c, from, timeout_ms);
+  if (!r.ok) throw ConnError("subscribe refused: " + r.error);
+  const auto field = [&r](const std::string& name) {
+    const auto it = r.fields.find(name);
+    const std::optional<std::uint64_t> v =
+        it == r.fields.end() ? std::nullopt : daemon::parse_u64(it->second);
+    if (!v) throw ConnError("subscribe answer without " + name);
+    return *v;
+  };
+  daemon::FeedReplay rep;
+  rep.current = field("period");
+  const std::uint64_t replayed = field("replayed");
+  if (const auto it = r.fields.find("evicted"); it != r.fields.end()) {
+    for (const std::string_view v : split_list(it->second)) {
+      rep.verdicts.emplace_back(v);
+    }
+  }
+  while (rep.lines.size() < replayed) {
+    std::optional<std::string> line = c.recv(timeout_ms);
+    if (!line) throw ConnError("timed out in the replayed epochs");
+    if (!line->starts_with(kNewPeriodFrame)) {
+      throw ConnError("not a replayed epoch: " + line->substr(0, 64));
+    }
+    rep.lines.push_back(std::move(*line));
+  }
+  return rep;
+}
+
+}  // namespace
+
+CatchUpReport catch_up(Conn& c, Receiver& receiver, int timeout_ms) {
+  return apply_replay(receiver,
+                      subscribe_from(c, receiver.period(), timeout_ms));
 }
 
 std::string http_get(const std::string& host, int port,

@@ -1,8 +1,8 @@
-// Client side of the dfkyd wire (DESIGN.md Sect. 10, 11, 13, 16): one
-// blocking line connection to the daemon's unix socket, tagged pipelining
-// and the `subscribe` stream on top of it, and the loopback `GET /metrics`
-// scrape with a parser for its Prometheus text. Every tool, bench and test
-// that talks to a dfkyd goes through here.
+// Client side of the dfkyd wire (DESIGN.md Sect. 7.3, 10, 11, 13, 16): one
+// blocking line connection to the daemon's unix socket, tagged pipelining,
+// the `subscribe` stream and a receiver's catch-up on top of it, and the
+// loopback `GET /metrics` scrape with a parser for its Prometheus text.
+// Every tool, bench and test that talks to a dfkyd goes through here.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "common.h"
+#include "core/receiver.h"
+#include "daemon/feed.h"
 #include "daemon/protocol.h"
 
 namespace dfky::client {
@@ -83,6 +85,29 @@ std::vector<std::string> pipeline(Conn& c,
 daemon::Response subscribe(Conn& c,
                            std::optional<std::uint64_t> from_period = {},
                            int timeout_ms = 0);
+
+/// What one catch-up did to a receiver (DESIGN.md Sect. 7.3).
+struct CatchUpReport {
+  std::uint64_t period = 0;       // the daemon's period (max over shards)
+  std::size_t replayed = 0;       // replayed epoch lines
+  std::size_t verdicts = 0;       // eviction verdicts, any shard's
+  std::size_t applied = 0;        // bundles that advanced the receiver's key
+  std::size_t cannot_follow = 0;  // its shard's bundles its key cannot open
+};
+
+/// Applies a catch-up answer to `receiver`: each replayed bundle its
+/// manager key signed, in period order (other shards' bundles fail that
+/// key and are skipped), then each verdict, which only the receiver's own
+/// shard's key makes final (Receiver::apply_eviction). Throws DecodeError
+/// on malformed hex or encodings.
+CatchUpReport apply_replay(Receiver& receiver, const daemon::FeedReplay& rep);
+
+/// The client's one catch-up path: subscribe() from `receiver.period()`,
+/// read the replayed epochs (the answer exactly as ShardRouter::catch_up
+/// built it) and apply_replay() them. `c` is a push stream afterwards.
+/// Throws ConnError on an `err` answer, a malformed one, a replayed line
+/// that is not a new-period frame, or when `timeout_ms` (> 0) passes.
+CatchUpReport catch_up(Conn& c, Receiver& receiver, int timeout_ms = 0);
 
 /// The body of `GET <path>` from dfkyd's loopback observability port
 /// (`dfkyd --metrics-port`) at IPv4 address `host`. Throws ConnError when

@@ -458,24 +458,30 @@ std::uint64_t SecurityManager::archive_oldest_period() const {
                           : archive_.front().reset.new_period;
 }
 
-CatchUpResponse SecurityManager::handle_catch_up(const CatchUpRequest& req,
-                                                 Rng& rng) const {
-  obs::counter("dfky_catchup_requests_handled_total").inc();
-  CatchUpResponse resp;
-  resp.nonce = req.nonce;
-  resp.oldest_available = archive_oldest_period();
-  const std::uint64_t from = req.have_period + 1;
-  if (from >= resp.oldest_available) {
-    const std::uint64_t to = std::min(req.want_period, pk_.period);
-    for (const SignedResetBundle& b : archive_) {
-      if (b.reset.new_period < from) continue;
-      if (b.reset.new_period > to) break;
-      resp.bundles.push_back(b);
-    }
+SignedPublicKey SecurityManager::signed_public_key(Rng& rng) const {
+  SignedPublicKey out;
+  out.pk = pk_;
+  out.signature = sign_key_.sign(sp_.group, out.signed_payload(sp_.group), rng);
+  return out;
+}
+
+SecurityManager::CatchUp SecurityManager::handle_catch_up(
+    std::uint64_t from, std::uint32_t shard, Rng& rng) const {
+  CatchUp out;
+  if (from >= pk_.period) return out;
+  const std::uint64_t oldest = archive_oldest_period();
+  if (from + 1 < oldest) {
+    EvictionVerdict v;
+    v.shard = shard;
+    v.oldest_available = oldest;
+    v.signature = sign_key_.sign(sp_.group, v.signed_payload(), rng);
+    out.verdict = std::move(v);
+    return out;
   }
-  resp.signature =
-      sign_key_.sign(sp_.group, resp.signed_payload(sp_.group), rng);
-  return resp;
+  for (const SignedResetBundle& b : archive_) {
+    if (b.reset.new_period > from) out.bundles.push_back(b);
+  }
+  return out;
 }
 
 }  // namespace dfky

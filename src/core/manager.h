@@ -56,6 +56,8 @@ class SecurityManager {
   const PublicKey& public_key() const { return pk_; }
   /// Verification key for the manager's signed broadcasts.
   const Gelt& verification_key() const { return sign_key_.public_key(); }
+  /// The current public key, signed for announcing it to providers.
+  SignedPublicKey signed_public_key(Rng& rng) const;
   std::uint64_t period() const { return pk_.period; }
   /// Users revoked so far in the current period (the saturation level L).
   std::size_t saturation_level() const { return level_; }
@@ -126,12 +128,17 @@ class SecurityManager {
   /// when the archive is empty (nothing to serve, nothing missing).
   std::uint64_t archive_oldest_period() const;
 
-  /// Answers a stale receiver: the consecutive bundles for periods
-  /// have_period+1 .. min(want_period, current). Returns an empty bundle
-  /// list when the range's start has been evicted — the signed bundles in
-  /// any non-empty answer always begin exactly at have_period + 1. The
-  /// response is signed (the eviction verdict must not be forgeable).
-  CatchUpResponse handle_catch_up(const CatchUpRequest& req, Rng& rng) const;
+  /// What a receiver at period `from` needs from this manager: the
+  /// archived bundles for from+1 .. period(), or, when the archive has
+  /// evicted from+1, a verdict signed now with the manager's key and
+  /// naming `shard`. Draws from `rng` only to sign a verdict. A receiver
+  /// at or past period() gets neither.
+  struct CatchUp {
+    std::vector<SignedResetBundle> bundles;  // ascending, from from+1
+    std::optional<EvictionVerdict> verdict;
+  };
+  CatchUp handle_catch_up(std::uint64_t from, std::uint32_t shard,
+                          Rng& rng) const;
 
   // -- views used by tracing and the attack games -----------------------------
   const std::vector<UserRecord>& users() const { return users_; }

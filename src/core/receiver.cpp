@@ -121,9 +121,14 @@ std::uint64_t Receiver::catch_up_target() const {
   return std::max(signed_horizon_, hinted_horizon_);
 }
 
-void Receiver::mark_unrecoverable() {
+bool Receiver::apply_eviction(const EvictionVerdict& verdict) {
+  if (!verdict.verify(sp_.group, manager_vk_) ||
+      verdict.oldest_available <= needed_from()) {
+    return false;
+  }
   state_ = ReceiverState::kUnrecoverable;
   pending_.clear();
+  return true;
 }
 
 void Receiver::refresh_state() {

@@ -8,9 +8,9 @@
 //   kCurrent ──(signed reset with a period gap, or a newer observed
 //               ciphertext period)──▶ kStale ──(catch-up replay closes the
 //               gap)──▶ kCurrent
-//   kStale ──(manager archive has evicted the needed period)──▶
-//               kUnrecoverable (terminal; the subscription must be
-//               re-issued out of band)
+//   kCurrent/kStale ──(signed verdict: the manager's archive has evicted
+//               the needed period)──▶ kUnrecoverable (terminal; the
+//               subscription must be re-issued out of band)
 //
 // Future signed bundles arriving out of order are quarantined in a bounded
 // pending buffer and replayed automatically once the gap closes.
@@ -44,6 +44,7 @@ class Receiver {
   /// engaging the gap/idempotency state machine.
   Receiver(SystemParams sp, UserKey key, Gelt manager_vk, bool strict = false);
 
+  const SystemParams& params() const { return sp_; }
   const UserKey& key() const { return key_; }
   std::uint64_t period() const { return key_.period; }
   ReceiverState state() const { return state_; }
@@ -76,9 +77,12 @@ class Receiver {
   std::uint64_t needed_from() const { return key_.period + 1; }
   /// Highest period the receiver has evidence for (signed or hinted).
   std::uint64_t catch_up_target() const;
-  /// Terminal transition, taken on signed evidence that the manager's
-  /// archive no longer holds needed_from().
-  void mark_unrecoverable();
+  /// The terminal transition. Takes it, and returns true, only when
+  /// `verdict` verifies under manager_vk() and its oldest_available is past
+  /// needed_from(): the manager's archive no longer holds the next period
+  /// this key needs. A forged or tampered verdict, one signed by another
+  /// shard's key, or one that still covers this receiver changes nothing.
+  bool apply_eviction(const EvictionVerdict& verdict);
 
   /// Verified future bundles awaiting replay.
   std::size_t pending_resets() const { return pending_.size(); }

@@ -115,62 +115,57 @@ bool SignedResetBundle::verify(const Group& group,
   return schnorr_verify(group, manager_vk, signed_payload(group), signature);
 }
 
-void CatchUpRequest::serialize(Writer& w) const {
-  w.put_u64(nonce);
-  w.put_u64(have_period);
-  w.put_u64(want_period);
-}
-
-CatchUpRequest CatchUpRequest::deserialize(Reader& r) {
-  CatchUpRequest req;
-  req.nonce = r.get_u64();
-  req.have_period = r.get_u64();
-  req.want_period = r.get_u64();
-  if (req.want_period <= req.have_period) {
-    throw DecodeError("CatchUpRequest: empty period range");
-  }
-  return req;
-}
-
-Bytes CatchUpResponse::signed_payload(const Group& group) const {
+Bytes SignedPublicKey::signed_payload(const Group& group) const {
   Writer w;
-  static const byte kTag[] = {'c', 'a', 't', 'c', 'h', '-', 'u', 'p'};
+  static const byte kTag[] = {'p', 'u', 'b', 'l', 'i', 'c', '-', 'k', 'e', 'y'};
   w.put_raw(BytesView(kTag, sizeof(kTag)));
-  w.put_u64(nonce);
-  w.put_u64(oldest_available);
-  require(bundles.size() <= UINT32_MAX, "CatchUpResponse: too large");
-  w.put_u32(static_cast<std::uint32_t>(bundles.size()));
-  for (const SignedResetBundle& b : bundles) b.serialize(w, group);
+  pk.serialize(w, group);
   return std::move(w).take();
 }
 
-bool CatchUpResponse::verify(const Group& group,
+bool SignedPublicKey::verify(const Group& group,
                              const Gelt& manager_vk) const {
   return schnorr_verify(group, manager_vk, signed_payload(group), signature);
 }
 
-void CatchUpResponse::serialize(Writer& w, const Group& group) const {
-  w.put_u64(nonce);
-  w.put_u64(oldest_available);
-  require(bundles.size() <= UINT32_MAX, "CatchUpResponse: too large");
-  w.put_u32(static_cast<std::uint32_t>(bundles.size()));
-  for (const SignedResetBundle& b : bundles) b.serialize(w, group);
+void SignedPublicKey::serialize(Writer& w, const Group& group) const {
+  pk.serialize(w, group);
   signature.serialize(w, group);
 }
 
-CatchUpResponse CatchUpResponse::deserialize(Reader& r, const Group& group) {
-  CatchUpResponse resp;
-  resp.nonce = r.get_u64();
-  resp.oldest_available = r.get_u64();
-  const std::uint32_t n = r.get_u32();
-  // Every bundle holds at least a reset header plus a Schnorr signature.
-  r.check_count(n, 9 + 2 * group.element_size());
-  resp.bundles.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    resp.bundles.push_back(SignedResetBundle::deserialize(r, group));
-  }
-  resp.signature = SchnorrSignature::deserialize(r, group);
-  return resp;
+SignedPublicKey SignedPublicKey::deserialize(Reader& r, const Group& group) {
+  SignedPublicKey out;
+  out.pk = PublicKey::deserialize(r, group);
+  out.signature = SchnorrSignature::deserialize(r, group);
+  return out;
+}
+
+Bytes EvictionVerdict::signed_payload() const {
+  Writer w;
+  static const byte kTag[] = {'e', 'v', 'i', 'c', 't', 'e', 'd'};
+  w.put_raw(BytesView(kTag, sizeof(kTag)));
+  w.put_u32(shard);
+  w.put_u64(oldest_available);
+  return std::move(w).take();
+}
+
+bool EvictionVerdict::verify(const Group& group,
+                             const Gelt& manager_vk) const {
+  return schnorr_verify(group, manager_vk, signed_payload(), signature);
+}
+
+void EvictionVerdict::serialize(Writer& w, const Group& group) const {
+  w.put_u32(shard);
+  w.put_u64(oldest_available);
+  signature.serialize(w, group);
+}
+
+EvictionVerdict EvictionVerdict::deserialize(Reader& r, const Group& group) {
+  EvictionVerdict v;
+  v.shard = r.get_u32();
+  v.oldest_available = r.get_u64();
+  v.signature = SchnorrSignature::deserialize(r, group);
+  return v;
 }
 
 ResetMessage build_reset_message(const Encryptor& enc, const Polynomial& d,

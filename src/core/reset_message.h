@@ -52,32 +52,11 @@ struct SignedResetBundle {
   bool verify(const Group& group, const Gelt& manager_vk) const;
 };
 
-/// Catch-up request from a receiver that detected a period gap (its key is
-/// at `have_period` but it saw authenticated evidence of `want_period`).
-/// Unauthenticated — the manager's answer is what carries signatures.
-struct CatchUpRequest {
-  std::uint64_t nonce = 0;  // echoed in the response for correlation
-  std::uint64_t have_period = 0;
-  std::uint64_t want_period = 0;
-
-  void serialize(Writer& w) const;
-  static CatchUpRequest deserialize(Reader& r);
-};
-
-/// Catch-up response: the consecutive run of archived signed reset bundles
-/// covering periods have_period+1 .. want_period, or an empty list when the
-/// bounded archive has already evicted period have_period+1 (the receiver
-/// is then unrecoverable). `oldest_available` is the earliest new_period
-/// the archive can still serve. The whole response is signed by the
-/// manager: the bundles are already individually signed, but the eviction
-/// verdict (`oldest_available` with no bundles) is what sends a receiver
-/// to its terminal state, so it must not be forgeable. Replay is harmless:
-/// the archive only evicts forward, so any authentic eviction verdict
-/// stays true.
-struct CatchUpResponse {
-  std::uint64_t nonce = 0;
-  std::uint64_t oldest_available = 0;
-  std::vector<SignedResetBundle> bundles;
+/// The manager's public key as it is announced to content providers,
+/// signed: a provider seals under whatever key it accepts, so a corrupted
+/// or forged update must not verify.
+struct SignedPublicKey {
+  PublicKey pk;
   SchnorrSignature signature;
 
   /// The byte string the signature covers.
@@ -85,7 +64,29 @@ struct CatchUpResponse {
   bool verify(const Group& group, const Gelt& manager_vk) const;
 
   void serialize(Writer& w, const Group& group) const;
-  static CatchUpResponse deserialize(Reader& r, const Group& group);
+  static SignedPublicKey deserialize(Reader& r, const Group& group);
+};
+
+/// Signed evidence that a manager's bounded reset archive no longer holds
+/// the periods a receiver needs: the earliest new_period it can still
+/// serve is `oldest_available`, so a receiver at a period below
+/// oldest_available - 1 can never catch up and must re-join out of band.
+/// `shard` names the shard whose key signed it (0 for a lone manager);
+/// the signature covers both fields. This verdict is what sends a receiver
+/// to its terminal state, so it is signed and never inferred. Replay is
+/// harmless: the archive only evicts forward, so an authentic verdict
+/// stays true.
+struct EvictionVerdict {
+  std::uint32_t shard = 0;
+  std::uint64_t oldest_available = 0;
+  SchnorrSignature signature;
+
+  /// The byte string the signature covers.
+  Bytes signed_payload() const;
+  bool verify(const Group& group, const Gelt& manager_vk) const;
+
+  void serialize(Writer& w, const Group& group) const;
+  static EvictionVerdict deserialize(Reader& r, const Group& group);
 };
 
 class Encryptor;

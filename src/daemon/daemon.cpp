@@ -756,8 +756,9 @@ Daemon::Daemon(DaemonOptions opts)
       },
       opts_.follower);
   feed_ = std::make_unique<FeedHub>();
-  feed_->set_replay(
-      [this](std::optional<std::uint64_t> from) { return feed_replay(from); });
+  feed_->set_replay([this](std::optional<std::uint64_t> from) {
+    return router_->catch_up(from);
+  });
   handler_.emplace(
       *router_,
       RequestHandler::Hooks{
@@ -775,54 +776,6 @@ Daemon::Daemon(DaemonOptions opts)
               [this](std::string line, std::uint64_t period) {
                 feed_->publish(std::move(line), period);
               }});
-}
-
-FeedReplay Daemon::feed_replay(std::optional<std::uint64_t> from) {
-  // Runs on the reactor thread. Shared-lock every shard in index order
-  // (the same order the epoch barrier locks them) for one consistent
-  // cut of periods + archives.
-  const std::size_t n = router_->shards();
-  std::vector<std::shared_lock<StateMutex>> locks;
-  locks.reserve(n);
-  for (std::size_t k = 0; k < n; ++k) locks.emplace_back(router_->state_mu(k));
-  FeedReplay rep;
-  for (std::size_t k = 0; k < n; ++k) {
-    const SecurityManager& mgr = router_->store(k).manager();
-    rep.current = std::max(rep.current, mgr.period());
-    // The shard with the shortest archive binds how far back the feed
-    // can bridge; beyond that the client needs the signed catch-up
-    // protocol.
-    rep.oldest = std::max(rep.oldest, mgr.archive_oldest_period());
-  }
-  if (!from) {  // fresh subscribe: current broadcasts only
-    rep.ok = true;
-    return rep;
-  }
-  if (*from >= rep.current) {  // nothing missed
-    rep.ok = true;
-    return rep;
-  }
-  if (*from + 1 < rep.oldest) return rep;  // evicted: ok stays false
-  for (std::uint64_t p = *from + 1; p <= rep.current; ++p) {
-    std::string bundles;
-    for (std::size_t k = 0; k < n; ++k) {
-      const SecurityManager& mgr = router_->store(k).manager();
-      for (const SignedResetBundle& b : mgr.reset_archive()) {
-        if (b.reset.new_period != p) continue;
-        Writer w;
-        b.serialize(w, mgr.params().group);
-        if (!bundles.empty()) bundles += ',';
-        bundles += hex_encode(std::move(w).take());
-      }
-    }
-    // A shard that never rolled through p (per-shard reactive resets)
-    // contributes nothing; skip epochs no shard archived.
-    if (bundles.empty()) continue;
-    rep.lines.push_back("bcast new-period period=" + std::to_string(p) +
-                        " bundles=" + bundles);
-  }
-  rep.ok = true;
-  return rep;
 }
 
 Daemon::~Daemon() {

@@ -188,9 +188,6 @@ class Daemon {
 
  private:
   void request_stop();
-  /// Replay source for `subscribe from-period`: rebuilds the missed
-  /// `new-period` push lines out of the shards' reset archives.
-  FeedReplay feed_replay(std::optional<std::uint64_t> from);
   void probe_peers();        // armed startup: adopt/fence the cluster epoch
   void start_replication();  // idempotent; manual promote and on_promoted
   void stop_replication();   // idempotent; pre-demote and shutdown

@@ -78,14 +78,7 @@ FeedReplay FeedHub::replay(std::optional<std::uint64_t> from) const {
     std::lock_guard<std::mutex> lk(mu_);
     fn = replay_;
   }
-  if (!fn) {
-    // No history wired: fresh subscribes succeed (nothing to replay),
-    // resume requests get eviction semantics.
-    FeedReplay rep;
-    rep.ok = !from.has_value();
-    return rep;
-  }
-  return fn(from);
+  return fn ? fn(from) : FeedReplay{};  // no history wired: nothing to replay
 }
 
 }  // namespace dfky::daemon

@@ -7,9 +7,10 @@
 // refcounted FeedFrame and fanned out to every subscriber through the
 // reactor's bounded per-connection write queues (writev from the frame
 // rope — no per-subscriber copy of the payload). A reconnecting
-// receiver passes the last period it applied and the missed epochs are
-// replayed straight out of the reset archive, without a full
-// RecoveryClient round trip.
+// receiver passes the last period it applied; each shard answers it with
+// the missed epochs out of its reset archive, or with a verdict signed by
+// that shard's key when its archive has evicted them
+// (ShardRouter::catch_up). This is the one catch-up path.
 //
 // Threading: publish() is called from worker threads (after the commit
 // is durable); the reactor thread drains pending frames via
@@ -42,14 +43,13 @@ struct FeedFrame {
 };
 using FeedFramePtr = std::shared_ptr<const FeedFrame>;
 
-/// Answer to `subscribe [from-period]`: the missed epochs, replayed out
-/// of the reset archives. ok=false means `from` predates every shard's
-/// archive — the client must fall back to the signed catch-up protocol
-/// (RecoveryClient) or re-register.
+/// Answer to `subscribe [from-period]`, per shard: the missed epochs out
+/// of its reset archive, or, when the archive has evicted from+1, that
+/// shard's signed EvictionVerdict. The verdict is final for the shard's
+/// receivers, who must re-register; other shards' receivers ignore it.
 struct FeedReplay {
-  bool ok = false;
-  std::uint64_t current = 0;  // the store's period at replay time
-  std::uint64_t oldest = 0;   // oldest period the archives can bridge from
+  std::uint64_t current = 0;  // the store's period (max over shards)
+  std::vector<std::string> verdicts;  // hex EvictionVerdicts, shard order
   std::vector<std::string> lines;  // one push line per missed epoch, no '\n'
 };
 using FeedReplayFn = std::function<FeedReplay(std::optional<std::uint64_t>)>;
@@ -78,8 +78,9 @@ class FeedHub {
   /// to have drained notify_fd() too.
   std::vector<FeedFramePtr> take_pending();
 
-  /// Replay source for `subscribe from-period` (daemon wires the shard
-  /// archives in; tests wire synthetic histories). Thread-safe swap.
+  /// Replay source for `subscribe from-period` (the daemon and the
+  /// simulators wire ShardRouter::catch_up in; reactor tests and bench_feed
+  /// a fixed history). Thread-safe swap.
   void set_replay(FeedReplayFn fn);
   FeedReplay replay(std::optional<std::uint64_t> from) const;
 

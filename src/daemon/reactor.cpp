@@ -403,10 +403,12 @@ struct Reactor::Impl {
 
   // ---- streaming fan-out (DESIGN.md Sect. 16) ----
 
-  /// `subscribe [from-period]`, answered on the reactor thread: replay
-  /// the missed epochs out of the hub's history, then upgrade the
-  /// connection to a push stream. Returns false when the connection
-  /// closed (flush failure or replay overflowing the write queue).
+  /// `subscribe [from-period]`, answered on the reactor thread: upgrade
+  /// the connection to a push stream and answer with the hub's replay —
+  /// the signed verdicts of shards that evicted `from`+1 in the answer
+  /// line, then the missed epochs of the others. Returns false when the
+  /// connection closed (flush failure or replay overflowing the write
+  /// queue).
   bool handle_subscribe(Conn& c, const TaggedLine& t) {
     const std::vector<std::string> tokens = split_tokens(t.body);
     std::optional<std::uint64_t> from;
@@ -424,20 +426,6 @@ struct Reactor::Impl {
                  "\n");
     }
     const FeedReplay rep = opts.feed->replay(from);
-    if (!rep.ok) {
-      // `from` predates every archive: the client needs the signed
-      // catch-up protocol (RecoveryClient), not a feed replay. The
-      // connection is NOT upgraded.
-      obs::counter("dfkyd_requests_total",
-                   {{"verb", "subscribe"}, {"outcome", "err"}})
-          .inc();
-      return queue_bytes(
-          c, tag_response(
-                 t.id, err_response("replay-unavailable oldest=" +
-                                    std::to_string(rep.oldest) + " period=" +
-                                    std::to_string(rep.current))) +
-                 "\n");
-    }
     if (!c.subscriber) {
       c.subscriber = true;
       subscribers.insert(c.id);
@@ -446,12 +434,19 @@ struct Reactor::Impl {
     obs::counter("dfkyd_requests_total",
                  {{"verb", "subscribe"}, {"outcome", "ok"}})
         .inc();
+    std::vector<std::pair<std::string, std::string>> fields = {
+        {"period", std::to_string(rep.current)},
+        {"replayed", std::to_string(rep.lines.size())}};
+    if (!rep.verdicts.empty()) {
+      std::string evicted;
+      for (const std::string& v : rep.verdicts) {
+        if (!evicted.empty()) evicted += ',';
+        evicted += v;
+      }
+      fields.emplace_back("evicted", std::move(evicted));
+    }
     const std::string head =
-        tag_response(t.id,
-                     ok_response({{"period", std::to_string(rep.current)},
-                                  {"replayed",
-                                   std::to_string(rep.lines.size())}})) +
-        "\n";
+        tag_response(t.id, ok_response(fields)) + "\n";
     if (!queue_bytes(c, head)) return false;
     const std::size_t replayed = rep.lines.size();
     for (std::string line : rep.lines) {

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <map>
 #include <shared_mutex>
 
 #include "core/content.h"
 #include "core/keyfile.h"
+#include "daemon/protocol.h"
 #include "daemon/repl.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -26,6 +28,21 @@ Bytes serialize_bundle(const SignedResetBundle& bundle, const Group& group) {
   bundle.serialize(w, group);
   return std::move(w).take();
 }
+
+/// A shard's generator, locked for each draw: a catch-up takes its rng_mu
+/// only if it signs a verdict (lock order: state, then rng).
+class LockedRng : public Rng {
+ public:
+  LockedRng(Rng& rng, std::mutex& mu) : rng_(rng), mu_(mu) {}
+  void fill(std::span<byte> out) override {
+    std::lock_guard lk(mu_);
+    rng_.fill(out);
+  }
+
+ private:
+  Rng& rng_;
+  std::mutex& mu_;
+};
 
 }  // namespace
 
@@ -680,6 +697,46 @@ std::vector<std::uint64_t> ShardRouter::periods() const {
     out.push_back(sh->period.load(std::memory_order_relaxed));
   }
   return out;
+}
+
+FeedReplay ShardRouter::catch_up(std::optional<std::uint64_t> from) {
+  // Shared-lock every shard in index order (the order the epoch barrier
+  // locks them) for one consistent cut of periods and archives.
+  std::vector<std::shared_lock<StateMutex>> locks;
+  locks.reserve(shards_.size());
+  for (const auto& sh : shards_) locks.emplace_back(sh->state_mu);
+  FeedReplay rep;
+  for (const auto& sh : shards_) {
+    rep.current = std::max(rep.current, sh->store.manager().period());
+  }
+  // A fresh subscribe, or nothing missed: no shard has anything to say.
+  if (!from || *from >= rep.current) return rep;
+  std::map<std::uint64_t, std::string> epochs;  // period -> hex bundles
+  for (std::size_t k = 0; k < shards_.size(); ++k) {
+    Shard& sh = *shards_[k];
+    const SecurityManager& mgr = sh.store.manager();
+    const Group& group = mgr.params().group;
+    LockedRng rng(*sh.rng, sh.rng_mu);
+    const SecurityManager::CatchUp cu =
+        mgr.handle_catch_up(*from, static_cast<std::uint32_t>(k), rng);
+    if (cu.verdict) {
+      Writer w;
+      cu.verdict->serialize(w, group);
+      rep.verdicts.push_back(hex_encode(std::move(w).take()));
+    }
+    for (const SignedResetBundle& b : cu.bundles) {
+      std::string& bundles = epochs[b.reset.new_period];
+      if (!bundles.empty()) bundles += ',';
+      bundles += hex_encode(serialize_bundle(b, group));
+    }
+  }
+  // A shard that never rolled through p (per-shard reactive resets)
+  // contributes nothing to p's line.
+  for (const auto& [p, bundles] : epochs) {
+    rep.lines.push_back("bcast new-period period=" + std::to_string(p) +
+                        " bundles=" + bundles);
+  }
+  return rep;
 }
 
 ShardRouter::HealthReport ShardRouter::health() const {

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "core/scheme.h"
+#include "daemon/feed.h"
 #include "daemon/group_commit.h"
 #include "daemon/state_mutex.h"
 #include "obs/metrics.h"
@@ -152,6 +153,14 @@ class ShardRouter {
   /// Each shard's period as its last mutation left it, read without any
   /// state lock (a roll in progress shows the period before it).
   std::vector<std::uint64_t> periods() const;
+
+  /// The answer to `subscribe [from]` (DESIGN.md Sect. 7.3, 16.1), under
+  /// every shard's shared state lock. Each shard whose period is past
+  /// `from` contributes the bundles for from+1 .. its period out of its
+  /// reset archive, or, when that archive has evicted from+1, a verdict
+  /// signed on demand with its own key (under its rng_mu). A fresh
+  /// subscribe (no `from`) only reads the period and signs nothing.
+  FeedReplay catch_up(std::optional<std::uint64_t> from);
 
   /// Raw material for the `health` verb (DESIGN.md Sect. 13.4): role and
   /// fail-stop state, per-shard poisoned/epoch/queue-depth, and — with a

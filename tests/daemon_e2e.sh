@@ -27,7 +27,9 @@ APID=""
 BPID=""
 CPID=""
 UPID=""
+DPID=""
 cleanup() {
+  set +e  # a pid that already exited must not abort the rest of the cleanup
   [ -n "$PID" ] && kill -9 "$PID" 2>/dev/null
   [ -n "$SPID" ] && kill -9 "$SPID" 2>/dev/null
   [ -n "$RPID" ] && kill -9 "$RPID" 2>/dev/null
@@ -36,6 +38,7 @@ cleanup() {
   [ -n "$BPID" ] && kill -9 "$BPID" 2>/dev/null
   [ -n "$CPID" ] && kill -9 "$CPID" 2>/dev/null
   [ -n "$UPID" ] && kill -9 "$UPID" 2>/dev/null
+  [ -n "$DPID" ] && kill -9 "$DPID" 2>/dev/null
   rm -rf "$WORK"
 }
 trap cleanup EXIT
@@ -543,6 +546,49 @@ if [ -n "$FSCK" ]; then
   grep -q 'all shards at period' fsck_shards.txt \
     || fail "fsck sees an epoch spread after recovery"
 fi
+
+# ---- drifted shards: `subscribe from` is answered per shard ------------------
+# Saturating revokes roll one shard at a time. With v = 2, revoking the 40
+# even (shard 0) ids rolls shard 0 to period 19 while shard 1 stays at 0:
+# shard 0's 16-bundle archive no longer holds period 1, shard 1 missed
+# nothing. A subscribe from 0 is still answered, carrying shard 0's signed
+# eviction verdict, and the stream goes live.
+DSOCK="$WORK/drift.sock"
+"$CLI" init drift.d --v 2 --group test128 --shards 2 >/dev/null
+"$DFKYD" drift.d --socket "$DSOCK" > drift.log 2>&1 &
+DPID=$!
+for _ in $(seq 1 200); do
+  grep -q 'dfkyd: ready' drift.log 2>/dev/null && break
+  kill -0 "$DPID" 2>/dev/null || fail "drift daemon died: $(cat drift.log)"
+  sleep 0.05
+done
+for _ in $(seq 1 80); do echo add-user; done \
+  | "$CLI" client "$DSOCK" pipeline --window 8 >/dev/null \
+  || fail "drift adds failed"
+"$CLI" client "$DSOCK" revoke $(seq -s ' ' 0 2 78) --reset-out drift \
+  >/dev/null || fail "drift revokes failed"
+[ "$("$CLI" client "$DSOCK" status | sed -n 's/^periods: //p')" = "19,0" ] \
+  || fail "revokes did not drift the shards: $("$CLI" client "$DSOCK" status)"
+"$CLI" client "$DSOCK" subscribe --from-period 0 --count 1 > driftsub.txt &
+UPID=$!
+for _ in $(seq 1 200); do
+  grep -q 'subscribed period=' driftsub.txt 2>/dev/null && break
+  kill -0 "$UPID" 2>/dev/null \
+    || fail "subscribe from 0 on drifted shards refused: $(cat driftsub.txt)"
+  sleep 0.05
+done
+grep -Eq '^subscribed period=19 replayed=0 evicted=[0-9a-f]+$' driftsub.txt \
+  || fail "drifted subscribe answer wrong: $(cat driftsub.txt)"
+"$CLI" client "$DSOCK" new-period >/dev/null
+rc=0; wait "$UPID" || rc=$?
+UPID=""
+[ "$rc" = 0 ] || fail "drifted subscriber exited $rc: $(cat driftsub.txt)"
+grep -q '^bcast new-period period=20 ' driftsub.txt \
+  || fail "drifted subscriber missed the live frame: $(cat driftsub.txt)"
+"$CLI" client "$DSOCK" shutdown >/dev/null || fail "drift shutdown failed"
+rc=0; wait "$DPID" || rc=$?
+DPID=""
+[ "$rc" = 0 ] || fail "drift daemon shutdown exited $rc"
 
 # ========================== replicated deployments =============================
 # A primary/follower pair over WAL shipping (DESIGN.md Sect. 12): the

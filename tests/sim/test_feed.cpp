@@ -1,34 +1,35 @@
 // Streaming-feed battery (DESIGN.md Sect. 16), two fronts:
 //
-//  - FeedStorm: the catch-up storm. DFKY_STORM_RECEIVERS stale
-//    Receiver+RecoveryClient pairs (default 10000; 100000 is the
-//    env-gated full run) all miss one New-period, then the first
-//    post-gap broadcast releases the herd onto the CatchUpResponder at
-//    once — the synchronous bus turns every recovery into a nested storm
-//    inside one broadcast() call. Gate: zero quarantine-eligible
-//    receivers left behind — every receiver back to kCurrent at the
-//    manager's period, no quarantined envelopes on either side, every
-//    client inside its attempt budget, and post-recovery content
-//    decrypts for everyone. Herds beyond 10k run in waves of 10k so the
-//    O(N^2) all-to-all bus delivery stays tractable; every wave still
-//    storms a shared responder on one manager.
+//  - FeedStorm: the catch-up storm through the served path. A FeedServer
+//    (ShardRouter + FeedHub + the real Reactor) serves a herd of
+//    DFKY_STORM_RECEIVERS Receivers (default 10000; 100000 is the
+//    env-gated full run), each behind its own connection, that all miss
+//    one New-period and then catch up at once with client::catch_up: one
+//    `subscribe from`, answered by ShardRouter::catch_up, whose replayed
+//    bundle the Receiver verifies and applies. Gate: zero receivers left
+//    behind — every receiver back to kCurrent at the manager's period on
+//    exactly one replayed epoch, no verdicts, and content sealed in the
+//    new period opens for everyone. The herd runs in waves of at most 10k;
+//    both ends of every connection live in this process, so when
+//    RLIMIT_NOFILE cannot hold 2 fds per receiver the waves shrink the way
+//    bench_feed clamps its herd (the total stays the same).
 //
-//  - SimFeed: the real Reactor+FeedHub over a lossy SimCluster.
-//    Seed-swept (DFKY_SIM_SEEDS) subscriber churn: new-periods committed
-//    through the cluster primary are published as feed frames,
-//    subscribers join mid-stream with resume-from-period replay, some
-//    are killed abruptly right after a publish (kill-mid-broadcast), a
-//    follower dies and reboots under ack loss. Survivors must see a
-//    gapless contiguous frame sequence from their join point to the
-//    final period. tools/sanitize_check.sh re-runs SimFeed under ASan
-//    and TSan with a 20-seed sweep.
+//  - SimFeed: the real Reactor+FeedHub over a lossy SimCluster, replaying
+//    from the cluster primary's router. Seed-swept (DFKY_SIM_SEEDS)
+//    subscriber churn: new-periods committed through the cluster primary
+//    are published as feed frames, subscribers join mid-stream with
+//    resume-from-period replay, some are killed abruptly right after a
+//    publish (kill-mid-broadcast), a follower dies and reboots under ack
+//    loss. Survivors must see a gapless contiguous frame sequence from
+//    their join point to the final period. tools/sanitize_check.sh re-runs
+//    both under ASan and TSan (SimFeed with a 20-seed sweep).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <random>
 #include <string>
@@ -36,19 +37,16 @@
 #include <utility>
 #include <vector>
 
-#include <fcntl.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
+#include <sys/resource.h>
 
-#include "broadcast/faulty_bus.h"
 #include "client/client.h"
-#include "broadcast/recovery.h"
+#include "core/content.h"
 #include "core/manager.h"
 #include "daemon/feed.h"
 #include "daemon/protocol.h"
-#include "daemon/reactor.h"
+#include "feed_server.h"
 #include "rng/chacha_rng.h"
+#include "serial/codec.h"
 #include "sim/sim_cluster.h"
 #include "test_util.h"
 
@@ -71,130 +69,105 @@ Bytes str(std::string_view s) {
   return Bytes(s.begin(), s.end());
 }
 
+constexpr int kMs = 10000;  // a frame slower than this fails the test
+
 // ---------------------------------------------------------------------------
 // FeedStorm — the catch-up storm.
 
+/// The largest wave whose ~2 fds per receiver (plus 512 spare) fit the
+/// RLIMIT_NOFILE budget, raising the soft limit first (as bench_feed does).
+std::size_t wave_fd_cap(std::size_t want) {
+  rlimit rl{};
+  if (::getrlimit(RLIMIT_NOFILE, &rl) != 0) return 256;
+  if (rl.rlim_cur < 2 * want + 512 && rl.rlim_cur < rl.rlim_max) {
+    rl.rlim_cur = std::min<rlim_t>(rl.rlim_max, 2 * want + 512);
+    ::setrlimit(RLIMIT_NOFILE, &rl);
+    ::getrlimit(RLIMIT_NOFILE, &rl);
+  }
+  const auto budget = static_cast<std::size_t>(rl.rlim_cur);
+  return std::min(want, (budget - std::min<std::size_t>(budget, 512)) / 2);
+}
+
 TEST(FeedStorm, CatchUpStormLeavesNoReceiverBehind) {
   const std::size_t total = env_count("DFKY_STORM_RECEIVERS", 10000);
-  // Beyond one wave the all-to-all bus makes the storm quadratic; waves
-  // keep the full 100k run inside the test timeout while every receiver
-  // still hammers the same responder on the same manager.
   constexpr std::size_t kWaveCap = 10000;
+  const std::size_t wave_cap = wave_fd_cap(kWaveCap);
+  ASSERT_GT(wave_cap, 0u);
+  if (wave_cap < kWaveCap) {
+    std::printf("# fd budget clamps the storm's waves to %zu receivers\n",
+                wave_cap);
+  }
   const std::uint64_t seed = 0xfeedd00d;
-
   ChaChaRng rng(seed);
   const SystemParams sp = test::test_params(2, seed ^ 0xfa157);
-  // Clean links: the load IS the fault. Channel-fault mixes live in
-  // test_faults.cpp; here every request must land on the responder.
-  FaultyBus bus(FaultPlan{.seed = seed});
-  SecurityManager mgr(sp, rng);
-  ChaChaRng responder_rng(seed ^ 0xd00d);
-  CatchUpResponder responder(mgr, bus, responder_rng);
-  ContentProvider tv("storm", sp, mgr.public_key(), bus);
+  test::FeedServer server(SecurityManager(sp, rng));
+  daemon::ShardRouter& router = server.router();
 
-  std::size_t done = 0;
-  std::uint64_t nonce = 1;
-  std::uint64_t requests_total = 0;
-  std::uint64_t bundles_replayed_total = 0;
+  constexpr std::size_t kThreads = 4;
   // Aggregate violations instead of 10k+ per-receiver EXPECTs so a broken
   // run fails with counts, not megabytes of log.
-  std::size_t not_current = 0, wrong_period = 0, quarantined = 0;
-  std::size_t not_recovered = 0, over_budget = 0, no_request = 0;
-  std::size_t no_replay = 0, missed_finale = 0;
-
+  std::atomic<std::size_t> not_current{0}, wrong_period{0}, no_replay{0};
+  std::atomic<std::size_t> verdicts{0}, errors{0}, missed_finale{0};
+  std::size_t done = 0;
   while (done < total) {
-    const std::size_t wave = std::min(kWaveCap, total - done);
-    std::vector<SecurityManager::AddedUser> users;
-    users.reserve(wave);
-    for (std::size_t i = 0; i < wave; ++i) users.push_back(mgr.add_user(rng));
+    const std::size_t wave = std::min(wave_cap, total - done);
+    const std::vector<KeyFileData> keys = server.add_users(wave);
 
-    constexpr std::uint32_t kBudget = 6;
-    std::vector<std::unique_ptr<SubscriberClient>> subs;
-    std::vector<std::unique_ptr<RecoveryClient>> recov;
-    subs.reserve(wave);
-    recov.reserve(wave);
-    for (std::size_t i = 0; i < wave; ++i) {
-      subs.push_back(std::make_unique<SubscriberClient>(
-          sp, users[i].key, mgr.verification_key(), bus));
-      const RecoveryPolicy policy{
-          .attempt_budget = kBudget, .backoff_base = 1, .nonce = nonce++};
-      recov.push_back(std::make_unique<RecoveryClient>(*subs.back(), bus, policy));
+    // Park the herd: its connections are open while the wave misses a
+    // New-period.
+    std::vector<client::Conn> herd;
+    herd.reserve(wave);
+    for (std::size_t i = 0; i < wave; ++i) herd.emplace_back(server.sock());
+    router.new_period_all();
+    const std::uint64_t period = router.status().period;
+    const Bytes finale = str("storm-finale");
+    const Bytes sealed = router.encrypt(finale, 0).ct;
+
+    // Release the herd: every connection catches its receiver up at once,
+    // and recovery must restore service — the finale opens for everyone.
+    std::vector<std::thread> pool;
+    pool.reserve(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      pool.emplace_back([&, t] {
+        for (std::size_t i = t; i < wave; i += kThreads) {
+          Receiver rx(keys[i].sp, keys[i].key, keys[i].manager_vk);
+          try {
+            const client::CatchUpReport rep =
+                client::catch_up(herd[i], rx, kMs);
+            if (rep.applied != 1) ++no_replay;
+            verdicts += rep.verdicts;
+            Reader r(sealed);
+            const ContentMessage msg =
+                ContentMessage::deserialize(r, rx.params().group);
+            if (open_content(rx.params(), rx.key(), msg) != finale) {
+              ++missed_finale;
+            }
+          } catch (const Error&) {
+            ++errors;
+          }
+          if (rx.state() != ReceiverState::kCurrent) ++not_current;
+          if (rx.period() != period) ++wrong_period;
+        }
+      });
     }
-    announce_public_key(bus, sp.group, mgr.public_key());
-
-    // Park the herd: the whole wave misses this New-period.
-    bus.drop_next_change_periods(1);
-    announce_reset(bus, sp.group, mgr.new_period(rng));
-    announce_public_key(bus, sp.group, mgr.public_key());
-
-    // The first post-gap broadcast exposes the period gap. The bus is
-    // synchronous, so every RecoveryClient requests, the responder
-    // answers and the bundle replays — all nested inside this call.
-    tv.broadcast(str("storm-payload"), rng);
-
-    const std::uint64_t period = mgr.period();
-    for (std::size_t i = 0; i < wave; ++i) {
-      if (subs[i]->state() != ReceiverState::kCurrent) ++not_current;
-      if (subs[i]->period() != period) ++wrong_period;
-      if (subs[i]->quarantined_envelopes() != 0) ++quarantined;
-      if (recov[i]->status() != RecoveryClient::Status::kRecovered) {
-        ++not_recovered;
-      }
-      if (recov[i]->requests_sent() == 0) ++no_request;
-      if (recov[i]->requests_sent() > kBudget) ++over_budget;
-      if (recov[i]->bundles_replayed() == 0) ++no_replay;
-      requests_total += recov[i]->requests_sent();
-      bundles_replayed_total += recov[i]->bundles_replayed();
-    }
-
-    // Recovery must actually restore service: the finale decrypts for
-    // every receiver in the wave.
-    tv.broadcast(str("storm-finale"), rng);
-    for (std::size_t i = 0; i < wave; ++i) {
-      if (subs[i]->received_content().empty() ||
-          subs[i]->received_content().back() != str("storm-finale")) {
-        ++missed_finale;
-      }
-    }
+    for (std::thread& th : pool) th.join();
     done += wave;
   }
 
-  EXPECT_EQ(not_current, 0u) << "receivers stuck stale";
-  EXPECT_EQ(wrong_period, 0u);
-  EXPECT_EQ(quarantined, 0u) << "quarantine-eligible receivers left behind";
-  EXPECT_EQ(not_recovered, 0u);
-  EXPECT_EQ(no_request, 0u);
-  EXPECT_EQ(over_budget, 0u) << "attempt budget exceeded";
-  EXPECT_EQ(no_replay, 0u);
-  EXPECT_EQ(missed_finale, 0u) << "post-recovery content lost";
-  // Responder-side budget/backoff sanity: every receiver's request was
-  // answered, none quarantined, and the storm stayed within one request
-  // per receiver per backoff window.
-  EXPECT_EQ(responder.requests_quarantined(), 0u);
-  EXPECT_GE(responder.requests_answered(), total);
-  EXPECT_EQ(responder.requests_answered(), requests_total);
-  EXPECT_LE(requests_total, static_cast<std::uint64_t>(total) * 6);
-  EXPECT_GE(bundles_replayed_total, total);
+  EXPECT_EQ(not_current.load(), 0u) << "receivers stuck stale";
+  EXPECT_EQ(wrong_period.load(), 0u);
+  EXPECT_EQ(no_replay.load(), 0u) << "a receiver missed its replayed epoch";
+  EXPECT_EQ(verdicts.load(), 0u) << "an archive that holds the gap evicted";
+  EXPECT_EQ(errors.load(), 0u) << "catch-up or post-recovery decrypt failed";
+  EXPECT_EQ(missed_finale.load(), 0u) << "post-recovery content lost";
+  // One subscribe per receiver, each replaying exactly the missed epoch.
+  EXPECT_EQ(server.reactor().stats().feed_replayed, total);
 }
 
 // ---------------------------------------------------------------------------
 // SimFeed — Reactor+FeedHub fan-out over a lossy SimCluster.
 
 constexpr auto kDeadline = std::chrono::seconds(10);
-
-int listen_unix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
-  ::unlink(path.c_str());
-  EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
-  EXPECT_EQ(::listen(fd, 64), 0);
-  return fd;
-}
-
-constexpr int kMs = 10000;  // a frame slower than this fails the test
 
 /// `bcast new-period period=<p> bundles=...` -> p; nullopt otherwise.
 std::optional<std::uint64_t> frame_period(const std::string& line) {
@@ -204,55 +177,6 @@ std::optional<std::uint64_t> frame_period(const std::string& line) {
   return daemon::parse_u64(
       std::string_view(line).substr(kPrefix.size(), end - kPrefix.size()));
 }
-
-/// A Reactor serving a SimCluster primary over a fresh unix socket, with
-/// a FeedHub wired in — the daemon's front end minus the daemon.
-struct FeedHarness {
-  std::string dir;
-  std::string sock;
-  int lfd = -1;
-  int wake[2] = {-1, -1};
-  std::optional<daemon::Reactor> reactor;
-  std::thread thr;
-
-  FeedHarness(SimNode& node, daemon::FeedHub& hub) {
-    char tmpl[] = "/tmp/dfky_feed_sim_XXXXXX";
-    EXPECT_NE(::mkdtemp(tmpl), nullptr);
-    dir = tmpl;
-    sock = dir + "/d.sock";
-    lfd = listen_unix(sock);
-    EXPECT_EQ(::pipe2(wake, O_CLOEXEC), 0);
-    daemon::ReactorOptions opts;
-    opts.listen_fd = lfd;
-    opts.wake_fd = wake[0];
-    opts.workers = 2;
-    opts.feed = &hub;
-    const int wake_wr = wake[1];
-    reactor.emplace(
-        opts,
-        [&node](const std::string& line, daemon::Reply reply) {
-          const auto resp = node.request(line);
-          reply({resp.value_or("err node-dead"), false});
-        },
-        std::function<std::size_t()>{},
-        [wake_wr] {
-          const char b = 1;
-          [[maybe_unused]] const ssize_t n = ::write(wake_wr, &b, 1);
-        });
-    thr = std::thread([this] { reactor->run(); });
-  }
-
-  ~FeedHarness() {
-    const char b = 1;
-    [[maybe_unused]] const ssize_t n = ::write(wake[1], &b, 1);
-    thr.join();
-    ::close(lfd);
-    ::close(wake[0]);
-    ::close(wake[1]);
-    ::unlink(sock.c_str());
-    ::rmdir(dir.c_str());
-  }
-};
 
 struct FeedSub {
   client::Conn conn;
@@ -264,25 +188,17 @@ void run_feed_churn(std::uint64_t seed) {
   SimCluster cluster(/*shards=*/2, /*followers=*/1, seed,
                      LinkFaults{.ack_loss_per_mille = 150, .dup_per_mille = 80});
 
-  // Replay source: the committed frame history, exactly what the daemon
-  // rebuilds from the shards' reset archives.
-  std::mutex hist_mu;
-  std::vector<std::pair<std::uint64_t, std::string>> hist;
+  // Replay source: the primary's router, exactly what the daemon serves.
   daemon::FeedHub hub;
-  hub.set_replay([&](std::optional<std::uint64_t> from) {
-    daemon::FeedReplay rep;
-    const std::lock_guard<std::mutex> lock(hist_mu);
-    rep.current = hist.empty() ? 0 : hist.back().first;
-    rep.oldest = hist.empty() ? 1 : hist.front().first;
-    rep.ok = true;
-    if (!from || *from >= rep.current) return rep;
-    for (const auto& [p, line] : hist) {
-      if (p > *from) rep.lines.push_back(line);
-    }
-    return rep;
+  hub.set_replay([&cluster](std::optional<std::uint64_t> from) {
+    return cluster.primary().router().catch_up(from);
   });
-
-  FeedHarness h(cluster.primary(), hub);
+  SimNode& primary = cluster.primary();
+  test::FeedFrontEnd h(hub, [&primary](const std::string& line,
+                                       daemon::Reply reply) {
+    const auto resp = primary.request(line);
+    reply({resp.value_or("err node-dead"), false});
+  });
   std::mt19937_64 rng(seed * 0x9e3779b97f4a7c15ULL + 1);
 
   std::vector<FeedSub> subs;  // subs[0] is the canary: never killed
@@ -290,11 +206,12 @@ void run_feed_churn(std::uint64_t seed) {
   std::size_t killed = 0;
 
   auto add_sub = [&](std::uint64_t from) {
-    FeedSub s{.conn = client::Conn(h.sock), .from = from, .seen = {}};
+    FeedSub s{.conn = client::Conn(h.sock()), .from = from, .seen = {}};
     const daemon::Response r = client::subscribe(s.conn, from, kMs);
     ASSERT_TRUE(r.ok) << r.error;
     ASSERT_EQ(r.fields.at("period"), std::to_string(last_period));
     ASSERT_EQ(r.fields.at("replayed"), std::to_string(last_period - from));
+    ASSERT_EQ(r.fields.count("evicted"), 0u);  // every archive holds the gap
     subs.push_back(std::move(s));
   };
 
@@ -303,7 +220,7 @@ void run_feed_churn(std::uint64_t seed) {
   add_sub(0);
   if (::testing::Test::HasFatalFailure()) return;
 
-  client::Conn control(h.sock);
+  client::Conn control(h.sock());
 
   constexpr int kRounds = 8;
   for (int round = 0; round < kRounds; ++round) {
@@ -320,10 +237,6 @@ void run_feed_churn(std::uint64_t seed) {
     const std::string frame = "bcast new-period period=" +
                               std::to_string(*period) +
                               " bundles=" + resp->fields.at("bundles");
-    {
-      const std::lock_guard<std::mutex> lock(hist_mu);
-      hist.emplace_back(*period, frame);
-    }
     last_period = *period;
     hub.publish(frame, *period);
 
@@ -382,13 +295,13 @@ void run_feed_churn(std::uint64_t seed) {
                   " bundles=",
               last_period + 1);
   const auto deadline = std::chrono::steady_clock::now() + kDeadline;
-  while (h.reactor->stats().subscribers != subs.size()) {
+  while (h.reactor().stats().subscribers != subs.size()) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "subscriber gauge stuck at " << h.reactor->stats().subscribers
+        << "subscriber gauge stuck at " << h.reactor().stats().subscribers
         << ", want " << subs.size() << " (killed " << killed << ")";
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  const auto stats = h.reactor->stats();
+  const auto stats = h.reactor().stats();
   EXPECT_GE(stats.feed_replayed, 1u);
 
   // The cluster itself stayed healthy under the churn: the rebooted

@@ -116,9 +116,9 @@ TEST(Revive, BaselineRevivesSchemeExpires) {
   // back in; the paper's scheme keeps her expired.
   EXPECT_TRUE(out.baseline_revived);
   EXPECT_FALSE(out.scheme_revived);
-  // The catch-up recovery protocol answers the adversary's requests but
-  // must not restore her capability either.
-  EXPECT_GT(out.catch_up_requests_answered, 0u);
+  // Catching up serves the adversary the archived bundles, but none opens
+  // under her key, so it must not restore her capability either.
+  EXPECT_GT(out.catch_up_bundles_refused, 0u);
   EXPECT_FALSE(out.scheme_revived_via_catch_up);
 }
 

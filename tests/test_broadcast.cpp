@@ -99,7 +99,8 @@ TEST(System, ProviderToSubscriberDelivery) {
   SystemFixture fx;
   const auto u = fx.mgr.add_user(fx.rng);
   SubscriberClient sub(fx.sp, u.key, fx.mgr.verification_key(), fx.bus);
-  ContentProvider hbo("hbo", fx.sp, fx.mgr.public_key(), fx.bus);
+  ContentProvider hbo("hbo", fx.sp, fx.mgr.public_key(),
+                      fx.mgr.verification_key(), fx.bus);
 
   hbo.broadcast(str("movie night"), fx.rng);
   ASSERT_EQ(sub.received_content().size(), 1u);
@@ -113,8 +114,10 @@ TEST(System, MultipleProvidersShareOneInfrastructure) {
   SystemFixture fx;
   const auto u = fx.mgr.add_user(fx.rng);
   SubscriberClient sub(fx.sp, u.key, fx.mgr.verification_key(), fx.bus);
-  ContentProvider a("alpha", fx.sp, fx.mgr.public_key(), fx.bus);
-  ContentProvider b("beta", fx.sp, fx.mgr.public_key(), fx.bus);
+  ContentProvider a("alpha", fx.sp, fx.mgr.public_key(),
+                    fx.mgr.verification_key(), fx.bus);
+  ContentProvider b("beta", fx.sp, fx.mgr.public_key(),
+                    fx.mgr.verification_key(), fx.bus);
 
   a.broadcast(str("from alpha"), fx.rng);
   b.broadcast(str("from beta"), fx.rng);
@@ -129,10 +132,11 @@ TEST(System, RevokedSubscriberMissesContent) {
   SubscriberClient good_sub(fx.sp, good.key, fx.mgr.verification_key(),
                             fx.bus);
   SubscriberClient bad_sub(fx.sp, bad.key, fx.mgr.verification_key(), fx.bus);
-  ContentProvider tv("tv", fx.sp, fx.mgr.public_key(), fx.bus);
+  ContentProvider tv("tv", fx.sp, fx.mgr.public_key(),
+                     fx.mgr.verification_key(), fx.bus);
 
   fx.mgr.remove_user(bad.id, fx.rng);
-  announce_public_key(fx.bus, fx.sp.group, fx.mgr.public_key());
+  announce_public_key(fx.bus, fx.sp.group, fx.mgr.signed_public_key(fx.rng));
 
   tv.broadcast(str("premium"), fx.rng);
   EXPECT_EQ(good_sub.received_content().size(), 1u);
@@ -143,12 +147,13 @@ TEST(System, RevokedSubscriberMissesContent) {
 TEST(System, ProvidersTrackKeyUpdates) {
   SystemFixture fx;
   const auto u = fx.mgr.add_user(fx.rng);
-  ContentProvider tv("tv", fx.sp, fx.mgr.public_key(), fx.bus);
+  ContentProvider tv("tv", fx.sp, fx.mgr.public_key(),
+                     fx.mgr.verification_key(), fx.bus);
 
   // Revoke someone: the provider must pick up the new key from the bus.
   const auto victim = fx.mgr.add_user(fx.rng);
   fx.mgr.remove_user(victim.id, fx.rng);
-  announce_public_key(fx.bus, fx.sp.group, fx.mgr.public_key());
+  announce_public_key(fx.bus, fx.sp.group, fx.mgr.signed_public_key(fx.rng));
   EXPECT_EQ(tv.current_public_key().slot_ids()[0],
             fx.mgr.public_key().slot_ids()[0]);
 
@@ -161,14 +166,15 @@ TEST(System, FullLifecycleWithPeriodChangeOverTheBus) {
   SystemFixture fx;  // v = 3
   const auto u = fx.mgr.add_user(fx.rng);
   SubscriberClient sub(fx.sp, u.key, fx.mgr.verification_key(), fx.bus);
-  ContentProvider tv("tv", fx.sp, fx.mgr.public_key(), fx.bus);
+  ContentProvider tv("tv", fx.sp, fx.mgr.public_key(),
+                     fx.mgr.verification_key(), fx.bus);
 
   // Churn enough users to force a period change; everything over the bus.
   for (int i = 0; i < 4; ++i) {
     const auto victim = fx.mgr.add_user(fx.rng);
     const auto bundle = fx.mgr.remove_user(victim.id, fx.rng);
     if (bundle) announce_reset(fx.bus, fx.sp.group, *bundle);
-    announce_public_key(fx.bus, fx.sp.group, fx.mgr.public_key());
+    announce_public_key(fx.bus, fx.sp.group, fx.mgr.signed_public_key(fx.rng));
   }
   EXPECT_EQ(fx.mgr.period(), 1u);
   EXPECT_EQ(sub.period(), 1u);  // followed via the signed bus message
@@ -183,7 +189,8 @@ TEST(System, RevokedSubscriberCannotFollowPeriodChange) {
   SystemFixture fx;  // v = 3
   const auto bad = fx.mgr.add_user(fx.rng);
   SubscriberClient bad_sub(fx.sp, bad.key, fx.mgr.verification_key(), fx.bus);
-  ContentProvider tv("tv", fx.sp, fx.mgr.public_key(), fx.bus);
+  ContentProvider tv("tv", fx.sp, fx.mgr.public_key(),
+                     fx.mgr.verification_key(), fx.bus);
 
   fx.mgr.remove_user(bad.id, fx.rng);
   // Fill the period and roll it.
@@ -192,7 +199,7 @@ TEST(System, RevokedSubscriberCannotFollowPeriodChange) {
     const auto bundle = fx.mgr.remove_user(victim.id, fx.rng);
     if (bundle) announce_reset(fx.bus, fx.sp.group, *bundle);
   }
-  announce_public_key(fx.bus, fx.sp.group, fx.mgr.public_key());
+  announce_public_key(fx.bus, fx.sp.group, fx.mgr.signed_public_key(fx.rng));
   EXPECT_EQ(fx.mgr.period(), 1u);
   EXPECT_EQ(bad_sub.period(), 0u);  // stuck in the old period
   EXPECT_EQ(bad_sub.failed_resets(), 1u);
@@ -204,9 +211,10 @@ TEST(System, RevokedSubscriberCannotFollowPeriodChange) {
 
 TEST(System, EavesdropperLogIsComplete) {
   SystemFixture fx;
-  ContentProvider tv("tv", fx.sp, fx.mgr.public_key(), fx.bus);
+  ContentProvider tv("tv", fx.sp, fx.mgr.public_key(),
+                     fx.mgr.verification_key(), fx.bus);
   tv.broadcast(str("one"), fx.rng);
-  announce_public_key(fx.bus, fx.sp.group, fx.mgr.public_key());
+  announce_public_key(fx.bus, fx.sp.group, fx.mgr.signed_public_key(fx.rng));
   EXPECT_EQ(fx.bus.log().size(), 2u);
   EXPECT_EQ(fx.bus.log()[0].type, MsgType::kContent);
   EXPECT_EQ(fx.bus.log()[1].type, MsgType::kPublicKeyUpdate);

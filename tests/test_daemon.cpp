@@ -828,6 +828,57 @@ TEST(ShardRouter, EqualizesEpochsDriftedBySaturatingRevokes) {
             2);
 }
 
+TEST(ShardRouter, CatchUpDecidesEvictionPerShard) {
+  // Saturating revokes roll one shard at a time: revoking the 40 even
+  // (shard 0) ids of 82 users with v = 2 rolls shard 0 to period 19 while
+  // shard 1 stays at 0. Shard 0's archive (K = 16) has evicted period 1;
+  // shard 1 missed nothing. A catch-up from 0 answers each shard on its
+  // own: shard 0 with a verdict signed by its key, shard 1 with nothing.
+  HandlerFixture f(/*shards=*/2);
+  std::vector<KeyFileData> keys;
+  for (int i = 0; i < 82; ++i) {
+    keys.push_back(
+        decode_key_file(*hex_decode(f.ok("add-user").fields.at("key"))));
+  }
+  std::string even;
+  for (int id = 0; id <= 78; id += 2) even += " " + std::to_string(id);
+  f.ok("revoke" + even);
+  ASSERT_EQ(f.ok("status").fields.at("periods"), "19,0");
+
+  const FeedReplay rep = f.router->catch_up(0);
+  EXPECT_EQ(rep.current, 19u);
+  EXPECT_TRUE(rep.lines.empty());
+  ASSERT_EQ(rep.verdicts.size(), 1u);
+  const Bytes raw = *hex_decode(rep.verdicts[0]);
+  Reader r(raw);
+  const EvictionVerdict verdict =
+      EvictionVerdict::deserialize(r, keys[0].sp.group);
+  EXPECT_EQ(verdict.shard, 0u);
+  EXPECT_EQ(verdict.oldest_available, 4u);
+
+  // A shard-1 receiver at period 0 is current and stays current.
+  Receiver shard1(keys[1].sp, keys[1].key, keys[1].manager_vk);
+  client::apply_replay(shard1, rep);
+  EXPECT_EQ(shard1.state(), ReceiverState::kCurrent);
+  EXPECT_EQ(shard1.period(), 0u);
+  // Shard 0's verdict does not verify under shard 1's key.
+  EXPECT_FALSE(shard1.apply_eviction(verdict));
+  EXPECT_EQ(shard1.state(), ReceiverState::kCurrent);
+
+  // A shard-0 receiver at period 0 (id 80, never revoked) verifies its
+  // shard's verdict and is terminal.
+  Receiver shard0(keys[80].sp, keys[80].key, keys[80].manager_vk);
+  client::apply_replay(shard0, rep);
+  EXPECT_EQ(shard0.state(), ReceiverState::kUnrecoverable);
+  EXPECT_EQ(shard0.period(), 0u);
+
+  // A fresh subscribe reads the period and signs nothing.
+  const FeedReplay fresh = f.router->catch_up(std::nullopt);
+  EXPECT_EQ(fresh.current, 19u);
+  EXPECT_TRUE(fresh.verdicts.empty());
+  EXPECT_TRUE(fresh.lines.empty());
+}
+
 TEST(ShardRouter, ConcurrentMutationsLandOnTheRightShardsDurably) {
   HandlerFixture f(/*shards=*/3);
   constexpr std::size_t kThreads = 4, kPerThread = 6;

@@ -1,10 +1,13 @@
 // Fault-injection matrix: seeded fault plans (drop / duplicate / corrupt /
 // reorder / delay, plus targeted New-period drops) over the full system —
-// manager, providers, subscribers, catch-up responder and recovery clients.
-// Asserts the acceptance bar of the channel-fault work: every non-revoked
-// receiver converges back to the manager's period and decrypts post-recovery
-// content, revoked receivers stay expired (no revival through the catch-up
-// path), and runs are bit-deterministic given the seed.
+// manager, providers and subscribers — with every subscriber catching up
+// from the manager's archive once the channel heals. Asserts the acceptance
+// bar of the channel-fault work: every non-revoked receiver converges back
+// to the manager's period and decrypts post-recovery content, revoked
+// receivers stay expired (no revival through catch-up), and runs are
+// bit-deterministic given the seed. The Recovery cases run catch-up through
+// dfkyd's served path: `subscribe from` on a FeedServer, answered by
+// ShardRouter::catch_up and applied by client::catch_up.
 #include "broadcast/faulty_bus.h"
 
 #include <gtest/gtest.h>
@@ -12,9 +15,13 @@
 #include <memory>
 
 #include "attacks/revive.h"
-#include "broadcast/recovery.h"
+#include "broadcast/provider.h"
+#include "client/client.h"
+#include "core/content.h"
 #include "core/manager.h"
+#include "feed_server.h"
 #include "rng/chacha_rng.h"
+#include "serial/codec.h"
 #include "test_util.h"
 
 namespace dfky {
@@ -92,6 +99,14 @@ struct ScenarioResult {
   bool operator==(const ScenarioResult&) const = default;
 };
 
+/// One receiver's catch-up from the manager's archive: the bundles since
+/// its period in order, then the eviction verdict if there is one.
+void catch_up(const SecurityManager& mgr, Receiver& rx, Rng& rng) {
+  const SecurityManager::CatchUp cu = mgr.handle_catch_up(rx.period(), 0, rng);
+  for (const SignedResetBundle& b : cu.bundles) rx.apply_reset(b);
+  if (cu.verdict) rx.apply_eviction(*cu.verdict);
+}
+
 ScenarioResult run_scenario(std::uint64_t seed, const Mix& mix) {
   constexpr int kGoodUsers = 4;
   constexpr int kTransitions = 6;  // >= 5 New-period transitions
@@ -108,34 +123,23 @@ ScenarioResult run_scenario(std::uint64_t seed, const Mix& mix) {
                  .delay_messages = 3};
   FaultyBus bus(plan);
   SecurityManager mgr(sp, rng);
-  ChaChaRng responder_rng(seed ^ 0xd00d);
-  CatchUpResponder responder(mgr, bus, responder_rng);
+  ChaChaRng catch_up_rng(seed ^ 0xd00d);
 
   const auto bad = mgr.add_user(rng);
   std::vector<SecurityManager::AddedUser> good;
   for (int i = 0; i < kGoodUsers; ++i) good.push_back(mgr.add_user(rng));
 
-  const RecoveryPolicy base_policy{
-      .attempt_budget = 16, .backoff_base = 1, .nonce = 0};
   std::vector<std::unique_ptr<SubscriberClient>> subs;
-  std::vector<std::unique_ptr<RecoveryClient>> recoveries;
   for (int i = 0; i < kGoodUsers; ++i) {
     subs.push_back(std::make_unique<SubscriberClient>(
         sp, good[i].key, mgr.verification_key(), bus));
-    RecoveryPolicy policy = base_policy;
-    policy.nonce = 100 + i;
-    recoveries.push_back(
-        std::make_unique<RecoveryClient>(*subs.back(), bus, policy));
   }
   SubscriberClient bad_sub(sp, bad.key, mgr.verification_key(), bus);
-  RecoveryPolicy bad_policy = base_policy;
-  bad_policy.nonce = 666;
-  RecoveryClient bad_recovery(bad_sub, bus, bad_policy);
 
-  ContentProvider tv("tv", sp, mgr.public_key(), bus);
+  ContentProvider tv("tv", sp, mgr.public_key(), mgr.verification_key(), bus);
 
   mgr.remove_user(bad.id, rng);
-  announce_public_key(bus, sp.group, mgr.public_key());
+  announce_public_key(bus, sp.group, mgr.signed_public_key(rng));
 
   // Guarantee at least one clean "missed the New-period bundle" episode on
   // top of the probabilistic faults.
@@ -143,15 +147,18 @@ ScenarioResult run_scenario(std::uint64_t seed, const Mix& mix) {
 
   for (int t = 0; t < kTransitions; ++t) {
     announce_reset(bus, sp.group, mgr.new_period(rng));
-    announce_public_key(bus, sp.group, mgr.public_key());
+    announce_public_key(bus, sp.group, mgr.signed_public_key(rng));
     for (int c = 0; c < kTrafficPerTransition; ++c) {
       tv.broadcast(str("tick"), rng);
     }
   }
 
-  // The channel heals; steady traffic lets every pending recovery finish.
+  // The channel heals and every subscriber catches up — the revoked one
+  // too, whose replayed bundles must not open.
   bus.heal();
-  announce_public_key(bus, sp.group, mgr.public_key());
+  announce_public_key(bus, sp.group, mgr.signed_public_key(rng));
+  for (const auto& sub : subs) catch_up(mgr, sub->receiver(), catch_up_rng);
+  catch_up(mgr, bad_sub.receiver(), catch_up_rng);
   for (int c = 0; c < 8; ++c) tv.broadcast(str("post-heal"), rng);
   tv.broadcast(str("finale"), rng);
 
@@ -217,79 +224,176 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(11u, 42u), ::testing::Range(0, 3)));
 
 // ---------------------------------------------------------------------------
-// Archive eviction: a receiver that sleeps through more transitions than
-// the archive retains is unrecoverable — terminally, with signed evidence.
+// Catch-up through the served path. A receiver that sleeps through more
+// transitions than the archive retains is unrecoverable — terminally, and
+// only on a signed verdict; within the archive the gap is bridged; a
+// revoked key is served the bundles but cannot open them.
+
+/// `payload` sealed on the router's shard 0, as a subscriber receives it.
+ContentMessage seal(daemon::ShardRouter& router, const Bytes& payload,
+                    const Group& group) {
+  const Bytes ct = router.encrypt(payload, 0).ct;
+  Reader r(ct);
+  return ContentMessage::deserialize(r, group);
+}
 
 TEST(Recovery, ArchiveEvictionIsTerminal) {
   ChaChaRng rng(404);
   const SystemParams sp = test::test_params(3, 405);
-  BroadcastBus bus;  // lossless: isolates the eviction logic
   SecurityManager mgr(sp, rng);
   mgr.set_reset_archive_capacity(2);
-  ChaChaRng responder_rng(406);
-  CatchUpResponder responder(mgr, bus, responder_rng);
-
   const auto sleeper = mgr.add_user(rng);
   // Five transitions happen while the sleeper is offline; the archive only
   // retains the last two bundles (periods 4 and 5).
   for (int i = 0; i < 5; ++i) mgr.new_period(rng);
   EXPECT_EQ(mgr.archive_oldest_period(), 4u);
+  Receiver rx(sp, sleeper.key, mgr.verification_key());
+  test::FeedServer server(std::move(mgr));
 
-  SubscriberClient sub(sp, sleeper.key, mgr.verification_key(), bus);
-  RecoveryClient recovery(sub, bus, RecoveryPolicy{.nonce = 9});
-  ContentProvider tv("tv", sp, mgr.public_key(), bus);
+  client::Conn conn(server.sock());
+  const client::CatchUpReport rep = client::catch_up(conn, rx);
+  EXPECT_EQ(rep.period, 5u);
+  EXPECT_EQ(rep.replayed, 0u);
+  EXPECT_EQ(rep.verdicts, 1u);
+  EXPECT_EQ(rx.state(), ReceiverState::kUnrecoverable);
+  EXPECT_EQ(rx.period(), 0u);  // the key never moved
 
-  tv.broadcast(str("hello?"), rng);
-  EXPECT_EQ(sub.state(), ReceiverState::kUnrecoverable);
-  EXPECT_EQ(recovery.status(), RecoveryClient::Status::kUnrecoverable);
-  EXPECT_EQ(sub.period(), 0u);  // the key never moved
-
-  // Terminal: later resets and traffic change nothing.
-  announce_reset(bus, sp.group, mgr.new_period(rng));
-  tv.broadcast(str("still there?"), rng);
-  EXPECT_EQ(sub.state(), ReceiverState::kUnrecoverable);
-  EXPECT_TRUE(sub.received_content().empty());
+  // Terminal: a later reset, a later catch-up and later content change
+  // nothing.
+  const Bytes next = server.router().new_period_all().bundles.at(0);
+  Reader r(next);
+  EXPECT_EQ(rx.apply_reset(SignedResetBundle::deserialize(r, sp.group)),
+            ResetOutcome::kStaleIgnored);
+  client::Conn again(server.sock());
+  EXPECT_EQ(client::catch_up(again, rx).verdicts, 1u);
+  EXPECT_EQ(rx.state(), ReceiverState::kUnrecoverable);
+  const Bytes payload = str("still there?");
+  const ContentMessage msg = seal(server.router(), payload, sp.group);
+  EXPECT_THROW(open_content(sp, rx.key(), msg), Error);
 }
 
 TEST(Recovery, WithinArchiveGapIsBridged) {
   ChaChaRng rng(500);
   const SystemParams sp = test::test_params(3, 501);
-  BroadcastBus bus;
   SecurityManager mgr(sp, rng);
-  ChaChaRng responder_rng(502);
-  CatchUpResponder responder(mgr, bus, responder_rng);
-
   const auto u = mgr.add_user(rng);
   for (int i = 0; i < 4; ++i) mgr.new_period(rng);  // within default K=16
+  Receiver rx(sp, u.key, mgr.verification_key());
+  test::FeedServer server(std::move(mgr));
 
-  SubscriberClient sub(sp, u.key, mgr.verification_key(), bus);
-  RecoveryClient recovery(sub, bus, RecoveryPolicy{.nonce = 3});
-  ContentProvider tv("tv", sp, mgr.public_key(), bus);
+  // One catch-up replays all four bundles, so the next message decrypts.
+  client::Conn conn(server.sock());
+  const client::CatchUpReport rep = client::catch_up(conn, rx);
+  EXPECT_EQ(rep.replayed, 4u);
+  EXPECT_EQ(rep.applied, 4u);
+  EXPECT_EQ(rep.verdicts, 0u);
+  EXPECT_EQ(rx.state(), ReceiverState::kCurrent);
+  EXPECT_EQ(rx.period(), 4u);
 
-  // One content message exposes the gap; the synchronous request/response
-  // replays all four bundles, so the next message already decrypts.
-  tv.broadcast(str("gap probe"), rng);
-  EXPECT_EQ(sub.state(), ReceiverState::kCurrent);
-  EXPECT_EQ(sub.period(), 4u);
-  EXPECT_EQ(recovery.bundles_replayed(), 4u);
-  EXPECT_EQ(recovery.status(), RecoveryClient::Status::kRecovered);
-
-  tv.broadcast(str("back online"), rng);
-  ASSERT_FALSE(sub.received_content().empty());
-  EXPECT_EQ(sub.received_content().back(), str("back online"));
+  const Bytes payload = str("back online");
+  const ContentMessage msg = seal(server.router(), payload, sp.group);
+  EXPECT_EQ(open_content(sp, rx.key(), msg), payload);
 }
 
-// The revive attack extended through the recovery protocol: the manager's
-// archive happily answers the revoked adversary, but the replayed bundles
-// do not open under her key — no revival through the catch-up path.
+// The revive attack through catch-up: the archive serves the revoked
+// adversary every missed bundle, but none opens under her key — no revival
+// through the catch-up path.
 TEST(Recovery, NoRevivalThroughCatchUp) {
   ChaChaRng rng(321);
   const SystemParams sp = test::test_params(4, 322);
   const ReviveOutcome out = run_revive_attack(sp, rng);
   EXPECT_FALSE(out.scheme_decrypts_when_revoked);
   EXPECT_FALSE(out.scheme_revived);
-  EXPECT_GT(out.catch_up_requests_answered, 0u);
+  EXPECT_GT(out.catch_up_bundles_refused, 0u);
   EXPECT_FALSE(out.scheme_revived_via_catch_up);
+
+  SecurityManager mgr(sp, rng);
+  const auto bad = mgr.add_user(rng);
+  const auto good = mgr.add_user(rng);
+  mgr.remove_user(bad.id, rng);
+  for (int i = 0; i < 2; ++i) mgr.new_period(rng);
+  Receiver adversary(sp, bad.key, mgr.verification_key());
+  Receiver subscriber(sp, good.key, mgr.verification_key());
+  test::FeedServer server(std::move(mgr));
+
+  client::Conn conn(server.sock());
+  const client::CatchUpReport rep = client::catch_up(conn, adversary);
+  EXPECT_EQ(rep.replayed, 2u);
+  EXPECT_EQ(rep.applied, 0u);
+  EXPECT_EQ(rep.cannot_follow, 1u);  // period 1; period 2 waits behind it
+  EXPECT_EQ(adversary.period(), 0u);
+  EXPECT_EQ(adversary.state(), ReceiverState::kStale);
+
+  client::Conn other(server.sock());
+  EXPECT_EQ(client::catch_up(other, subscriber).applied, 2u);
+  const Bytes payload = str("members only");
+  const ContentMessage msg = seal(server.router(), payload, sp.group);
+  EXPECT_EQ(open_content(sp, subscriber.key(), msg), payload);
+  EXPECT_THROW(open_content(sp, adversary.key(), msg), Error);
+  // Not even with the stale key forced onto the ciphertext's period.
+  UserKey forced = adversary.key();
+  forced.period = subscriber.period();
+  try {
+    EXPECT_NE(open_content(sp, forced, msg), payload);
+  } catch (const Error&) {
+  }
+}
+
+// Only a verdict that verifies under the receiver's own manager key, and
+// that is past what the receiver needs, is terminal. Anything else leaves
+// a stale receiver stale.
+TEST(Recovery, ForgedOrTamperedVerdictLeavesTheReceiverStale) {
+  ChaChaRng rng(610);
+  const SystemParams sp = test::test_params(3, 611);
+  SecurityManager mgr(sp, rng);
+  mgr.set_reset_archive_capacity(2);
+  const auto sleeper = mgr.add_user(rng);
+  for (int i = 0; i < 3; ++i) mgr.new_period(rng);
+  const auto late = mgr.add_user(rng);  // key at period 3, needs 4
+  for (int i = 0; i < 2; ++i) mgr.new_period(rng);
+  ASSERT_EQ(mgr.archive_oldest_period(), 4u);
+
+  Receiver rx(sp, sleeper.key, mgr.verification_key());
+  // A signed bundle past the gap makes it stale.
+  EXPECT_EQ(rx.apply_reset(mgr.reset_archive().back()),
+            ResetOutcome::kGapDetected);
+  ASSERT_EQ(rx.state(), ReceiverState::kStale);
+
+  const std::optional<EvictionVerdict> genuine =
+      mgr.handle_catch_up(rx.period(), 0, rng).verdict;
+  ASSERT_TRUE(genuine.has_value());
+  EXPECT_EQ(genuine->oldest_available, 4u);
+
+  EvictionVerdict tampered = *genuine;
+  tampered.oldest_available = 5;
+  EXPECT_FALSE(rx.apply_eviction(tampered));
+  EvictionVerdict reshard = *genuine;
+  reshard.shard = 1;
+  EXPECT_FALSE(rx.apply_eviction(reshard));
+  // Another manager's key (another shard's) signs a verdict of its own.
+  SecurityManager other(sp, rng);
+  other.set_reset_archive_capacity(1);
+  for (int i = 0; i < 3; ++i) other.new_period(rng);
+  const std::optional<EvictionVerdict> forged =
+      other.handle_catch_up(0, 0, rng).verdict;
+  ASSERT_TRUE(forged.has_value());
+  EXPECT_FALSE(rx.apply_eviction(*forged));
+  // A tampered verdict on the wire, through the client's apply path.
+  daemon::FeedReplay wire;
+  Writer w;
+  tampered.serialize(w, sp.group);
+  wire.verdicts.push_back(daemon::hex_encode(std::move(w).take()));
+  client::apply_replay(rx, wire);
+  EXPECT_EQ(rx.state(), ReceiverState::kStale);
+  EXPECT_EQ(rx.period(), 0u);
+
+  // The genuine verdict does not cover a receiver the archive still serves.
+  Receiver late_rx(sp, late.key, mgr.verification_key());
+  EXPECT_FALSE(late_rx.apply_eviction(*genuine));
+  EXPECT_EQ(late_rx.state(), ReceiverState::kCurrent);
+  // It does end the sleeper.
+  EXPECT_TRUE(rx.apply_eviction(*genuine));
+  EXPECT_EQ(rx.state(), ReceiverState::kUnrecoverable);
 }
 
 }  // namespace

@@ -443,13 +443,11 @@ TEST(Reactor, FeedResumeReplaysExactlyTheMissedEpochs) {
   hub.set_replay([](std::optional<std::uint64_t> from) {
     FeedReplay rep;
     rep.current = 5;
-    rep.oldest = 2;
-    if (!from) {
-      rep.ok = true;
+    if (!from) return rep;
+    if (*from + 1 < 2) {  // one shard's archive starts at 2: its verdict
+      rep.verdicts = {"ab", "cd"};
       return rep;
     }
-    if (*from + 1 < rep.oldest) return rep;  // evicted
-    rep.ok = true;
     for (std::uint64_t p = *from + 1; p <= rep.current; ++p) {
       rep.lines.push_back("bcast new-period period=" + std::to_string(p) +
                           " bundles=ff");
@@ -472,17 +470,18 @@ TEST(Reactor, FeedResumeReplaysExactlyTheMissedEpochs) {
   // Already current: subscribed, nothing replayed.
   EXPECT_EQ(c.request("@1 subscribe 5", kMs), "@1 ok period=5 replayed=0");
 
-  // Evicted from the archive: NOT subscribed, told where the feed can
-  // bridge from so the client falls back to the signed catch-up path.
+  // Evicted from an archive: subscribed all the same, the verdicts ride
+  // the answer line, and the stream goes live.
   client::Conn old(h.sock);
   EXPECT_EQ(old.request("subscribe 0", kMs),
-            "err replay-unavailable oldest=2 period=5");
+            "ok period=5 replayed=0 evicted=ab,cd");
   hub.publish("bcast new-period period=6 bundles=ee", 6);
   EXPECT_EQ(c.recv(kMs), "bcast new-period period=6 bundles=ee");
-  EXPECT_EQ(old.recv(200), std::nullopt);  // the rejected conn is not a stream
+  EXPECT_EQ(old.recv(kMs), "bcast new-period period=6 bundles=ee");
 
   // Malformed resume point.
-  EXPECT_EQ(old.request("subscribe zero", kMs),
+  client::Conn bad(h.sock);
+  EXPECT_EQ(bad.request("subscribe zero", kMs),
             "err usage: subscribe [from-period]");
 }
 

@@ -641,8 +641,10 @@ int cmd_client_soak(const std::string& sock, std::vector<std::string> args) {
 /// `client <socket> subscribe [--from-period P] [--count N]` — upgrades
 /// the connection to a push stream (DESIGN.md Sect. 16) and prints every
 /// broadcast frame as it lands. With --from-period the daemon replays the
-/// missed epochs out of its reset archives first; with --count the
-/// client exits 0 after N frames (0: stream until the daemon goes away).
+/// missed epochs out of its reset archives first, and prints `evicted=`
+/// with the hex verdict of each shard whose archive no longer holds them;
+/// with --count the client exits 0 after N frames (0: stream until the
+/// daemon goes away).
 int cmd_client_subscribe(const std::string& sock,
                          std::vector<std::string> args) {
   const std::optional<std::string> from = flag_value(args, "--from-period");
@@ -661,9 +663,12 @@ int cmd_client_subscribe(const std::string& sock,
   client::Conn conn(sock, g_retry);
   const daemon::Response r = client::subscribe(conn, from_period);
   if (!r.ok) die("client: daemon error: " + r.error);
-  std::printf("subscribed period=%s replayed=%s\n",
+  const auto evicted = r.fields.find("evicted");
+  std::printf("subscribed period=%s replayed=%s%s%s\n",
               response_field(r, "period").c_str(),
-              response_field(r, "replayed").c_str());
+              response_field(r, "replayed").c_str(),
+              evicted == r.fields.end() ? "" : " evicted=",
+              evicted == r.fields.end() ? "" : evicted->second.c_str());
   std::fflush(stdout);
   for (std::uint64_t frames = 0; count == 0 || frames < count; ++frames) {
     std::string line;
@@ -682,12 +687,14 @@ int cmd_client_subscribe(const std::string& sock,
 }
 
 /// `client <socket> storm [--receivers N] [--periods G] [--workers W]` —
-/// the catch-up-storm load driver (DESIGN.md Sect. 16). Parks N
-/// connections, advances the epoch G times behind their backs, then has
-/// every connection subscribe from the pre-gap period at once: the
-/// daemon must bridge each one over the missed epochs via replay and
-/// land it on the live stream. Exits 0 only when every receiver
-/// recovered (full replay, correct period).
+/// the catch-up-storm load driver (DESIGN.md Sect. 16). Adds one user and
+/// gives each of N receivers a copy of its key, parks N connections,
+/// advances the epoch G times behind their backs, then has every
+/// connection catch its receiver up at once (client::catch_up): the daemon
+/// must bridge each one over the missed epochs, or answer with the
+/// shard's signed eviction verdict when its archive no longer holds them.
+/// Exits 0 only when every receiver ended current at the new period or
+/// terminal on a verified verdict.
 int cmd_client_storm(const std::string& sock, std::vector<std::string> args) {
   const auto receivers = static_cast<std::size_t>(
       parse_count("client storm", "--receivers",
@@ -710,10 +717,9 @@ int cmd_client_storm(const std::string& sock, std::vector<std::string> args) {
     ::setrlimit(RLIMIT_NOFILE, &rl);
   }
 
-  const daemon::Response status = expect_ok(daemon_request(sock, "status"));
-  const std::uint64_t before =
-      parse_count("client storm", "status period",
-                  response_field(status, "period"));
+  const KeyFile kf = decode_key_file(decode_blob_field(
+      expect_ok(daemon_request(sock, "add-user")), "key"));
+  const std::uint64_t before = kf.key.period;
 
   // Park the herd first: these connections exist while the epochs roll,
   // exactly like receivers that were offline for the broadcasts.
@@ -737,10 +743,11 @@ int cmd_client_storm(const std::string& sock, std::vector<std::string> args) {
                   response_field(expect_ok(daemon_request(sock, "status")),
                                  "period"));
 
-  // Release the herd: every connection subscribes from the pre-gap
-  // period at once and must be replayed up to `after`.
+  // Release the herd: every connection catches its receiver up from the
+  // pre-gap period at once.
   constexpr int kTimeoutMs = 30000;
   std::atomic<std::size_t> recovered{0};
+  std::atomic<std::size_t> verdicts{0};
   std::atomic<std::size_t> failed{0};
   std::atomic<std::uint64_t> frames_replayed{0};
   std::vector<std::thread> pool;
@@ -748,29 +755,16 @@ int cmd_client_storm(const std::string& sock, std::vector<std::string> args) {
   for (std::size_t w = 0; w < workers; ++w) {
     pool.emplace_back([&, w] {
       for (std::size_t i = w; i < herd.size(); i += workers) {
-        std::uint64_t got = 0;
-        std::optional<std::uint64_t> replayed;
+        Receiver rx(kf.sp, kf.key, kf.manager_vk);
         try {
-          const daemon::Response r =
-              client::subscribe(herd[i], before, kTimeoutMs);
-          const auto at = r.ok ? daemon::parse_u64(r.fields.at("period"))
-                               : std::nullopt;
-          if (r.ok) replayed = daemon::parse_u64(r.fields.at("replayed"));
-          if (!replayed || !at || *at < after || *replayed < after - before) {
-            failed.fetch_add(1);
-            continue;
-          }
-          // Drain the replayed epochs off the wire: recovery means the
-          // frames actually arrived, not just that the daemon promised.
-          while (got < *replayed) {
-            const std::optional<std::string> line = herd[i].recv(kTimeoutMs);
-            if (!line || !line->starts_with("bcast ")) break;
-            ++got;
-          }
-        } catch (const client::ConnError&) {
+          frames_replayed.fetch_add(
+              client::catch_up(herd[i], rx, kTimeoutMs).replayed);
+        } catch (const Error&) {
         }
-        frames_replayed.fetch_add(got);
-        if (replayed && got == *replayed) {
+        if (rx.state() == ReceiverState::kUnrecoverable) {
+          verdicts.fetch_add(1);
+        } else if (rx.state() == ReceiverState::kCurrent &&
+                   rx.period() == after) {
           recovered.fetch_add(1);
         } else {
           failed.fetch_add(1);
@@ -783,11 +777,12 @@ int cmd_client_storm(const std::string& sock, std::vector<std::string> args) {
 
   std::printf(
       "storm: receivers=%zu (%zu refused) periods=%llu->%llu recovered=%zu "
-      "failed=%zu frames_replayed=%llu\n",
+      "verdicts=%zu failed=%zu frames_replayed=%llu\n",
       receivers, refused, static_cast<unsigned long long>(before),
-      static_cast<unsigned long long>(after), recovered.load(), failed.load(),
+      static_cast<unsigned long long>(after), recovered.load(),
+      verdicts.load(), failed.load(),
       static_cast<unsigned long long>(frames_replayed.load()));
-  return (recovered.load() == receivers && refused == 0) ? 0 : 1;
+  return (failed.load() == 0 && refused == 0) ? 0 : 1;
 }
 
 int cmd_client(std::vector<std::string> args) {
@@ -1215,8 +1210,10 @@ void usage(std::FILE* to) {
       "        stream: missed epochs replayed, then live broadcast frames\n"
       "        printed as they land; exit after N frames)\n"
       "      | storm [--receivers N] [--periods G] [--workers W]  (catch-up\n"
-      "        storm driver: park N connections, roll G epochs, release\n"
-      "        them all at once; exit 0 only when every one recovered)\n"
+      "        storm driver: add one user, park N connections whose\n"
+      "        receivers hold its key, roll G epochs, catch them all up at\n"
+      "        once; exit 0 only when every one ended current or on its\n"
+      "        shard's signed eviction verdict)\n"
       "      connects retry transient failures with capped exponential\n"
       "      backoff: --retry-ms B (initial delay, default 25, doubling to\n"
       "      500ms) --retry-max N (attempts, default 40; 0 or 1 disables)\n"
