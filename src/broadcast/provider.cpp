@@ -77,20 +77,18 @@ void SubscriberClient::on_message(const Envelope& env) {
         ++quarantined_;  // corrupted on the wire
         break;
       }
+      bool opened = true;
       try {
         content_.push_back(open_content(sp_, receiver_.key(), *msg));
       } catch (const Error&) {
         ++missed_;  // revoked or stale key
-        // A ciphertext from a future period is (unauthenticated) evidence
-        // that New-period bundles were lost; widen the catch-up target.
-        if (msg->kem.period > receiver_.period()) {
-          const bool was_stale = receiver_.state() != ReceiverState::kCurrent;
-          receiver_.note_observed_period(msg->kem.period);
-          if (!was_stale && receiver_.state() == ReceiverState::kStale) {
-            ++gaps_;
-          }
-        }
+        opened = false;
       }
+      // A ciphertext from a future period is (unauthenticated) evidence
+      // that New-period bundles were lost; an opened one withdraws it.
+      const bool was_stale = receiver_.state() != ReceiverState::kCurrent;
+      receiver_.note_content_frame(msg->kem.period, opened);
+      if (!was_stale && receiver_.state() == ReceiverState::kStale) ++gaps_;
       break;
     }
     case MsgType::kChangePeriod: {

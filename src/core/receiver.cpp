@@ -110,10 +110,15 @@ ResetOutcome Receiver::apply_reset(const SignedResetBundle& bundle) {
   return noted(outcome);
 }
 
-void Receiver::note_observed_period(std::uint64_t period) {
+void Receiver::note_content_frame(std::uint64_t period, bool opened) {
   if (strict_ || state_ == ReceiverState::kUnrecoverable) return;
-  if (period <= hinted_horizon_) return;
-  hinted_horizon_ = period;
+  if (opened) {
+    hinted_horizon_ = key_.period;
+  } else if (period > key_.period) {
+    hinted_horizon_ = period;
+  } else {
+    return;  // an old frame, or one this key is revoked from: no evidence
+  }
   refresh_state();
 }
 

@@ -5,9 +5,9 @@
 // The broadcast medium is authenticated but unreliable, so the receiver is
 // a small state machine over the periods it has evidence for:
 //
-//   kCurrent ──(signed reset with a period gap, or a newer observed
-//               ciphertext period)──▶ kStale ──(catch-up replay closes the
-//               gap)──▶ kCurrent
+//   kCurrent ──(signed reset with a period gap, or a content frame of a
+//               later period it cannot open)──▶ kStale ──(catch-up replay
+//               closes the gap, or a content frame it opens)──▶ kCurrent
 //   kCurrent/kStale ──(signed verdict: the manager's archive has evicted
 //               the needed period)──▶ kUnrecoverable (terminal; the
 //               subscription must be re-issued out of band)
@@ -67,11 +67,13 @@ class Receiver {
   /// next-period payload (a revoked key) reports kCannotFollow.
   ResetOutcome apply_reset(const SignedResetBundle& bundle);
 
-  /// Unauthenticated staleness hint from an observed ciphertext period
-  /// (e.g. a content message the receiver could not decrypt). Never
-  /// advances the key — it only widens the catch-up target, and the
-  /// signed catch-up response is what actually moves the state.
-  void note_observed_period(std::uint64_t period);
+  /// Unauthenticated staleness hint from the latest content frame: one
+  /// this key could not open that claims a later period sets the hint to
+  /// that period, and one it opened clears the hint. Never advances the
+  /// key, and the signed catch-up answer is what actually moves the state.
+  /// The hint follows the latest frame only, so one corrupted period field
+  /// cannot hold a current receiver at kStale.
+  void note_content_frame(std::uint64_t period, bool opened);
 
   /// First period this receiver is missing (key period + 1).
   std::uint64_t needed_from() const { return key_.period + 1; }
@@ -98,7 +100,7 @@ class Receiver {
   bool strict_;
   ReceiverState state_ = ReceiverState::kCurrent;
   std::uint64_t signed_horizon_ = 0;  // highest verified reset period seen
-  std::uint64_t hinted_horizon_ = 0;  // highest unauthenticated hint seen
+  std::uint64_t hinted_horizon_ = 0;  // the latest content frame's hint
   std::map<std::uint64_t, SignedResetBundle> pending_;
 
   static constexpr std::size_t kMaxPending = 32;

@@ -721,7 +721,7 @@ Daemon::Daemon(DaemonOptions opts)
       stall_io_(make_stall_io(real_io_)),
       io_(stall_io_ ? *stall_io_ : static_cast<FileIo&>(real_io_)) {
   std::vector<StateStore> stores;
-  if (opts_.follower && is_shard_root(io_, opts_.store_dir)) {
+  if (opts_.follower) {
     // A follower opens its shards WITHOUT open_shard_set's epoch
     // equalization: rolling a laggard forward writes local new-period
     // records, forking the stream it is about to receive from the
@@ -729,13 +729,12 @@ Daemon::Daemon(DaemonOptions opts)
     // frames — or by promote(), if this replica is the survivor.
     const std::size_t n = count_shards(io_, opts_.store_dir);
     for (std::size_t i = 0; i < n; ++i) {
-      stores.push_back(StateStore::open(
-          io_, opts_.store_dir + "/" + shard_dir_name(i), opts_.store));
+      stores.push_back(
+          StateStore::open(io_, opts_.store_dir + "/" + shard_dir_name(i)));
     }
   } else {
     ShardSetReport report;
-    stores =
-        open_deployment(io_, opts_.store_dir, rng_, opts_.store, &report);
+    stores = open_shard_set(io_, opts_.store_dir, rng_, {}, &report);
     if (report.rolled_forward > 0) {
       std::fprintf(stderr,
                    "dfkyd: shard set recovered to epoch %llu "

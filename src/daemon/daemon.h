@@ -1,7 +1,7 @@
 // dfkyd — the long-running manager daemon (DESIGN.md Sect. 10–11).
 //
-// One daemon owns one store directory — a plain store or a shard root
-// (autodetected; every shard's LOCK is taken) — and serves the newline
+// One daemon owns one deployment — a shard root, shard.0 .. shard.<N-1>
+// (DESIGN.md Sect. 11), every shard's LOCK taken — and serves the newline
 // protocol of daemon/protocol.h over a unix-domain stream socket through
 // a ShardRouter. Connections are owned by an epoll reactor
 // (daemon/reactor.h) and requests execute on its small fixed worker
@@ -117,7 +117,7 @@ class RequestHandler {
 };
 
 struct DaemonOptions {
-  std::string store_dir;  // plain store or shard root (autodetected)
+  std::string store_dir;  // the shard root (dfky_cli init writes one)
   std::string socket_path;
   /// Loopback TCP port for GET /metrics: -1 disables, 0 binds an
   /// ephemeral port (reported by metrics_port() and on stdout).
@@ -135,7 +135,6 @@ struct DaemonOptions {
   /// `err busy` and pause accepting while the group-commit queues hold
   /// this many un-acked mutations (0 disables).
   std::size_t busy_queue_limit = 1024;
-  StoreOptions store;
   /// Come up as a read-only replica (DESIGN.md Sect. 12): no committers,
   /// mutations rejected, state advances via repl-append/repl-snap from a
   /// primary, `promote` flips to primary. A follower shard set is opened
@@ -165,10 +164,11 @@ struct DaemonOptions {
 
 class Daemon {
  public:
-  /// Opens the store — `opts.store_dir/shard.0` existing makes it a shard
-  /// set, every shard's LOCK is taken (throws StoreLockedError when any
-  /// shard is held by another daemon, and the already-locked shards are
-  /// released). Laggard shards are rolled forward to the set's epoch.
+  /// Opens the shard root `opts.store_dir`, taking every shard's LOCK
+  /// (throws StoreLockedError when any shard is held by another daemon,
+  /// and the already-locked shards are released; throws ContractError when
+  /// the directory is not a shard root). A primary rolls laggard shards
+  /// forward to the set's epoch; a follower opens them as they are.
   explicit Daemon(DaemonOptions opts);
   ~Daemon();
 

@@ -67,7 +67,7 @@ class ShardRouter {
   using RngFactory = std::function<std::unique_ptr<Rng>(std::size_t shard)>;
 
   /// Takes ownership of the opened shard stores (from open_shard_set, or
-  /// a single-element vector for a plain store). `on_fatal` is invoked at
+  /// a follower's per-shard StateStore::open). `on_fatal` is invoked at
   /// most once, on the first sync failure anywhere in the set.
   ///
   /// With `follower = true` the router comes up as a read-only replica:

@@ -1131,14 +1131,20 @@ std::string shard_dir_name(std::size_t shard) {
   return "shard." + std::to_string(shard);
 }
 
-bool is_shard_root(FileIo& io, const std::string& dir) {
-  return io.is_dir(dir) && io.is_dir(join(dir, shard_dir_name(0)));
-}
-
-std::size_t count_shards(FileIo& io, const std::string& dir) {
+std::size_t count_shards(FileIo& io, const std::string& root) {
   std::size_t n = 0;
-  while (io.is_dir(join(dir, shard_dir_name(n)))) ++n;
-  return n;
+  while (io.is_dir(join(root, shard_dir_name(n)))) ++n;
+  if (n > 0) return n;
+  if (io.exists(join(root, StateStore::kKeyFile))) {
+    throw ContractError(
+        "'" + root + "' holds a single store at its top level (store.key), " +
+        "a layout that is no longer opened: move its files into " +
+        join(root, shard_dir_name(0)) + "/ to make it a one-shard root, " +
+        "or create a deployment with `dfky_cli init`");
+  }
+  throw ContractError("'" + root + "' is not a shard root (no " +
+                      shard_dir_name(0) + "/); `dfky_cli init " + root +
+                      "` creates one");
 }
 
 std::vector<StateStore> create_shard_set(FileIo& io, const std::string& root,
@@ -1148,11 +1154,9 @@ std::vector<StateStore> create_shard_set(FileIo& io, const std::string& root,
     throw ContractError("shard set: need at least one shard");
   }
   if (!io.is_dir(root)) io.mkdir(root);
-  if (io.exists(join(root, StateStore::kKeyFile))) {
-    throw ContractError("shard set: " + root + " already holds a plain store");
-  }
-  if (is_shard_root(io, root)) {
-    throw ContractError("shard set: " + root + " already holds a shard set");
+  if (io.exists(join(root, StateStore::kKeyFile)) ||
+      io.is_dir(join(root, shard_dir_name(0)))) {
+    throw ContractError("shard set: " + root + " already holds a store");
   }
   std::vector<StateStore> shards;
   shards.reserve(managers.size());
@@ -1169,9 +1173,6 @@ std::vector<StateStore> open_shard_set(FileIo& io, const std::string& root,
                                        Rng& rng, StoreOptions opts,
                                        ShardSetReport* report) {
   const std::size_t n = count_shards(io, root);
-  if (n == 0) {
-    throw DecodeError("shard set: " + root + " has no shard.0 directory");
-  }
   // All-or-nothing locking: a StoreLockedError on any shard propagates and
   // the already-opened shards release their LOCKs on unwind, so a partially
   // locked set never lingers.
@@ -1210,23 +1211,6 @@ std::vector<StateStore> open_shard_set(FileIo& io, const std::string& root,
   obs::counter("dfky_store_shard_set_opens_total").inc();
   obs::counter("dfky_store_shard_rollforwards_total").inc(rolled);
   return shards;
-}
-
-std::vector<StateStore> open_deployment(FileIo& io, const std::string& dir,
-                                        Rng& rng, StoreOptions opts,
-                                        ShardSetReport* report) {
-  if (is_shard_root(io, dir)) {
-    return open_shard_set(io, dir, rng, opts, report);
-  }
-  std::vector<StateStore> stores;
-  stores.push_back(StateStore::open(io, dir, opts));
-  if (report != nullptr) {
-    report->shards = 1;
-    report->epoch = stores[0].manager().period();
-    report->rolled_forward = 0;
-    report->recoveries = {stores[0].recovery_report()};
-  }
-  return stores;
 }
 
 // ---- fsck ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // Crash-consistent durable store for the security manager's state
 // (DESIGN.md Sect. 9).
 //
-// On-disk layout (one directory per deployment):
+// On-disk layout of one store (one shard of a deployment; a deployment is
+// a shard root, see "sharded deployments" below):
 //
 //   <dir>/store.key   32-byte HMAC key, CRC-framed; written once at create
 //   <dir>/snap.<g>    checksummed full snapshot of generation g
@@ -312,11 +313,12 @@ class StateStore {
 
 // ---- sharded deployments (DESIGN.md Sect. 11) ---------------------------------
 //
-// A shard ROOT is a directory holding shard.0 .. shard.<N-1>, each a
-// complete store directory of its own: own HMAC key, own generations, own
-// LOCK. Shards are independent scheme instances partitioned by user id
-// (global id = local id * N + shard); the only cross-shard invariant is
-// the EPOCH — after recovery every shard sits at the same period. A crash
+// A shard ROOT is the one deployment layout: a directory holding shard.0
+// .. shard.<N-1> (N >= 1), each a complete store directory of its own: own
+// HMAC key, own generations, own LOCK. Shards are independent scheme
+// instances partitioned by user id (global id = local id * N + shard); the
+// only cross-shard invariant is the EPOCH — after recovery every shard
+// sits at the same period. A crash
 // between the two phases of a cross-shard new-period leaves some shards
 // one period ahead; since that barrier was never acknowledged, open can
 // roll the lagging shards forward to the maximum (each roll is an
@@ -325,13 +327,12 @@ class StateStore {
 /// "shard.<i>" — the root-relative directory of shard i.
 std::string shard_dir_name(std::size_t shard);
 
-/// True when `dir` is a shard root (contains a shard.0 subdirectory).
-/// Plain stores carry store.key at the top level instead, so the two
-/// layouts are distinguishable without configuration.
-bool is_shard_root(FileIo& io, const std::string& dir);
-
-/// Number of contiguous shard.<i> subdirectories starting at shard.0.
-std::size_t count_shards(FileIo& io, const std::string& dir);
+/// Number of contiguous shard.<i> subdirectories of the shard root `root`,
+/// starting at shard.0. A shard root is the only deployment layout, so a
+/// directory without shard.0 is refused with a ContractError naming
+/// `dfky_cli init` (and, for a directory that holds a store at its top
+/// level, how to make it a one-shard root).
+std::size_t count_shards(FileIo& io, const std::string& root);
 
 /// What open_shard_set found and did.
 struct ShardSetReport {
@@ -347,23 +348,14 @@ std::vector<StateStore> create_shard_set(FileIo& io, const std::string& root,
                                          std::vector<SecurityManager> managers,
                                          Rng& rng, StoreOptions opts = {});
 
-/// Multi-instance recovery entry point: opens every shard (taking every
-/// LOCK — a StoreLockedError on any shard unwinds the ones already
-/// opened), then equalizes the epoch by rolling lagging shards forward to
-/// the maximum period with `rng`. Throws DecodeError when `root` holds no
-/// shard.0.
+/// The recovery entry point of a primary (dfkyd and dfky_cli's offline
+/// verbs): opens every shard (taking every LOCK — a StoreLockedError on any
+/// shard unwinds the ones already opened), then equalizes the epoch by
+/// rolling lagging shards forward to the maximum period with `rng`. Throws
+/// count_shards' ContractError when `root` is not a shard root.
 std::vector<StateStore> open_shard_set(FileIo& io, const std::string& root,
                                        Rng& rng, StoreOptions opts = {},
                                        ShardSetReport* report = nullptr);
-
-/// Opens a deployment the way a primary does: a shard root through
-/// open_shard_set (lagging shards rolled forward with `rng`), a plain
-/// store through StateStore::open as a one-element set. dfkyd and
-/// dfky_cli's offline verbs both open through here. `report`, when given,
-/// describes a plain store as a set of one.
-std::vector<StateStore> open_deployment(FileIo& io, const std::string& dir,
-                                        Rng& rng, StoreOptions opts = {},
-                                        ShardSetReport* report = nullptr);
 
 /// File-system check for a store directory. In check mode (repair = false)
 /// nothing is written and `ok` reports whether the store is pristine: a
@@ -386,7 +378,7 @@ FsckReport fsck_store(FileIo& io, const std::string& dir, bool repair);
 
 // ---- replication helpers (DESIGN.md Sect. 12) ----------------------------------
 
-/// Copies a store directory (plain store or shard root) from `src` to the
+/// Copies a shard root (or one shard's store directory) from `src` to the
 /// same path under `dst`, skipping LOCK files — the bootstrap step that
 /// hands a follower the primary's HMAC keys and chain history. The source
 /// must be quiescent (no live daemon writing it).

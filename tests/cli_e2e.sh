@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end exercise of tools/dfky_cli: init -> subscribe -> broadcast ->
-# revoke -> period change -> key update -> pirate -> trace on a store
-# directory, the same offline verbs on a shard root, and dfky_fsck when
-# its binary is passed as $2. The offline verbs run through the daemon's
+# revoke -> period change -> key update -> pirate -> trace on a one-shard
+# root, the same offline verbs (pirate -> trace among them) on a two-shard
+# root, the refusal of a directory that is not a shard root, and dfky_fsck
+# when its binary is passed as $2. The offline verbs run through the daemon's
 # request handler in process, so the metrics check below also proves
 # they took that path.
 set -euo pipefail
@@ -16,7 +17,8 @@ cd "$WORK"
 fail() { echo "cli_e2e: $1" >&2; exit 1; }
 
 "$CLI" init sys.d --v 4 --group test128 >/dev/null
-[ -f sys.d/store.key ] || fail "init did not create a store directory"
+[ -f sys.d/shard.0/store.key ] || fail "init did not create shard.0"
+[ ! -e sys.d/store.key ] || fail "init wrote a store at the root's top level"
 "$CLI" add sys.d alice.key >/dev/null
 "$CLI" add sys.d bob.key >/dev/null
 "$CLI" add sys.d carol.key >/dev/null
@@ -92,6 +94,11 @@ check_usage_error init never.d --v banana
 check_usage_error init never.d --v -1
 check_usage_error init never.d --v 18446744073709551616
 [ ! -e never.d ] || fail "malformed --v still created the store"
+# dfkyd runs one committer thread per shard, so the count is bounded; the
+# refusal comes before any manager is made.
+check_usage_error init never.d --shards 65
+check_usage_error init never.d --shards 0
+[ ! -e never.d ] || fail "an out-of-range --shards still created the store"
 check_usage_error stats nothing.jsonl --since banana
 # client-mode ids go through the same parser.
 check_usage_error client nowhere.sock revoke banana
@@ -174,7 +181,7 @@ fi
 grep -q "is not a store directory" err.txt \
   || fail "plain file: unclear message: $(cat err.txt)"
 "$CLI" init trunc.d --v 2 --group test128 >/dev/null
-snapfile=(trunc.d/snap.*)
+snapfile=(trunc.d/shard.0/snap.*)
 head -c 100 "${snapfile[0]}" > snap.part && mv snap.part "${snapfile[0]}"
 if "$CLI" add trunc.d never.key >/dev/null 2>err.txt; then
   fail "a store with a truncated snapshot exited 0"
@@ -185,7 +192,7 @@ grep -q "corrupt" err.txt || fail "truncated snapshot: unclear message: $(cat er
 # ---- new-period, status and fsck on a store directory ------------------------
 "$CLI" init store.sys --v 4 --group test128 >/dev/null
 [ -d store.sys ] || fail "init did not create a directory"
-[ -f store.sys/store.key ] || fail "store missing store.key"
+[ -f store.sys/shard.0/store.key ] || fail "store missing shard.0/store.key"
 "$CLI" add store.sys s_alice.key >/dev/null
 "$CLI" add store.sys s_bob.key >/dev/null
 "$CLI" encrypt store.sys payload.bin sb1.bin >/dev/null
@@ -215,7 +222,7 @@ fi
 if [ -n "$FSCK" ]; then
   # Clean store passes; a torn WAL tail is detected, repaired, then clean.
   "$FSCK" store.sys >/dev/null || fail "fsck: clean store flagged"
-  printf 'TORN_TAIL_GARBAGE' >> store.sys/wal.*
+  printf 'TORN_TAIL_GARBAGE' >> store.sys/shard.0/wal.*
   if "$FSCK" store.sys >/dev/null; then
     fail "fsck: torn tail not detected"
   fi
@@ -226,7 +233,7 @@ if [ -n "$FSCK" ]; then
   [ "$("$CLI" decrypt s_alice.key sb4.bin)" = "the midnight broadcast" ] \
     || fail "store: alice cannot decrypt after fsck repair"
   # An unrecoverable store exits 2.
-  snapfile=(store.sys/snap.*)
+  snapfile=(store.sys/shard.0/snap.*)
   printf 'XXXXXXXX' | dd of="${snapfile[0]}" bs=1 seek=16 conv=notrunc 2>/dev/null
   set +e
   "$FSCK" store.sys >/dev/null 2>&1
@@ -243,6 +250,20 @@ for u in 0 1 2 3; do
   "$CLI" add shards.d "h$u.key" | grep -q "added user #$u " \
     || fail "shard root: add $u did not get id $u"
 done
+# Pirate -> trace on one shard: h1 and h3 are shard 1's local users 0
+# and 1, and trace names them by their global ids.
+"$CLI" pirate shards.d spirate.rep h1.key h3.key >/dev/null \
+  || fail "shard root: pirate failed"
+"$CLI" trace shards.d spirate.rep > strace.txt || fail "shard root: trace failed"
+grep -qx 'traced 2 traitor(s): #1 #3' strace.txt \
+  || fail "shard root: trace did not name exactly #1 #3: $(cat strace.txt)"
+# A pirate decoder combines keys of one shard: keys of two are refused.
+if "$CLI" pirate shards.d mixed.rep h0.key h1.key >/dev/null 2>err.txt; then
+  fail "pirate accepted keys from two shards"
+fi
+grep -q 'come from shards 0 and 1' err.txt \
+  || fail "pirate across shards: unclear message: $(cat err.txt)"
+[ ! -e mixed.rep ] || fail "a refused pirate still wrote its representation"
 "$CLI" revoke shards.d 3 | grep -q 'revoked 1 user' \
   || fail "shard root: revoke failed"
 "$CLI" encrypt shards.d payload.bin hb1.bin --shard 1 >/dev/null
@@ -265,9 +286,38 @@ done
 for want in 'shards: 2' 'period: 1' 'periods: 1,1' 'active: 3' 'revoked: 1'; do
   grep -qx "$want" sstatus.txt || fail "shard root status: no '$want': $(cat sstatus.txt)"
 done
+# sys.d's representation fits no public key of shards.d.
 if "$CLI" trace shards.d pirate.rep >/dev/null 2>err.txt; then
-  fail "trace accepted a shard root"
+  fail "trace accepted another deployment's representation"
 fi
-grep -q 'is a shard set' err.txt || fail "trace on a shard root: unclear message"
+grep -q 'not a representation of any shard' err.txt \
+  || fail "foreign representation: unclear message: $(cat err.txt)"
+
+# ---- a store at a directory's top level is not a deployment ------------------
+cp -r shards.d/shard.0 single.d
+if "$CLI" status single.d >/dev/null 2>err.txt; then
+  fail "status opened a top-level store"
+fi
+grep -q 'dfky_cli init' err.txt \
+  || fail "status on a top-level store: message names no way out: $(cat err.txt)"
+if "$CLI" trace single.d pirate.rep >/dev/null 2>err.txt; then
+  fail "trace opened a top-level store"
+fi
+grep -q 'dfky_cli init' err.txt \
+  || fail "trace on a top-level store: message names no way out: $(cat err.txt)"
+if [ -n "$FSCK" ]; then
+  set +e
+  "$FSCK" single.d >/dev/null 2>err.txt
+  rc=$?
+  set -e
+  [ "$rc" = 2 ] || fail "fsck on a top-level store exited $rc, want 2"
+  grep -q 'dfky_cli init' err.txt \
+    || fail "fsck on a top-level store: message names no way out: $(cat err.txt)"
+fi
+# The way out the message names: its files moved into shard.0/.
+mkdir single.d/shard.0
+find single.d -maxdepth 1 -type f -exec mv {} single.d/shard.0/ \;
+"$CLI" status single.d | grep -qx 'active: 2' \
+  || fail "a top-level store moved into shard.0 does not open"
 
 echo "cli_e2e: ok"

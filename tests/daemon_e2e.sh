@@ -28,6 +28,7 @@ BPID=""
 CPID=""
 UPID=""
 DPID=""
+HOLDER=""
 cleanup() {
   set +e  # a pid that already exited must not abort the rest of the cleanup
   [ -n "$PID" ] && kill -9 "$PID" 2>/dev/null
@@ -39,6 +40,7 @@ cleanup() {
   [ -n "$CPID" ] && kill -9 "$CPID" 2>/dev/null
   [ -n "$UPID" ] && kill -9 "$UPID" 2>/dev/null
   [ -n "$DPID" ] && kill -9 "$DPID" 2>/dev/null
+  [ -n "$HOLDER" ] && kill -9 "$HOLDER" 2>/dev/null
   rm -rf "$WORK"
 }
 trap cleanup EXIT
@@ -71,13 +73,24 @@ fi
 if "$DFKYD" store.d --socket "$SOCK" --workers 0 2>/dev/null; then
   fail "dfkyd accepted --workers 0"
 fi
+if "$DFKYD" store.d --socket "$SOCK" --snapshot-every 5 2>/dev/null; then
+  fail "dfkyd accepted the removed --snapshot-every flag"
+fi
 [ ! -d store.d ] || fail "a rejected invocation created the store dir"
 
 "$CLI" init store.d --v 4 --group test128 >/dev/null
+# A store at a directory's top level is not a deployment: refused, and the
+# message names the way out.
+cp -r store.d/shard.0 single.d
+if "$DFKYD" single.d --socket "$WORK/single.sock" >single.log 2>&1; then
+  fail "dfkyd served a top-level store"
+fi
+grep -q 'dfky_cli init' single.log \
+  || fail "dfkyd on a top-level store: message names no way out: $(cat single.log)"
 start_daemon
 
 # ---- the daemon's lock shuts everyone else out --------------------------------
-wal_sum_before=$(cat store.d/wal.* | cksum)
+wal_sum_before=$(cat store.d/shard.0/wal.* | cksum)
 if "$CLI" status store.d >/dev/null 2>err.txt; then
   fail "CLI opened a daemon-locked store"
 fi
@@ -86,7 +99,7 @@ if "$DFKYD" store.d --socket "$WORK/second.sock" >second.log 2>&1; then
   fail "second dfkyd on the same store exited 0"
 fi
 grep -q 'is locked by pid' second.log || fail "second dfkyd: unclear error"
-[ "$(cat store.d/wal.* | cksum)" = "$wal_sum_before" ] \
+[ "$(cat store.d/shard.0/wal.* | cksum)" = "$wal_sum_before" ] \
   || fail "a locked-out process modified the WAL"
 
 # ---- concurrent clients, all acks durable -------------------------------------
@@ -148,7 +161,7 @@ printf 'GET /metrics HTTP/1.0\r\n\r\n' >&3
 cat <&3 > metrics.txt
 exec 3<&- 3>&-
 grep -q '200 OK' metrics.txt || fail "metrics endpoint did not answer 200"
-# The commit counters carry a shard label even on a plain store.
+# The commit counters carry a shard label even on a one-shard root.
 grep -Eq 'dfkyd_commit_batches_total(\{[^}]*\})? [1-9]' metrics.txt \
   || fail "metrics: no commit batches counted"
 
@@ -452,19 +465,20 @@ done
   || fail "offline status does not recognize the shard set"
 
 # ---- one locked shard aborts the whole-daemon startup (all-or-nothing) --------
-"$DFKYD" shards.d/shard.1 --socket "$WORK/holder.sock" > holder.log 2>&1 &
+# The holder takes shard.1's LOCK with flock(1) on an fd that the sleep it
+# execs into keeps open; killing that pid releases the lock.
+( exec 9>>shards.d/shard.1/LOCK; /usr/bin/flock -n 9 && : > holder.ready \
+    && exec sleep 60 ) &
 HOLDER=$!
-for _ in $(seq 1 200); do
-  grep -q 'dfkyd: ready' holder.log 2>/dev/null && break
-  sleep 0.05
-done
-grep -q 'dfkyd: ready' holder.log || fail "plain daemon on shard.1 never ready"
+for _ in $(seq 1 200); do [ -e holder.ready ] && break; sleep 0.05; done
+[ -e holder.ready ] || fail "flock never took shard.1's LOCK"
 if "$DFKYD" shards.d --socket "$SSOCK" > sharded.log 2>&1; then
   fail "sharded dfkyd started despite shard.1 being locked"
 fi
 grep -q 'is locked by pid' sharded.log \
   || fail "sharded lock-out error unclear: $(cat sharded.log)"
-kill -TERM "$HOLDER"; wait "$HOLDER" || fail "shard.1 holder exited nonzero"
+kill -TERM "$HOLDER"; wait "$HOLDER" 2>/dev/null || true
+HOLDER=""
 
 # The failed attempt must have unwound the locks it took on shard.0/shard.2.
 start_sharded

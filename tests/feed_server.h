@@ -113,19 +113,12 @@ class FeedServer {
           return one;
         }()) {}
 
-  /// Serves `managers`, one per shard (a single one is a plain store).
+  /// Serves `managers`, one per shard of the root `store`.
   explicit FeedServer(std::vector<SecurityManager> managers) {
     ChaChaRng rng(77);
-    std::vector<StateStore> stores;
-    if (managers.size() == 1) {
-      stores.push_back(
-          StateStore::create(fs_, "store", std::move(managers[0]), rng));
-    } else {
-      stores = create_shard_set(fs_, "store", std::move(managers), rng);
-    }
-    router_.emplace(std::move(stores), [](std::size_t k) {
-      return std::make_unique<ChaChaRng>(100 + k);
-    });
+    router_.emplace(
+        create_shard_set(fs_, "store", std::move(managers), rng),
+        [](std::size_t k) { return std::make_unique<ChaChaRng>(100 + k); });
     hub_.set_replay([this](std::optional<std::uint64_t> from) {
       return router_->catch_up(from);
     });

@@ -209,6 +209,33 @@ TEST(System, RevokedSubscriberCannotFollowPeriodChange) {
   EXPECT_EQ(bad_sub.missed_broadcasts(), 1u);
 }
 
+TEST(System, CorruptedContentPeriodDoesNotPinTheReceiverStale) {
+  // A content frame's period is not authenticated. One claiming period
+  // 2^54 makes a current receiver stale; the next frame it opens withdraws
+  // that hint.
+  SystemFixture fx;
+  const auto u = fx.mgr.add_user(fx.rng);
+  SubscriberClient sub(fx.sp, u.key, fx.mgr.verification_key(), fx.bus);
+  ContentProvider tv("tv", fx.sp, fx.mgr.public_key(),
+                     fx.mgr.verification_key(), fx.bus);
+
+  constexpr std::uint64_t kClaimed = std::uint64_t{1} << 54;
+  ContentMessage forged =
+      seal_content(fx.sp, fx.mgr.public_key(), str("garbled"), fx.rng);
+  forged.kem.period = kClaimed;
+  Writer w;
+  forged.serialize(w, fx.sp.group);
+  fx.bus.publish(Envelope{MsgType::kContent, std::move(w).take()});
+  EXPECT_EQ(sub.state(), ReceiverState::kStale);
+  EXPECT_EQ(sub.receiver().catch_up_target(), kClaimed);
+  EXPECT_EQ(sub.gaps_detected(), 1u);
+
+  tv.broadcast(str("the real thing"), fx.rng);
+  ASSERT_EQ(sub.received_content().size(), 1u);
+  EXPECT_EQ(sub.state(), ReceiverState::kCurrent);
+  EXPECT_EQ(sub.receiver().catch_up_target(), sub.period());
+}
+
 TEST(System, EavesdropperLogIsComplete) {
   SystemFixture fx;
   ContentProvider tv("tv", fx.sp, fx.mgr.public_key(),

@@ -996,9 +996,8 @@ void run_two_phase_new_period(FileIo& io) {
 
 TEST(ShardSet, CreateAndOpenRoundTrip) {
   MemFileIo fs = sharded_base_fs();
-  EXPECT_TRUE(is_shard_root(fs, "shards"));
-  EXPECT_FALSE(is_shard_root(fs, "shards/shard.0"));
   EXPECT_EQ(count_shards(fs, "shards"), kShards);
+  EXPECT_THROW(count_shards(fs, "shards/shard.0"), ContractError);
 
   ChaChaRng rng(1);
   ShardSetReport rep;
@@ -1012,13 +1011,25 @@ TEST(ShardSet, CreateAndOpenRoundTrip) {
     EXPECT_EQ(s.manager().users().size(), 2u);
   }
 
-  // A shard set is not a plain store and vice versa.
+  // A shard root is not a store, and a store at the top level of a
+  // directory is not a deployment: the refusal names the way out.
   EXPECT_THROW(StateStore::open(fs, "shards"), Error);
-  MemFileIo plain;
+  MemFileIo single;
   ChaChaRng rng2(2);
   SecurityManager mgr(test::test_params(2, /*seed=*/7), rng2);
-  StateStore::create(plain, "store", std::move(mgr), rng2);
-  EXPECT_THROW(open_shard_set(plain, "store", rng2), Error);
+  StateStore::create(single, "store", std::move(mgr), rng2);
+  try {
+    open_shard_set(single, "store", rng2);
+    ADD_FAILURE() << "a top-level store opened as a shard root";
+  } catch (const ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("dfky_cli init"), std::string::npos)
+        << e.what();
+  }
+  // ...and create_shard_set will not write shards over it.
+  std::vector<SecurityManager> one;
+  one.emplace_back(test::test_params(2, /*seed=*/7), rng2);
+  EXPECT_THROW(create_shard_set(single, "store", std::move(one), rng2),
+               ContractError);
 }
 
 TEST(ShardSet, OpenLocksAllShardsOrNone) {

@@ -11,12 +11,15 @@
 //   dfky_cli encrypt sys payload.bin broadcast.bin
 //   dfky_cli decrypt alice.key broadcast.bin
 //   dfky_cli apply-reset alice.key reset.0.bin
-//   dfky_cli pirate sys pirate.rep 0 1           (demo: forge a pirate key)
+//   dfky_cli pirate sys pirate.rep alice.key bob.key   (demo: forge a
+//                                                       pirate decoder)
 //   dfky_cli trace sys pirate.rep
 //
-// `<dir>` is a crash-consistent store directory (WAL + checksummed
-// snapshots, every mutation durable before the command acknowledges — see
-// DESIGN.md Sect. 9 and dfky_fsck) or a shard root (`init --shards N`).
+// `<dir>` is a shard root (DESIGN.md Sect. 11): `init --shards N` (default
+// 1) writes <dir>/shard.0 .. shard.N-1, each a crash-consistent store (WAL
+// + checksummed snapshots, every mutation durable before the command
+// acknowledges — see DESIGN.md Sect. 9 and dfky_fsck). User ids are global:
+// user #g lives on shard g % N.
 // status, add, revoke, new-period and encrypt are the daemon's verbs: the
 // offline form opens `<dir>` and hands the request line to the same
 // RequestHandler dfkyd serves, and `client <socket> <verb>` sends that
@@ -121,7 +124,7 @@ RealFileIo& real_io() {
   return io;
 }
 
-/// Opens the deployment at `path` through the opener dfkyd uses, taking
+/// Opens the shard root at `path` through the opener dfkyd uses, taking
 /// every LOCK, and turns the failures an operator can act on into one-line
 /// errors.
 std::vector<StateStore> open_stores(const std::string& path) {
@@ -133,10 +136,12 @@ std::vector<StateStore> open_stores(const std::string& path) {
   ShardSetReport rep;
   std::vector<StateStore> stores;
   try {
-    stores = open_deployment(real_io(), path, rng, {}, &rep);
+    stores = open_shard_set(real_io(), path, rng, {}, &rep);
   } catch (const StoreLockedError& e) {
     die(std::string(e.what()) +
         " — use `dfky_cli client` to talk to the daemon that holds it");
+  } catch (const ContractError& e) {
+    die(e.what());  // not a shard root
   } catch (const Error& e) {
     die("state store '" + path + "' is corrupt or unreadable: " + e.what() +
         " — run `dfky_fsck " + path + "` for a diagnosis");
@@ -158,16 +163,6 @@ std::vector<StateStore> open_stores(const std::string& path) {
                  rep.rolled_forward);
   }
   return stores;
-}
-
-/// `pirate` and `trace` work on one manager, so they take a plain store.
-StateStore open_one_store(const std::string& path) {
-  if (is_shard_root(real_io(), path)) {
-    die("state store '" + path +
-        "' is a shard set — pirate and trace read one store (pass " + path +
-        "/" + shard_dir_name(0) + " for shard 0)");
-  }
-  return std::move(open_stores(path).front());
 }
 
 std::optional<std::string> flag_value(std::vector<std::string>& args,
@@ -209,6 +204,9 @@ Group group_by_name(const std::string& name) {
 
 // ---- commands -----------------------------------------------------------------
 
+/// Most shards `init` writes: dfkyd runs one committer thread per shard.
+constexpr std::size_t kMaxShards = 64;
+
 int cmd_init(std::vector<std::string> args) {
   if (args.empty()) die("init: missing store directory");
   const std::string dir = args[0];
@@ -217,30 +215,24 @@ int cmd_init(std::vector<std::string> args) {
       parse_count("init", "--v", flag_value(args, "--v").value_or("8")));
   const std::string group_name =
       flag_value(args, "--group").value_or("sec512");
-  const std::size_t shards = static_cast<std::size_t>(parse_count(
-      "init", "--shards", flag_value(args, "--shards").value_or("1")));
+  const std::uint64_t shards = parse_count(
+      "init", "--shards", flag_value(args, "--shards").value_or("1"));
   reject_unknown_flags(args, "init");
-  if (shards == 0) die("init: --shards must be positive");
+  if (shards == 0 || shards > kMaxShards) {
+    die_usage("init: --shards must be in 1.." + std::to_string(kMaxShards) +
+              ", got " + std::to_string(shards));
+  }
   SystemRng rng;
   const SystemParams sp =
       SystemParams::create(group_by_name(group_name), v, rng);
-  if (shards > 1) {
-    // A shard set: shard.<k> subdirectories, one independent manager (and
-    // LOCK, WAL, snapshot chain) per shard.
-    std::vector<SecurityManager> managers;
-    for (std::size_t i = 0; i < shards; ++i) managers.emplace_back(sp, rng);
-    create_shard_set(real_io(), dir, std::move(managers), rng);
-    std::printf("initialized: group=%s v=%zu m=%zu store=%s/ (%zu shards)\n",
-                group_name.c_str(), v, sp.max_collusion(), dir.c_str(),
-                shards);
-    return 0;
-  }
-  SecurityManager mgr(sp, rng);
-  const std::size_t state_bytes = mgr.save_state().size();
-  StateStore::create(real_io(), dir, std::move(mgr), rng);
-  std::printf(
-      "initialized: group=%s v=%zu m=%zu store=%s/ (snapshot %zu bytes)\n",
-      group_name.c_str(), v, sp.max_collusion(), dir.c_str(), state_bytes);
+  // shard.<k> subdirectories, one independent manager (and LOCK, WAL,
+  // snapshot chain) per shard.
+  std::vector<SecurityManager> managers;
+  for (std::size_t i = 0; i < shards; ++i) managers.emplace_back(sp, rng);
+  create_shard_set(real_io(), dir, std::move(managers), rng);
+  std::printf("initialized: group=%s v=%zu m=%zu store=%s/ (%llu shard%s)\n",
+              group_name.c_str(), v, sp.max_collusion(), dir.c_str(),
+              static_cast<unsigned long long>(shards), shards == 1 ? "" : "s");
   return 0;
 }
 
@@ -293,17 +285,38 @@ int cmd_apply_reset(std::vector<std::string> args) {
   return 0;
 }
 
+// pirate and trace read the shard root offline. A pirate decoder is built
+// from keys of one shard (each shard is its own scheme instance), so both
+// verbs work on that shard and name users by global id: local * N + shard.
+
 int cmd_pirate(std::vector<std::string> args) {
   reject_unknown_flags(args, "pirate");
   if (args.size() < 3) {
-    die("pirate: usage: pirate <store> <rep-out> <key-file...>");
+    die("pirate: usage: pirate <dir> <rep-out> <key-file...>");
   }
-  const StateStore store = open_one_store(args[0]);
-  const SecurityManager& mgr = store.manager();
+  const std::vector<StateStore> stores = open_stores(args[0]);
+  // A key file names its issuing shard by that manager's verification key.
+  std::optional<std::size_t> shard;
   std::vector<UserKey> keys;
   for (std::size_t i = 2; i < args.size(); ++i) {
-    keys.push_back(read_key_file(args[i]).key);
+    KeyFile kf = read_key_file(args[i]);
+    const auto it = std::find_if(
+        stores.begin(), stores.end(), [&kf](const StateStore& s) {
+          return s.manager().verification_key() == kf.manager_vk;
+        });
+    if (it == stores.end()) {
+      die("pirate: " + args[i] + " was not issued by " + args[0]);
+    }
+    const std::size_t k = static_cast<std::size_t>(it - stores.begin());
+    if (shard && *shard != k) {
+      die("pirate: the keys come from shards " + std::to_string(*shard) +
+          " and " + std::to_string(k) +
+          "; a pirate decoder combines keys of one shard");
+    }
+    shard = k;
+    keys.push_back(std::move(kf.key));
   }
+  const SecurityManager& mgr = stores[*shard].manager();
   SystemRng rng;
   const Representation rep = build_pirate_representation(
       mgr.params(), mgr.public_key(), keys, rng);
@@ -319,9 +332,8 @@ int cmd_pirate(std::vector<std::string> args) {
 
 int cmd_trace(std::vector<std::string> args) {
   reject_unknown_flags(args, "trace");
-  if (args.size() < 2) die("trace: usage: trace <store> <rep-file>");
-  const StateStore store = open_one_store(args[0]);
-  const SecurityManager& mgr = store.manager();
+  if (args.size() < 2) die("trace: usage: trace <dir> <rep-file>");
+  const std::vector<StateStore> stores = open_stores(args[0]);
   const Bytes raw = read_file(args[1]);
   Reader r(raw);
   Representation rep;
@@ -329,11 +341,24 @@ int cmd_trace(std::vector<std::string> args) {
   rep.gamma_b = get_bigint(r);
   rep.tail = get_bigint_vec(r);
   r.expect_end();
+  // The representation satisfies the public key of the shard whose keys
+  // built it; the shards' keys are independent, so no other.
+  const auto it = std::find_if(
+      stores.begin(), stores.end(), [&rep](const StateStore& s) {
+        return rep.valid_for(s.manager().params(), s.manager().public_key());
+      });
+  if (it == stores.end()) {
+    die("trace: " + args[1] + " is not a representation of any shard's " +
+        "public key in " + args[0]);
+  }
+  const std::uint64_t shard = static_cast<std::uint64_t>(it - stores.begin());
+  const SecurityManager& mgr = it->manager();
   const TraceResult result = trace_nonblackbox(
       mgr.params(), mgr.public_key(), rep, mgr.users());
   std::printf("traced %zu traitor(s):", result.traitors.size());
   for (const auto& t : result.traitors) {
-    std::printf(" #%llu", static_cast<unsigned long long>(t.id));
+    std::printf(" #%llu",
+                static_cast<unsigned long long>(t.id * stores.size() + shard));
   }
   std::printf("\n");
   return 0;
@@ -1192,8 +1217,9 @@ void usage(std::FILE* to) {
       "  encrypt <dir> <payload> <out> [--shard K]  broadcast content\n"
       "  decrypt <key-file> <broadcast>        receive content\n"
       "  apply-reset <key-file> <reset-file>   follow a period change\n"
-      "  pirate <store> <rep-out> <key...>     (demo) forge a pirate key\n"
-      "  trace <store> <rep-file>              trace a pirate key\n"
+      "  pirate <dir> <rep-out> <key...>       (demo) forge a pirate key\n"
+      "                                        from keys of one shard\n"
+      "  trace <dir> <rep-file>                trace a pirate key\n"
       "  stats <metrics-file> [--format summary|prom] [--since TS]\n"
       "        [--name EVENT] [--user ID]   filter the event log by event\n"
       "        name / user id (matching events are listed one per line)\n"
@@ -1219,13 +1245,15 @@ void usage(std::FILE* to) {
       "      500ms) --retry-max N (attempts, default 40; 0 or 1 disables)\n"
       "  help                                  this text\n"
       "\n"
-      "<dir> is a store directory (WAL + snapshots, every mutation durable\n"
-      "before the command returns; see dfky_fsck) or a shard root\n"
-      "(init --shards N: shard.<k> subdirectories, one WAL/LOCK per shard).\n"
+      "<dir> is a shard root: init --shards N (default 1) writes\n"
+      "shard.0 .. shard.N-1, one store per shard (WAL + snapshots and a\n"
+      "LOCK; every mutation durable before the command returns; see\n"
+      "dfky_fsck). User #g lives on shard g % N.\n"
       "status, add, revoke, new-period and encrypt run the same request\n"
       "through the same handler either way: offline on <dir>, which must\n"
       "not be held by a dfkyd, or as `client <socket> <verb>` against the\n"
-      "dfkyd serving it. pirate and trace read one plain store.\n"
+      "dfkyd serving it. pirate and trace read <dir> offline and print\n"
+      "global ids.\n"
       "--metrics-out FILE appends this invocation's metrics snapshot\n"
       "(JSONL) to FILE; `stats` merges the snapshots of a whole session,\n"
       "`--since TS` windows them by the timestamp stamped on each snapshot.\n",

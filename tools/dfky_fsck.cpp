@@ -1,29 +1,28 @@
-// dfky_fsck — integrity checker for a dfky_cli state-store directory
-// (DESIGN.md Sect. 9).
+// dfky_fsck — integrity checker for a deployment: a shard root written by
+// `dfky_cli init` (DESIGN.md Sect. 9, 11).
 //
 //   dfky_fsck <store-dir>            check only; the store is not touched
 //   dfky_fsck <store-dir> --repair   truncate torn WAL tails, drop invalid
 //                                    snapshots' leftovers, remove stale files
 //   dfky_fsck --replica <dirA> <dirB>
-//                                    compare two replicas of the same store
-//                                    (or two shard roots, shard by shard):
-//                                    per-replica WAL length and chain head;
-//                                    exit 1 when two WALs of the same
-//                                    generation are NOT prefix-related (the
-//                                    streams diverged — one replica must be
-//                                    re-seeded), 0 when one replica merely
-//                                    lags the other
+//                                    compare two replicas of the same
+//                                    deployment, shard by shard: per-replica
+//                                    WAL length and chain head; exit 1 when
+//                                    two WALs of the same generation are NOT
+//                                    prefix-related (the streams diverged —
+//                                    one replica must be re-seeded), 0 when
+//                                    one replica merely lags the other
 //
-// A shard root (a directory holding shard.0, shard.1, ...) is detected
-// automatically: every shard is checked, the per-shard reports are printed,
-// and the epoch spread is summarized (a spread of one period is the normal
-// footprint of a crash between the two phases of a cross-shard new-period;
-// the daemon equalizes it at the next open). The exit status is the worst
-// across the shards.
+// Every shard (shard.0, shard.1, ...) is checked, the per-shard reports are
+// printed, and the epoch spread is summarized (a spread of one period is the
+// normal footprint of a crash between the two phases of a cross-shard
+// new-period; the daemon equalizes it at the next open). The exit status is
+// the worst across the shards. A directory that is not a shard root is
+// refused with exit 2.
 //
 // Exit status: 0 the store is usable (check mode: pristine; repair mode:
 // recovered), 1 findings that repair could fix, 2 unrecoverable (no valid
-// snapshot survives — restore from backup).
+// snapshot survives — restore from backup) or not a deployment.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -181,18 +180,6 @@ int compare_replica_pair(FileIo& io, const std::string& a,
 }
 
 int cmd_replica(FileIo& io, const std::string& a, const std::string& b) {
-  const bool root_a = is_shard_root(io, a);
-  const bool root_b = is_shard_root(io, b);
-  if (root_a != root_b) {
-    std::fprintf(stderr,
-                 "dfky_fsck: --replica: '%s' %s a shard root but '%s' %s\n",
-                 a.c_str(), root_a ? "is" : "is not", b.c_str(),
-                 root_b ? "is" : "is not");
-    return 2;
-  }
-  if (!root_a) {
-    return compare_replica_pair(io, a, b);
-  }
   const std::size_t na = count_shards(io, a);
   const std::size_t nb = count_shards(io, b);
   if (na != nb) {
@@ -218,7 +205,6 @@ int cmd_replica(FileIo& io, const std::string& a, const std::string& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string dir;
   bool repair = false;
   bool replica = false;
   std::vector<std::string> dirs;
@@ -239,45 +225,23 @@ int main(int argc, char** argv) {
       dirs.push_back(a);
     }
   }
-  if (replica) {
-    if (repair || dirs.size() != 2) {
-      std::fprintf(stderr,
-                   "dfky_fsck: --replica takes exactly two store directories "
-                   "(and no --repair)\n");
-      usage(stderr);
-      return 2;
-    }
-    RealFileIo rio;
-    return cmd_replica(rio, dirs[0], dirs[1]);
-  }
-  if (dirs.size() == 1) {
-    dir = dirs[0];
-  }
-  if (dir.empty()) {
+  if (replica && (repair || dirs.size() != 2)) {
+    std::fprintf(stderr,
+                 "dfky_fsck: --replica takes exactly two store directories "
+                 "(and no --repair)\n");
     usage(stderr);
     return 2;
   }
-
-  RealFileIo io;
-  if (is_shard_root(io, dir)) {
-    return fsck_shard_set(io, dir, repair);
+  if (!replica && dirs.size() != 1) {
+    usage(stderr);
+    return 2;
   }
-  FsckReport r;
+  RealFileIo io;
   try {
-    r = fsck_store(io, dir, repair);
-  } catch (const Error& e) {
+    return replica ? cmd_replica(io, dirs[0], dirs[1])
+                   : fsck_shard_set(io, dirs[0], repair);
+  } catch (const Error& e) {  // count_shards: not a shard root
     std::fprintf(stderr, "dfky_fsck: %s\n", e.what());
     return 2;
   }
-
-  print_report(dir, r);
-  if (r.unrecoverable) {
-    std::printf("  the store has no valid snapshot; restore from backup\n");
-    return 2;
-  }
-  if (!r.ok) {
-    std::printf("  run `dfky_fsck %s --repair` to fix\n", dir.c_str());
-    return 1;
-  }
-  return 0;
 }

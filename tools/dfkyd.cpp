@@ -1,5 +1,5 @@
-// dfkyd — serve one store directory (or shard root) over a unix socket
-// (DESIGN.md Sect. 10–11).
+// dfkyd — serve one deployment (a shard root, written by `dfky_cli init`)
+// over a unix socket (DESIGN.md Sect. 10–11).
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -17,19 +17,19 @@ namespace {
 int usage(std::FILE* out) {
   std::fprintf(out,
                "usage: dfkyd <store-dir> --socket PATH [--metrics-port N]\n"
-               "             [--snapshot-every N] [--trace-slow-us N]\n"
-               "             [--backlog N] [--idle-timeout-ms N]\n"
-               "             [--workers N] [--busy-queue-limit N]\n"
+               "             [--trace-slow-us N] [--backlog N]\n"
+               "             [--idle-timeout-ms N] [--workers N]\n"
+               "             [--busy-queue-limit N]\n"
                "             [--follower] [--replicate-to PATH]...\n"
                "             [--auto-failover]\n"
                "             [--failover-timings LEASE,HB,TIMEOUT,EMIN,EMAX]\n"
                "\n"
                "Serves the store over a newline protocol (see dfky_cli\n"
-               "client). A shard root (dfky_cli init --shards N) is detected\n"
-               "automatically: every shard's LOCK is taken and requests are\n"
-               "routed by user id. --metrics-port 0 binds an ephemeral\n"
-               "loopback port for GET /metrics and GET /trace; omit the flag\n"
-               "to disable both. Requests slower than --trace-slow-us\n"
+               "client). <store-dir> is a shard root written by dfky_cli init\n"
+               "(shard.0 .. shard.N-1): every shard's LOCK is taken and\n"
+               "requests are routed by user id. --metrics-port 0 binds an\n"
+               "ephemeral loopback port for GET /metrics and GET /trace; omit\n"
+               "the flag to disable both. Requests slower than --trace-slow-us\n"
                "(default 10000; 0 disables) are kept in the slow-request log\n"
                "served by the `trace` verb and GET /trace.\n"
                "\n"
@@ -37,8 +37,7 @@ int usage(std::FILE* out) {
                "its snapshot once its WAL holds 64 records and either its\n"
                "bytes reach the snapshot's or a replay would redo 64*(v+1)\n"
                "public-key slots, so an ack's share of rotation cost does not\n"
-               "grow with the user population. --snapshot-every N rotates\n"
-               "every N WAL records instead.\n"
+               "grow with the user population.\n"
                "\n"
                "Front end (DESIGN.md Sect. 15): connections are served by an\n"
                "epoll reactor; requests execute on --workers threads (default:\n"
@@ -147,8 +146,8 @@ int main(int argc, char** argv) {
       dfky::obs::set_slow_threshold_ns(*n * 1000);
       continue;
     }
-    if (a == "--socket" || a == "--metrics-port" || a == "--snapshot-every" ||
-        a == "--backlog" || a == "--idle-timeout-ms" || a == "--workers" ||
+    if (a == "--socket" || a == "--metrics-port" || a == "--backlog" ||
+        a == "--idle-timeout-ms" || a == "--workers" ||
         a == "--busy-queue-limit") {
       if (i + 1 == args.size()) {
         std::fprintf(stderr, "dfkyd: %s needs a value\n", a.c_str());
@@ -190,14 +189,8 @@ int main(int argc, char** argv) {
           return usage(stderr);
         }
         opts.workers = static_cast<int>(*n);
-      } else if (a == "--busy-queue-limit") {
-        opts.busy_queue_limit = static_cast<std::size_t>(*n);
       } else {
-        if (*n == 0) {
-          std::fprintf(stderr, "dfkyd: --snapshot-every must be positive\n");
-          return usage(stderr);
-        }
-        opts.store.snapshot_every = static_cast<std::size_t>(*n);
+        opts.busy_queue_limit = static_cast<std::size_t>(*n);
       }
       continue;
     }
