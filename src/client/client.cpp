@@ -1,5 +1,7 @@
 #include "client/client.h"
 
+#include "core/content.h"
+
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
@@ -29,6 +31,7 @@ using Clock = std::chrono::steady_clock;
 }
 
 constexpr std::string_view kNewPeriodFrame = "bcast new-period ";
+constexpr std::string_view kEncryptFrame = "bcast encrypt ";
 
 /// The non-empty items of a comma-separated list.
 std::vector<std::string_view> split_list(std::string_view list) {
@@ -39,6 +42,47 @@ std::vector<std::string_view> split_list(std::string_view list) {
     list.remove_prefix(std::min(comma + 1, list.size()));
   }
   return out;
+}
+
+/// The value of a push line's ` key=` field; nullopt when absent.
+std::optional<std::string_view> frame_field(std::string_view line,
+                                            std::string_view key) {
+  for (std::size_t at = line.find(' '); at != std::string_view::npos;
+       at = line.find(' ', at + 1)) {
+    const std::string_view rest = line.substr(at + 1);
+    if (rest.size() > key.size() && rest.starts_with(key) &&
+        rest[key.size()] == '=') {
+      const std::string_view value = rest.substr(key.size() + 1);
+      return value.substr(0, value.find(' '));
+    }
+  }
+  return std::nullopt;
+}
+
+/// One hex field decoded as a whole `T`; nullopt on bad hex, a failed
+/// parse or trailing bytes.
+template <class T>
+std::optional<T> decode_hex(std::string_view hex, const Group& group) {
+  const std::optional<Bytes> raw = daemon::hex_decode(hex);
+  if (!raw) return std::nullopt;
+  try {
+    Reader r(*raw);
+    T out = T::deserialize(r, group);
+    r.expect_end();
+    return out;
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+}
+
+FrameOutcome reset_outcome(ResetOutcome outcome) {
+  switch (outcome) {
+    case ResetOutcome::kApplied: return FrameOutcome::kApplied;
+    case ResetOutcome::kStaleIgnored: return FrameOutcome::kStale;
+    case ResetOutcome::kGapDetected: return FrameOutcome::kGap;
+    case ResetOutcome::kCannotFollow: return FrameOutcome::kCannotFollow;
+  }
+  return FrameOutcome::kMalformed;
 }
 
 bool transient_connect_errno(int err) {
@@ -247,41 +291,75 @@ daemon::Response subscribe(Conn& c, std::optional<std::uint64_t> from_period,
   return std::move(*r);
 }
 
+FrameResult apply_frame(Receiver& receiver, std::size_t shard,
+                        std::string_view line) {
+  const Group& group = receiver.params().group;
+  FrameResult out;  // kMalformed until the line proves otherwise
+  if (line.starts_with(kEncryptFrame)) {
+    const std::optional<std::string_view> k = frame_field(line, "shard");
+    const std::optional<std::string_view> ct = frame_field(line, "ct");
+    const std::optional<std::uint64_t> sealed_for =
+        k ? daemon::parse_u64(*k) : std::nullopt;
+    if (!sealed_for || !ct) return out;
+    if (*sealed_for != shard) {
+      out.outcome = FrameOutcome::kOtherShard;
+      return out;
+    }
+    const std::optional<ContentMessage> msg =
+        decode_hex<ContentMessage>(*ct, group);
+    if (!msg) return out;
+    try {
+      out.payload = open_content(receiver.params(), receiver.key(), *msg);
+      out.outcome = FrameOutcome::kOpened;
+    } catch (const Error&) {
+      out.outcome = FrameOutcome::kNotOpened;  // revoked or stale key
+    }
+    receiver.note_content_frame(msg->kem.period,
+                                out.outcome == FrameOutcome::kOpened);
+    return out;
+  }
+  if (!line.starts_with(kNewPeriodFrame)) return out;
+  const std::optional<std::string_view> list = frame_field(line, "bundles");
+  if (!list) return out;
+  std::vector<SignedResetBundle> bundles;
+  for (const std::string_view hex : split_list(*list)) {
+    std::optional<SignedResetBundle> b =
+        decode_hex<SignedResetBundle>(hex, group);
+    if (!b) return out;
+    bundles.push_back(std::move(*b));
+  }
+  out.outcome = FrameOutcome::kUnauthenticated;
+  for (const SignedResetBundle& b : bundles) {
+    if (!b.verify(group, receiver.manager_vk())) continue;
+    out.outcome = reset_outcome(receiver.apply_reset(b));
+  }
+  return out;
+}
+
 CatchUpReport apply_replay(Receiver& receiver,
                            const daemon::FeedReplay& rep) {
-  const Group& group = receiver.params().group;
-  const auto decoded = [](std::string_view hex) {
-    std::optional<Bytes> raw = daemon::hex_decode(hex);
-    if (!raw) throw DecodeError("catch-up: bad hex");
-    return std::move(*raw);
-  };
   CatchUpReport out;
   out.period = rep.current;
   out.replayed = rep.lines.size();
   out.verdicts = rep.verdicts.size();
   for (const std::string& line : rep.lines) {
-    const std::size_t at = line.find(" bundles=");
-    if (at == std::string::npos) throw DecodeError("catch-up: no bundles");
-    for (const std::string_view hex :
-         split_list(std::string_view(line).substr(at + 9))) {
-      const Bytes raw = decoded(hex);
-      Reader r(raw);
-      const SignedResetBundle b = SignedResetBundle::deserialize(r, group);
-      r.expect_end();
-      if (!b.verify(group, receiver.manager_vk())) continue;
-      switch (receiver.apply_reset(b)) {
-        case ResetOutcome::kApplied: ++out.applied; break;
-        case ResetOutcome::kCannotFollow: ++out.cannot_follow; break;
-        default: break;
-      }
+    if (!line.starts_with(kNewPeriodFrame)) {
+      throw DecodeError("catch-up: not a new-period frame");
+    }
+    // The shard only routes content frames; a replay holds none.
+    switch (apply_frame(receiver, 0, line).outcome) {
+      case FrameOutcome::kApplied: ++out.applied; break;
+      case FrameOutcome::kCannotFollow: ++out.cannot_follow; break;
+      case FrameOutcome::kMalformed:
+        throw DecodeError("catch-up: malformed new-period frame");
+      default: break;
     }
   }
   for (const std::string& hex : rep.verdicts) {
-    const Bytes raw = decoded(hex);
-    Reader r(raw);
-    const EvictionVerdict v = EvictionVerdict::deserialize(r, group);
-    r.expect_end();
-    receiver.apply_eviction(v);
+    const std::optional<EvictionVerdict> v =
+        decode_hex<EvictionVerdict>(hex, receiver.params().group);
+    if (!v) throw DecodeError("catch-up: malformed eviction verdict");
+    receiver.apply_eviction(*v);
   }
   return out;
 }

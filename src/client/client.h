@@ -1,7 +1,8 @@
 // Client side of the dfkyd wire (DESIGN.md Sect. 7.3, 10, 11, 13, 16): one
 // blocking line connection to the daemon's unix socket, tagged pipelining,
-// the `subscribe` stream and a receiver's catch-up on top of it, and the
-// loopback `GET /metrics` scrape with a parser for its Prometheus text.
+// the `subscribe` stream, the one consumer of its `bcast` frames
+// (apply_frame) and a receiver's catch-up on top of it, and the loopback
+// `GET /metrics` scrape with a parser for its Prometheus text.
 // Every tool, bench and test that talks to a dfkyd goes through here.
 #pragma once
 
@@ -86,6 +87,38 @@ daemon::Response subscribe(Conn& c,
                            std::optional<std::uint64_t> from_period = {},
                            int timeout_ms = 0);
 
+/// What apply_frame did with one served `bcast` line.
+enum class FrameOutcome : std::uint8_t {
+  kOpened = 0,        // content of the receiver's shard, opened
+  kNotOpened = 1,     // content of its shard the key cannot open
+  kApplied = 2,       // a reset advanced the key
+  kStale = 3,         // a reset for a period the key already has
+  kGap = 4,           // a reset past a missing period: the receiver is stale
+  kCannotFollow = 5,  // the next period's reset, which the key cannot open
+  kOtherShard = 6,    // content sealed for another shard
+  kMalformed = 7,     // unknown kind, missing field, bad hex or encoding
+  kUnauthenticated = 8,  // no bundle of a new-period frame verifies
+};
+
+struct FrameResult {
+  FrameOutcome outcome = FrameOutcome::kMalformed;
+  Bytes payload;  // the opened content (kOpened only)
+};
+
+/// The one consumer of served `bcast` lines (DESIGN.md Sect. 16.1): applies
+/// `line` to `receiver`, whose key `add-user` issued on shard `shard`.
+///  - `bcast encrypt shard=K ... ct=<hex>`: K other than `shard` is
+///    kOtherShard; otherwise the ciphertext is opened, and either way its
+///    period goes to Receiver::note_content_frame.
+///  - `bcast new-period period=P bundles=<hex,...>`: every bundle must
+///    parse; each one the receiver's manager key signed is applied and the
+///    rest (other shards' bundles, forged ones) are skipped. The outcome is
+///    that of the last applied bundle, kUnauthenticated when none verifies.
+/// Never throws because of the line's content: a malformed line is
+/// kMalformed and leaves the receiver as it was.
+FrameResult apply_frame(Receiver& receiver, std::size_t shard,
+                        std::string_view line);
+
 /// What one catch-up did to a receiver (DESIGN.md Sect. 7.3).
 struct CatchUpReport {
   std::uint64_t period = 0;       // the daemon's period (max over shards)
@@ -95,11 +128,12 @@ struct CatchUpReport {
   std::size_t cannot_follow = 0;  // its shard's bundles its key cannot open
 };
 
-/// Applies a catch-up answer to `receiver`: each replayed bundle its
-/// manager key signed, in period order (other shards' bundles fail that
-/// key and are skipped), then each verdict, which only the receiver's own
+/// Applies a catch-up answer to `receiver`: each replayed line through
+/// apply_frame, in period order (other shards' bundles fail its manager key
+/// and are skipped), then each verdict, which only the receiver's own
 /// shard's key makes final (Receiver::apply_eviction). Throws DecodeError
-/// on malformed hex or encodings.
+/// on a replayed line that is not a well-formed new-period frame and on a
+/// malformed verdict.
 CatchUpReport apply_replay(Receiver& receiver, const daemon::FeedReplay& rep);
 
 /// The client's one catch-up path: subscribe() from `receiver.period()`,

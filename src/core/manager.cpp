@@ -458,13 +458,6 @@ std::uint64_t SecurityManager::archive_oldest_period() const {
                           : archive_.front().reset.new_period;
 }
 
-SignedPublicKey SecurityManager::signed_public_key(Rng& rng) const {
-  SignedPublicKey out;
-  out.pk = pk_;
-  out.signature = sign_key_.sign(sp_.group, out.signed_payload(sp_.group), rng);
-  return out;
-}
-
 SecurityManager::CatchUp SecurityManager::handle_catch_up(
     std::uint64_t from, std::uint32_t shard, Rng& rng) const {
   CatchUp out;

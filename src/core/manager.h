@@ -56,8 +56,6 @@ class SecurityManager {
   const PublicKey& public_key() const { return pk_; }
   /// Verification key for the manager's signed broadcasts.
   const Gelt& verification_key() const { return sign_key_.public_key(); }
-  /// The current public key, signed for announcing it to providers.
-  SignedPublicKey signed_public_key(Rng& rng) const;
   std::uint64_t period() const { return pk_.period; }
   /// Users revoked so far in the current period (the saturation level L).
   std::size_t saturation_level() const { return level_; }

@@ -115,31 +115,6 @@ bool SignedResetBundle::verify(const Group& group,
   return schnorr_verify(group, manager_vk, signed_payload(group), signature);
 }
 
-Bytes SignedPublicKey::signed_payload(const Group& group) const {
-  Writer w;
-  static const byte kTag[] = {'p', 'u', 'b', 'l', 'i', 'c', '-', 'k', 'e', 'y'};
-  w.put_raw(BytesView(kTag, sizeof(kTag)));
-  pk.serialize(w, group);
-  return std::move(w).take();
-}
-
-bool SignedPublicKey::verify(const Group& group,
-                             const Gelt& manager_vk) const {
-  return schnorr_verify(group, manager_vk, signed_payload(group), signature);
-}
-
-void SignedPublicKey::serialize(Writer& w, const Group& group) const {
-  pk.serialize(w, group);
-  signature.serialize(w, group);
-}
-
-SignedPublicKey SignedPublicKey::deserialize(Reader& r, const Group& group) {
-  SignedPublicKey out;
-  out.pk = PublicKey::deserialize(r, group);
-  out.signature = SchnorrSignature::deserialize(r, group);
-  return out;
-}
-
 Bytes EvictionVerdict::signed_payload() const {
   Writer w;
   static const byte kTag[] = {'e', 'v', 'i', 'c', 't', 'e', 'd'};

@@ -52,21 +52,6 @@ struct SignedResetBundle {
   bool verify(const Group& group, const Gelt& manager_vk) const;
 };
 
-/// The manager's public key as it is announced to content providers,
-/// signed: a provider seals under whatever key it accepts, so a corrupted
-/// or forged update must not verify.
-struct SignedPublicKey {
-  PublicKey pk;
-  SchnorrSignature signature;
-
-  /// The byte string the signature covers.
-  Bytes signed_payload(const Group& group) const;
-  bool verify(const Group& group, const Gelt& manager_vk) const;
-
-  void serialize(Writer& w, const Group& group) const;
-  static SignedPublicKey deserialize(Reader& r, const Group& group);
-};
-
 /// Signed evidence that a manager's bounded reset archive no longer holds
 /// the periods a receiver needs: the earliest new_period it can still
 /// serve is `oldest_available`, so a receiver at a period below

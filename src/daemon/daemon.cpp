@@ -720,31 +720,8 @@ Daemon::Daemon(DaemonOptions opts)
     : opts_(std::move(opts)),
       stall_io_(make_stall_io(real_io_)),
       io_(stall_io_ ? *stall_io_ : static_cast<FileIo&>(real_io_)) {
-  std::vector<StateStore> stores;
-  if (opts_.follower) {
-    // A follower opens its shards WITHOUT open_shard_set's epoch
-    // equalization: rolling a laggard forward writes local new-period
-    // records, forking the stream it is about to receive from the
-    // primary. Mixed epochs on a follower are resolved by the primary's
-    // frames — or by promote(), if this replica is the survivor.
-    const std::size_t n = count_shards(io_, opts_.store_dir);
-    for (std::size_t i = 0; i < n; ++i) {
-      stores.push_back(
-          StateStore::open(io_, opts_.store_dir + "/" + shard_dir_name(i)));
-    }
-  } else {
-    ShardSetReport report;
-    stores = open_shard_set(io_, opts_.store_dir, rng_, {}, &report);
-    if (report.rolled_forward > 0) {
-      std::fprintf(stderr,
-                   "dfkyd: shard set recovered to epoch %llu "
-                   "(%zu roll-forward(s))\n",
-                   static_cast<unsigned long long>(report.epoch),
-                   report.rolled_forward);
-    }
-  }
   router_.emplace(
-      std::move(stores),
+      open_shard_set(io_, opts_.store_dir),
       [](std::size_t) { return std::make_unique<SystemRng>(); },
       [this] {
         // Committer/barrier thread: a sync failed, that shard's store is
@@ -754,6 +731,13 @@ Daemon::Daemon(DaemonOptions opts)
         request_stop();
       },
       opts_.follower);
+  if (router_->rolled_at_open() > 0) {
+    std::fprintf(stderr,
+                 "dfkyd: shard set recovered to epoch %llu "
+                 "(%zu roll-forward(s))\n",
+                 static_cast<unsigned long long>(router_->status().period),
+                 router_->rolled_at_open());
+  }
   feed_ = std::make_unique<FeedHub>();
   feed_->set_replay([this](std::optional<std::uint64_t> from) {
     return router_->catch_up(from);

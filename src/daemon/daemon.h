@@ -137,9 +137,9 @@ struct DaemonOptions {
   std::size_t busy_queue_limit = 1024;
   /// Come up as a read-only replica (DESIGN.md Sect. 12): no committers,
   /// mutations rejected, state advances via repl-append/repl-snap from a
-  /// primary, `promote` flips to primary. A follower shard set is opened
-  /// WITHOUT epoch equalization — rolling laggards forward writes local
-  /// new-period records, which would fork the replicated stream.
+  /// primary, `promote` flips to primary. A follower's router does not
+  /// equalize epochs — rolling laggards forward writes local new-period
+  /// records, which would fork the replicated stream.
   bool follower = false;
   /// Peer daemon socket paths. On a primary: the followers it replicates
   /// to. With auto_failover, every node lists every OTHER cluster member
@@ -202,7 +202,6 @@ class Daemon {
   /// operation.
   std::unique_ptr<FileIo> stall_io_;
   FileIo& io_;  // stall_io_ when armed, else real_io_
-  SystemRng rng_;  // shard-set open (roll-forward); shards get their own
   std::optional<ShardRouter> router_;
   /// Streaming fan-out hub (DESIGN.md Sect. 16): workers publish
   /// committed broadcasts through the handler's publish hook, the

@@ -78,8 +78,13 @@ ShardRouter::ShardRouter(std::vector<StateStore> stores,
   for (const auto& sh : shards_) users += sh->store.manager().users().size();
   next_add_.store(users);
   // A follower runs no committers: its stores must stay in
-  // fsync-per-mutation mode so replica ingest appends land directly.
-  if (!follower) start_committers();
+  // fsync-per-mutation mode so replica ingest appends land directly. Nor
+  // does it roll laggards forward: those local new-periods would fork the
+  // stream its primary ships; promote() rolls them if it comes to that.
+  if (!follower) {
+    rolled_at_open_ = roll_laggards_forward();
+    start_committers();
+  }
   obs::gauge("dfkyd_role", {{"role", "primary"}}).set(follower ? 0 : 1);
   obs::gauge("dfkyd_role", {{"role", "follower"}}).set(follower ? 1 : 0);
   obs::gauge("dfky_repl_term").set(term);
@@ -592,14 +597,28 @@ ShardRouter::PromoteResult ShardRouter::promote(
   // of the old term must see it on its first exchange, not a window where
   // both sides still claim the same term.
   if (new_term) adopt_term(*new_term);
-  // Laggard roll-forward: a primary killed inside the barrier's phase-2
-  // sync loop replicated the epoch roll to some shards only. The barrier
-  // was never acked, so completing it here is safe — the same reasoning
-  // (and the same ordinary durable new-periods) as open_shard_set's
-  // equalization after a crash.
+  // A primary killed inside the barrier's phase-2 sync loop replicated the
+  // epoch roll to some shards only.
+  res.rolled = roll_laggards_forward();
+  start_committers();
+  fenced_.store(false);
+  follower_.store(false);
+  res.term = term_.load();
+  res.period = status().period;
+  obs::gauge("dfkyd_role", {{"role", "primary"}}).set(1);
+  obs::gauge("dfkyd_role", {{"role", "follower"}}).set(0);
+  obs::counter("dfkyd_promotions_total").inc();
+  obs::event({.name = "promote",
+              .period = static_cast<std::int64_t>(res.period),
+              .detail = "term=" + std::to_string(res.term),
+              .value = static_cast<std::int64_t>(res.rolled)});
+  return res;
+}
+
+std::size_t ShardRouter::roll_laggards_forward() {
   std::uint64_t target = 0;
   for (auto& sh : shards_) {
-    std::unique_lock lk(sh->state_mu);
+    std::shared_lock lk(sh->state_mu);
     target = std::max(target, sh->store.manager().period());
   }
   std::size_t rolled = 0;
@@ -607,27 +626,14 @@ ShardRouter::PromoteResult ShardRouter::promote(
     std::unique_lock lk(sh->state_mu);
     std::lock_guard rng_lk(sh->rng_mu);
     while (sh->store.manager().period() < target) {
-      // Durable: batching is off here.
+      // Durable: no committer runs yet, so batching is off.
       sh->store.new_period(*sh->rng, sh->cached_encryptor().get());
       ++rolled;
     }
     sh->note_state();
   }
-  start_committers();
-  fenced_.store(false);
-  follower_.store(false);
-  res.term = term_.load();
-  res.period = target;
-  res.rolled = rolled;
-  obs::gauge("dfkyd_role", {{"role", "primary"}}).set(1);
-  obs::gauge("dfkyd_role", {{"role", "follower"}}).set(0);
-  obs::counter("dfkyd_promotions_total").inc();
   obs::counter("dfky_store_shard_rollforwards_total").inc(rolled);
-  obs::event({.name = "promote",
-              .period = static_cast<std::int64_t>(target),
-              .detail = "term=" + std::to_string(res.term),
-              .value = static_cast<std::int64_t>(rolled)});
-  return res;
+  return rolled;
 }
 
 ShardRouter::PromoteResult ShardRouter::demote() {

@@ -15,8 +15,9 @@
 //     shard's reset record in memory (batching mode: no I/O), phase 2
 //     issues each shard's WAL append+fsync. The caller is acked only
 //     after every shard's sync. A crash between the phases leaves shards
-//     at mixed periods; open_shard_set rolls the laggards forward, which
-//     is safe exactly because the barrier was never acked.
+//     at mixed periods; a primary's constructor (and promote) rolls the
+//     laggards forward, which is safe exactly because the barrier was
+//     never acked.
 //   * fail-stop — any shard's sync failure (in a batch or in the
 //     barrier) poisons that shard's store; the router reports fatal()
 //     and invokes on_fatal once so the daemon can shut down and restart
@@ -66,9 +67,10 @@ class ShardRouter {
   /// for its own per-request ChaCha20 stream.
   using RngFactory = std::function<std::unique_ptr<Rng>(std::size_t shard)>;
 
-  /// Takes ownership of the opened shard stores (from open_shard_set, or
-  /// a follower's per-shard StateStore::open). `on_fatal` is invoked at
-  /// most once, on the first sync failure anywhere in the set.
+  /// Takes ownership of the opened shard stores (from open_shard_set).
+  /// `on_fatal` is invoked at most once, on the first sync failure
+  /// anywhere in the set. A primary first rolls lagging shards forward to
+  /// the set's highest period (rolled_at_open() counts the rolls).
   ///
   /// With `follower = true` the router comes up as a read-only replica:
   /// no committer threads run (the stores stay in fsync-per-mutation mode,
@@ -83,6 +85,9 @@ class ShardRouter {
   ShardRouter& operator=(const ShardRouter&) = delete;
 
   std::size_t shards() const { return shards_.size(); }
+  /// Laggard new-periods the constructor issued to equalize the epoch (0 on
+  /// a follower, and on a set that was already level).
+  std::size_t rolled_at_open() const { return rolled_at_open_; }
   std::size_t shard_of(std::uint64_t global_id) const {
     return static_cast<std::size_t>(global_id % shards_.size());
   }
@@ -278,9 +283,9 @@ class ShardRouter {
     std::size_t rolled = 0;    // laggard new-periods issued (promote only)
   };
   /// Turns a follower into a primary: equalizes shard epochs by rolling
-  /// laggards forward (the same laggard-recovery new-periods open_shard_set
-  /// issues — a kill during the old primary's phase-2 sync loop can leave a
-  /// follower's shards at mixed periods), then starts the committer
+  /// laggards forward (the same laggard-recovery new-periods a primary's
+  /// constructor issues — a kill during the old primary's phase-2 sync loop
+  /// can leave a follower's shards at mixed periods), then starts the committer
   /// threads. `new_term`, when set, is durably adopted before committers
   /// start (the watchdog promotes under max(seen)+1). Promoting a primary
   /// is an `already = true` no-op — distinct, not an error. Serialized
@@ -408,6 +413,14 @@ class ShardRouter {
 
   void fail_stop();  // sets fatal_, invokes on_fatal_ once
   void start_committers();
+  /// Laggard roll-forward, the one place the epoch is equalized: every
+  /// shard behind the set's highest period rolls forward to it, each roll
+  /// an ordinary durable new-period whose bundle lands in that shard's
+  /// archive for catch-up. Shards diverge only through a barrier that was
+  /// never acked (a crash between its phases) or a saturating revoke that
+  /// rolled one shard alone, so completing the roll is safe. Runs before
+  /// the committers start (stores unbatched). Returns the rolls issued.
+  std::size_t roll_laggards_forward();
   void ensure_primary(const char* verb) const;
   void note_term(Shard& sh, std::uint64_t term, const char* verb);
   void stamp_trace(Shard& sh, const obs::TraceContext* trace);
@@ -433,6 +446,7 @@ class ShardRouter {
   mutable std::mutex repl_ptr_mu_;
   std::shared_ptr<ReplicationSender> repl_;
   std::atomic<std::uint64_t> next_add_{0};  // round-robin placement
+  std::size_t rolled_at_open_ = 0;
   std::mutex barrier_mu_;  // serializes new_period_all (and promote)
   std::mutex term_mu_;     // serializes TERM-file persistence
   std::mutex build_mu_;    // guards build_queue_; build_stop_ is set under it

@@ -503,7 +503,7 @@ std::vector<std::string> FaultyFileIo::list(const std::string& dir) const {
 
 void FaultyFileIo::fault_read(Bytes& data) const {
   // Unconditional draws keep the PRG stream aligned across runs, exactly
-  // like FaultyBus::roll.
+  // like the fault matrix's LineFilter (tests/line_filter.h).
   const std::uint64_t flip_roll = rng_.u64();
   const std::uint64_t flip_pos = rng_.u64();
   const std::uint64_t short_roll = rng_.u64();

@@ -12,7 +12,7 @@
 //     cache — so tests can assert what actually survives.
 //   * FaultyFileIo — wraps a MemFileIo and injects crash points, torn
 //     writes, bit flips and short reads deterministically from a seed
-//     (the file-system sibling of FaultyBus).
+//     (the file-system sibling of the fault matrix's LineFilter).
 //
 // Paths use '/' separators; directory durability is tracked per dirname.
 #pragma once

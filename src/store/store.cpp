@@ -1050,7 +1050,7 @@ std::vector<StateStore> create_shard_set(FileIo& io, const std::string& root,
 }
 
 std::vector<StateStore> open_shard_set(FileIo& io, const std::string& root,
-                                       Rng& rng, StoreOptions opts,
+                                       StoreOptions opts,
                                        ShardSetReport* report) {
   const std::size_t n = count_shards(io, root);
   // All-or-nothing locking: a StoreLockedError on any shard propagates and
@@ -1061,35 +1061,14 @@ std::vector<StateStore> open_shard_set(FileIo& io, const std::string& root,
   for (std::size_t i = 0; i < n; ++i) {
     shards.push_back(StateStore::open(io, join(root, shard_dir_name(i)), opts));
   }
-  // Epoch equalization. Shards diverge in exactly two ways: a crash between
-  // the two phases of a cross-shard new-period (some shards' WAL syncs
-  // landed, some did not — the barrier was never acked, so completing it is
-  // safe), and saturating revokes that rolled one shard autonomously. Both
-  // resolve the same way: roll every lagging shard forward to the maximum
-  // period; each roll is an ordinary durable new-period whose reset bundle
-  // lands in that shard's archive for receiver catch-up.
-  std::uint64_t epoch = 0;
-  for (const StateStore& s : shards) {
-    epoch = std::max(epoch, s.manager().period());
-  }
-  std::size_t rolled = 0;
-  for (StateStore& s : shards) {
-    while (s.manager().period() < epoch) {
-      s.new_period(rng);
-      ++rolled;
-    }
-  }
   if (report != nullptr) {
     report->shards = n;
-    report->epoch = epoch;
-    report->rolled_forward = rolled;
     report->recoveries.clear();
     for (const StateStore& s : shards) {
       report->recoveries.push_back(s.recovery_report());
     }
   }
   obs::counter("dfky_store_shard_set_opens_total").inc();
-  obs::counter("dfky_store_shard_rollforwards_total").inc(rolled);
   return shards;
 }
 

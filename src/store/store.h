@@ -322,9 +322,10 @@ class StateStore {
 // only cross-shard invariant is the EPOCH — after recovery every shard
 // sits at the same period. A crash
 // between the two phases of a cross-shard new-period leaves some shards
-// one period ahead; since that barrier was never acknowledged, open can
-// roll the lagging shards forward to the maximum (each roll is an
-// ordinary durable new-period), which is what open_shard_set does.
+// one period ahead; since that barrier was never acknowledged, the lagging
+// shards can be rolled forward to the maximum (each roll is an ordinary
+// durable new-period), which is what a primary daemon::ShardRouter does
+// when it takes the opened set.
 
 /// "shard.<i>" — the root-relative directory of shard i.
 std::string shard_dir_name(std::size_t shard);
@@ -336,11 +337,9 @@ std::string shard_dir_name(std::size_t shard);
 /// level, how to make it a one-shard root).
 std::size_t count_shards(FileIo& io, const std::string& root);
 
-/// What open_shard_set found and did.
+/// What open_shard_set found.
 struct ShardSetReport {
   std::size_t shards = 0;
-  std::uint64_t epoch = 0;         // common period every shard landed on
-  std::size_t rolled_forward = 0;  // new-period rolls issued to equalize
   std::vector<RecoveryReport> recoveries;  // per-shard open() reports
 };
 
@@ -350,13 +349,14 @@ std::vector<StateStore> create_shard_set(FileIo& io, const std::string& root,
                                          std::vector<SecurityManager> managers,
                                          Rng& rng, StoreOptions opts = {});
 
-/// The recovery entry point of a primary (dfkyd and dfky_cli's offline
-/// verbs): opens every shard (taking every LOCK — a StoreLockedError on any
-/// shard unwinds the ones already opened), then equalizes the epoch by
-/// rolling lagging shards forward to the maximum period with `rng`. Throws
+/// The one opener of a deployment (dfkyd, primary or follower, and
+/// dfky_cli's offline verbs): opens every shard, taking every LOCK — a
+/// StoreLockedError on any shard unwinds the ones already opened. Writes
+/// nothing beyond what each StateStore::open recovers; the epoch is
+/// equalized by the ShardRouter a primary builds over the set. Throws
 /// count_shards' ContractError when `root` is not a shard root.
 std::vector<StateStore> open_shard_set(FileIo& io, const std::string& root,
-                                       Rng& rng, StoreOptions opts = {},
+                                       StoreOptions opts = {},
                                        ShardSetReport* report = nullptr);
 
 /// File-system check for a store directory.

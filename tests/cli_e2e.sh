@@ -320,4 +320,33 @@ find single.d -maxdepth 1 -type f -exec mv {} single.d/shard.0/ \;
 "$CLI" status single.d | grep -qx 'active: 2' \
   || fail "a top-level store moved into shard.0 does not open"
 
+# ---- dfky_fsck --replica on a WAL header that does not match the snapshot ----
+# The plain check says "needs repair" (exit 1) and open() starts an empty
+# log; --replica reports it the same way and compares that empty log.
+if [ -n "$FSCK" ]; then
+  cp -r shards.d replica.d
+  wal="$(ls replica.d/shard.1/wal.* | head -n 1)"
+  printf '\377' | dd of="$wal" bs=1 seek=0 count=1 conv=notrunc 2>/dev/null
+  set +e
+  "$FSCK" replica.d > plain.txt 2>&1
+  rc_plain=$?
+  "$FSCK" --replica shards.d replica.d > replica.txt 2>&1
+  rc_replica=$?
+  set -e
+  [ "$rc_plain" = 1 ] || fail "fsck: bad WAL header exited $rc_plain, want 1"
+  grep -q '^replica.d/shard.1: needs repair' plain.txt \
+    || fail "fsck: bad WAL header not 'needs repair': $(cat plain.txt)"
+  [ "$rc_replica" = 1 ] \
+    || fail "fsck --replica: bad WAL header exited $rc_replica, want 1: $(cat replica.txt)"
+  grep -q '^replica.d/shard.1: needs repair' replica.txt \
+    || fail "fsck --replica: bad WAL header not 'needs repair': $(cat replica.txt)"
+  grep -q 'the next open starts an empty log' replica.txt \
+    || fail "fsck --replica: no empty-log note: $(cat replica.txt)"
+  grep -q 'replica.d/shard.1 lags by' replica.txt \
+    || fail "fsck --replica: the empty log was not compared: $(cat replica.txt)"
+  if grep -q UNRECOVERABLE replica.txt; then
+    fail "fsck --replica: a valid snapshot reported UNRECOVERABLE"
+  fi
+fi
+
 echo "cli_e2e: ok"

@@ -54,18 +54,11 @@ void SimNode::open(bool create, std::size_t shards, bool follower,
     std::vector<SecurityManager> managers;
     for (std::size_t i = 0; i < shards; ++i) managers.emplace_back(sp, rng);
     stores = create_shard_set(*faulty_, "store", std::move(managers), rng);
-  } else if (follower) {
-    // Like `dfkyd --follower`: no epoch equalization — rolling a laggard
-    // forward writes local records, forking the stream this node is about
-    // to receive.
-    const std::size_t n = count_shards(*faulty_, "store");
-    for (std::size_t i = 0; i < n; ++i) {
-      stores.push_back(
-          StateStore::open(*faulty_, "store/" + shard_dir_name(i)));
-    }
   } else {
-    ChaChaRng rng(seed ^ 0x9e3779b9ull);
-    stores = open_shard_set(*faulty_, "store", rng);
+    // Like dfkyd: a primary's router rolls laggard shards forward, a
+    // follower's does not (that would fork the stream it is about to
+    // receive).
+    stores = open_shard_set(*faulty_, "store");
   }
   router_.emplace(
       std::move(stores),

@@ -136,8 +136,7 @@ void expect_history(SimNode& node, const Acked& acked) {
 /// "what actually survives a power cut" check.
 std::size_t durable_users(const SimNode& node) {
   MemFileIo disk = node.durable_disk();
-  ChaChaRng rng(5);
-  const std::vector<StateStore> stores = open_shard_set(disk, "store", rng);
+  const std::vector<StateStore> stores = open_shard_set(disk, "store");
   std::size_t users = 0;
   for (const StateStore& s : stores) users += s.manager().users().size();
   return users;

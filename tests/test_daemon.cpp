@@ -790,14 +790,13 @@ TEST(ShardRouter, NewPeriodIsACrossShardBarrier) {
   // Durable on every shard: a power cut after the ack loses nothing.
   MemFileIo cut = f.fs;
   cut.crash();
-  ChaChaRng rng(9);
-  ShardSetReport rep;
-  const std::vector<StateStore> recovered =
-      open_shard_set(cut, "store", rng, {}, &rep);
-  EXPECT_EQ(rep.epoch, 1u);
-  EXPECT_EQ(rep.rolled_forward, 0u);
-  for (const StateStore& s : recovered) {
-    EXPECT_EQ(s.manager().period(), 1u);
+  ShardRouter recovered(open_shard_set(cut, "store"), [](std::size_t k) {
+    return std::make_unique<ChaChaRng>(9 + k);
+  });
+  EXPECT_EQ(recovered.status().period, 1u);
+  EXPECT_EQ(recovered.rolled_at_open(), 0u);
+  for (std::size_t k = 0; k < recovered.shards(); ++k) {
+    EXPECT_EQ(recovered.store(k).manager().period(), 1u);
   }
 }
 
@@ -902,9 +901,7 @@ TEST(ShardRouter, ConcurrentMutationsLandOnTheRightShardsDurably) {
   // Every ack survives a crash of all shards at once.
   MemFileIo cut = f.fs;
   cut.crash();
-  ChaChaRng rng(9);
-  const std::vector<StateStore> recovered =
-      open_shard_set(cut, "store", rng);
+  const std::vector<StateStore> recovered = open_shard_set(cut, "store");
   std::size_t users = 0;
   for (const StateStore& s : recovered) users += s.manager().users().size();
   EXPECT_EQ(users, kThreads * kPerThread);
@@ -1466,9 +1463,7 @@ TEST(Replication, PromoteServesHistoryAndAcceptsMutations) {
   // Acked history really is durable on the promoted node.
   MemFileIo cut = f.ffs;
   cut.crash();
-  ChaChaRng rng(9);
-  const std::vector<StateStore> recovered =
-      open_shard_set(cut, "store", rng);
+  const std::vector<StateStore> recovered = open_shard_set(cut, "store");
   std::size_t users = 0;
   for (const StateStore& s : recovered) users += s.manager().users().size();
   EXPECT_EQ(users, 5u);

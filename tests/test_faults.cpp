@@ -1,34 +1,43 @@
-// Fault-injection matrix: seeded fault plans (drop / duplicate / corrupt /
-// reorder / delay, plus targeted New-period drops) over the full system —
-// manager, providers and subscribers — with every subscriber catching up
-// from the manager's archive once the channel heals. Asserts the acceptance
-// bar of the channel-fault work: every non-revoked receiver converges back
-// to the manager's period and decrypts post-recovery content, revoked
-// receivers stay expired (no revival through catch-up), and runs are
-// bit-deterministic given the seed. The Recovery cases run catch-up through
-// dfkyd's served path: `subscribe from` on a FeedServer, answered by
-// ShardRouter::catch_up and applied by client::catch_up.
-#include "broadcast/faulty_bus.h"
-
+// Channel-fault matrix: seeded fault plans (drop / duplicate / corrupt /
+// reorder / delay, plus targeted new-period drops) over the served feed —
+// the `bcast` lines dfkyd's RequestHandler publishes for `new-period` and
+// `encrypt`, passed through a LineFilter and applied by every subscriber
+// with client::apply_frame — with every subscriber catching up through
+// ShardRouter::catch_up and client::apply_replay once the channel heals.
+// Asserts the acceptance bar of the channel-fault work: every non-revoked
+// receiver converges back to the manager's period and decrypts
+// post-recovery content, revoked receivers stay expired (no revival
+// through catch-up), and runs are bit-deterministic given the seed. The
+// Recovery cases run catch-up over a socket: `subscribe from` on a
+// FeedServer, answered by ShardRouter::catch_up and applied by
+// client::catch_up.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "attacks/revive.h"
-#include "broadcast/provider.h"
 #include "client/client.h"
 #include "core/content.h"
 #include "core/manager.h"
 #include "feed_server.h"
+#include "line_filter.h"
 #include "rng/chacha_rng.h"
 #include "serial/codec.h"
+#include "served_channel.h"
 #include "test_util.h"
 
 namespace dfky {
 namespace {
 
-Bytes str(std::string_view s) {
-  return Bytes(s.begin(), s.end());
+using test::FaultCounters;
+using test::FaultPlan;
+using test::LineFilter;
+using test::str;
+
+/// A content frame whose ciphertext is `payload`, as the filter sees it.
+std::string content_line(const Bytes& payload) {
+  return "bcast encrypt shard=0 bytes=" + std::to_string(payload.size()) +
+         " ct=" + daemon::hex_encode(payload);
 }
 
 TEST(FaultyBus, DeterministicGivenSeed) {
@@ -38,16 +47,17 @@ TEST(FaultyBus, DeterministicGivenSeed) {
                        .corrupt_prob = 0.2,
                        .delay_prob = 0.15,
                        .reorder_prob = 0.15,
-                       .delay_messages = 3};
+                       .delay_lines = 3};
   auto run = [&] {
-    FaultyBus bus(plan);
-    std::vector<Bytes> delivered;
-    bus.subscribe([&](const Envelope& env) { delivered.push_back(env.payload); });
+    std::vector<std::string> delivered;
+    LineFilter filter(plan, [&](const std::string& line) {
+      delivered.push_back(line);
+    });
     for (int i = 0; i < 200; ++i) {
-      bus.publish(Envelope{MsgType::kContent, Bytes(4, byte(i))});
+      filter.publish(content_line(Bytes(4, byte(i))));
     }
-    bus.flush();
-    return std::pair{bus.fault_counters(), delivered};
+    filter.flush();
+    return std::pair{filter.fault_counters(), delivered};
   };
   const auto [c1, d1] = run();
   const auto [c2, d2] = run();
@@ -63,19 +73,20 @@ TEST(FaultyBus, DeterministicGivenSeed) {
 }
 
 TEST(FaultyBus, TargetedChangePeriodDrop) {
-  FaultyBus bus(FaultPlan{.seed = 5});  // no probabilistic faults
   std::size_t resets_seen = 0;
-  bus.subscribe([&](const Envelope& env) {
-    if (env.type == MsgType::kChangePeriod) ++resets_seen;
-  });
-  bus.drop_next_change_periods(1);
-  bus.publish(Envelope{MsgType::kContent, Bytes{1}});      // unaffected
-  bus.publish(Envelope{MsgType::kChangePeriod, Bytes{2}});  // dropped
-  bus.publish(Envelope{MsgType::kChangePeriod, Bytes{3}});  // delivered
+  LineFilter filter(FaultPlan{.seed = 5},  // no probabilistic faults
+                    [&](const std::string& line) {
+                      if (line.starts_with("bcast new-period ")) ++resets_seen;
+                    });
+  filter.drop_next_new_periods(1);
+  filter.publish(content_line(Bytes{1}));                 // unaffected
+  filter.publish("bcast new-period period=1 bundles=02");  // dropped
+  filter.publish("bcast new-period period=2 bundles=03");  // delivered
   EXPECT_EQ(resets_seen, 1u);
-  EXPECT_EQ(bus.fault_counters().targeted_drops, 1u);
-  EXPECT_EQ(bus.fault_counters().dropped, 1u);
-  EXPECT_EQ(bus.log().size(), 3u);  // the eavesdropper still saw everything
+  EXPECT_EQ(filter.fault_counters().targeted_drops, 1u);
+  EXPECT_EQ(filter.fault_counters().dropped, 1u);
+  // The sender put every line on the wire.
+  EXPECT_EQ(filter.fault_counters().published, 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -99,14 +110,6 @@ struct ScenarioResult {
   bool operator==(const ScenarioResult&) const = default;
 };
 
-/// One receiver's catch-up from the manager's archive: the bundles since
-/// its period in order, then the eviction verdict if there is one.
-void catch_up(const SecurityManager& mgr, Receiver& rx, Rng& rng) {
-  const SecurityManager::CatchUp cu = mgr.handle_catch_up(rx.period(), 0, rng);
-  for (const SignedResetBundle& b : cu.bundles) rx.apply_reset(b);
-  if (cu.verdict) rx.apply_eviction(*cu.verdict);
-}
-
 ScenarioResult run_scenario(std::uint64_t seed, const Mix& mix) {
   constexpr int kGoodUsers = 4;
   constexpr int kTransitions = 6;  // >= 5 New-period transitions
@@ -114,70 +117,72 @@ ScenarioResult run_scenario(std::uint64_t seed, const Mix& mix) {
 
   ChaChaRng rng(seed);
   const SystemParams sp = test::test_params(3, seed ^ 0xfa157);
-  FaultPlan plan{.seed = seed * 1000003 + 17,
-                 .drop_prob = mix.drop,
-                 .duplicate_prob = mix.dup,
-                 .corrupt_prob = mix.corrupt,
-                 .delay_prob = mix.delay,
-                 .reorder_prob = mix.reorder,
-                 .delay_messages = 3};
-  FaultyBus bus(plan);
-  SecurityManager mgr(sp, rng);
-  ChaChaRng catch_up_rng(seed ^ 0xd00d);
+  test::ServedChannel channel(SecurityManager(sp, rng), seed ^ 0xd00d);
 
-  const auto bad = mgr.add_user(rng);
-  std::vector<SecurityManager::AddedUser> good;
-  for (int i = 0; i < kGoodUsers; ++i) good.push_back(mgr.add_user(rng));
+  test::Subscriber bad = channel.add_user();
+  std::vector<test::Subscriber> good;
+  for (int i = 0; i < kGoodUsers; ++i) good.push_back(channel.add_user());
 
-  std::vector<std::unique_ptr<SubscriberClient>> subs;
-  for (int i = 0; i < kGoodUsers; ++i) {
-    subs.push_back(std::make_unique<SubscriberClient>(
-        sp, good[i].key, mgr.verification_key(), bus));
-  }
-  SubscriberClient bad_sub(sp, bad.key, mgr.verification_key(), bus);
+  LineFilter filter(FaultPlan{.seed = seed * 1000003 + 17,
+                              .drop_prob = mix.drop,
+                              .duplicate_prob = mix.dup,
+                              .corrupt_prob = mix.corrupt,
+                              .delay_prob = mix.delay,
+                              .reorder_prob = mix.reorder,
+                              .delay_lines = 3},
+                    [&](const std::string& line) {
+                      for (test::Subscriber& sub : good) sub.apply(line);
+                      bad.apply(line);
+                    });
+  // Everything the deployment published since the last call goes on the
+  // faulty channel, in order.
+  const auto pump = [&] {
+    for (std::string& line : channel.take()) filter.publish(std::move(line));
+  };
 
-  ContentProvider tv("tv", sp, mgr.public_key(), mgr.verification_key(), bus);
-
-  mgr.remove_user(bad.id, rng);
-  announce_public_key(bus, sp.group, mgr.signed_public_key(rng));
+  channel.ok("revoke " + std::to_string(bad.id));
+  pump();
 
   // Guarantee at least one clean "missed the New-period bundle" episode on
   // top of the probabilistic faults.
-  bus.drop_next_change_periods(1);
+  filter.drop_next_new_periods(1);
 
   for (int t = 0; t < kTransitions; ++t) {
-    announce_reset(bus, sp.group, mgr.new_period(rng));
-    announce_public_key(bus, sp.group, mgr.signed_public_key(rng));
+    channel.ok("new-period");
+    pump();
     for (int c = 0; c < kTrafficPerTransition; ++c) {
-      tv.broadcast(str("tick"), rng);
+      channel.encrypt("tick");
+      pump();
     }
   }
 
   // The channel heals and every subscriber catches up — the revoked one
   // too, whose replayed bundles must not open.
-  bus.heal();
-  announce_public_key(bus, sp.group, mgr.signed_public_key(rng));
-  for (const auto& sub : subs) catch_up(mgr, sub->receiver(), catch_up_rng);
-  catch_up(mgr, bad_sub.receiver(), catch_up_rng);
-  for (int c = 0; c < 8; ++c) tv.broadcast(str("post-heal"), rng);
-  tv.broadcast(str("finale"), rng);
+  filter.heal();
+  const auto catch_up = [&](Receiver& rx) {
+    client::apply_replay(rx, channel.router().catch_up(rx.period()));
+  };
+  for (test::Subscriber& sub : good) catch_up(sub.rx);
+  catch_up(bad.rx);
+  for (int c = 0; c < 8; ++c) channel.encrypt("post-heal");
+  channel.encrypt("finale");
+  pump();
 
-  auto got_finale = [](const SubscriberClient& sub) {
-    const auto& content = sub.received_content();
-    return !content.empty() && content.back() == str("finale");
+  auto got_finale = [](const test::Subscriber& sub) {
+    return !sub.content.empty() && sub.content.back() == str("finale");
   };
 
   ScenarioResult result;
-  result.counters = bus.fault_counters();
-  result.mgr_period = mgr.period();
-  for (const auto& sub : subs) {
-    result.good_periods.push_back(sub->period());
-    result.good_states.push_back(sub->state());
-    result.good_got_finale.push_back(got_finale(*sub));
+  result.counters = filter.fault_counters();
+  result.mgr_period = channel.router().status().period;
+  for (const test::Subscriber& sub : good) {
+    result.good_periods.push_back(sub.rx.period());
+    result.good_states.push_back(sub.rx.state());
+    result.good_got_finale.push_back(got_finale(sub));
   }
-  result.bad_period = bad_sub.period();
-  result.bad_got_any_content = !bad_sub.received_content().empty();
-  result.bad_got_finale = got_finale(bad_sub);
+  result.bad_period = bad.rx.period();
+  result.bad_got_any_content = !bad.content.empty();
+  result.bad_got_finale = got_finale(bad);
   return result;
 }
 

@@ -11,6 +11,7 @@
 
 #include "core/receiver.h"
 #include "core/scheme.h"
+#include "daemon/shard.h"
 #include "obs/metrics.h"
 #include "rng/chacha_rng.h"
 #include "store/store.h"
@@ -1059,7 +1060,7 @@ MemFileIo sharded_base_fs() {
 /// per-shard syncs.
 void run_two_phase_new_period(FileIo& io) {
   ChaChaRng rng(kShardSeed + 1);
-  std::vector<StateStore> stores = open_shard_set(io, "shards", rng);
+  std::vector<StateStore> stores = open_shard_set(io, "shards");
   for (StateStore& s : stores) s.set_batching(true);
   for (StateStore& s : stores) s.new_period(rng);  // phase 1: no file I/O
   for (StateStore& s : stores) s.sync();           // phase 2: commit
@@ -1071,13 +1072,10 @@ TEST(ShardSet, CreateAndOpenRoundTrip) {
   EXPECT_EQ(count_shards(fs, "shards"), kShards);
   EXPECT_THROW(count_shards(fs, "shards/shard.0"), ContractError);
 
-  ChaChaRng rng(1);
   ShardSetReport rep;
   const std::vector<StateStore> stores =
-      open_shard_set(fs, "shards", rng, {}, &rep);
+      open_shard_set(fs, "shards", {}, &rep);
   EXPECT_EQ(rep.shards, kShards);
-  EXPECT_EQ(rep.epoch, 0u);
-  EXPECT_EQ(rep.rolled_forward, 0u);
   ASSERT_EQ(rep.recoveries.size(), kShards);
   for (const StateStore& s : stores) {
     EXPECT_EQ(s.manager().users().size(), 2u);
@@ -1091,7 +1089,7 @@ TEST(ShardSet, CreateAndOpenRoundTrip) {
   SecurityManager mgr(test::test_params(2, /*seed=*/7), rng2);
   StateStore::create(single, "store", std::move(mgr), rng2);
   try {
-    open_shard_set(single, "store", rng2);
+    open_shard_set(single, "store");
     ADD_FAILURE() << "a top-level store opened as a shard root";
   } catch (const ContractError& e) {
     EXPECT_NE(std::string(e.what()).find("dfky_cli init"), std::string::npos)
@@ -1106,16 +1104,15 @@ TEST(ShardSet, CreateAndOpenRoundTrip) {
 
 TEST(ShardSet, OpenLocksAllShardsOrNone) {
   MemFileIo fs = sharded_base_fs();
-  ChaChaRng rng(1);
   {
     // Somebody holds ONE shard in the middle of the set...
     StateStore holder = StateStore::open(fs, "shards/shard.1");
     // ...so the set open must fail, releasing the locks it already took.
-    EXPECT_THROW(open_shard_set(fs, "shards", rng), StoreLockedError);
+    EXPECT_THROW(open_shard_set(fs, "shards"), StoreLockedError);
   }
   // All-or-nothing: after the holder is gone, every shard (including
   // shard.0, locked and unwound during the failed attempt) opens cleanly.
-  const std::vector<StateStore> stores = open_shard_set(fs, "shards", rng);
+  const std::vector<StateStore> stores = open_shard_set(fs, "shards");
   EXPECT_EQ(stores.size(), kShards);
 }
 
@@ -1146,29 +1143,27 @@ TEST(ShardSet, CrossShardNewPeriodCrashMatrixRecoversOneEpoch) {
     }
     ASSERT_TRUE(crashed) << "crash_at " << crash_at;
 
-    // Power cut: volatile writes vanish, then the daemon restarts.
+    // Power cut: volatile writes vanish, then the daemon restarts: the
+    // set opens and a primary router takes it.
     fs.crash();
-    ChaChaRng rng(7);
-    ShardSetReport rep;
-    const std::vector<StateStore> recovered =
-        open_shard_set(fs, "shards", rng, {}, &rep);
+    daemon::ShardRouter recovered(
+        open_shard_set(fs, "shards"),
+        [](std::size_t k) { return std::make_unique<ChaChaRng>(7 + k); });
+    const std::uint64_t epoch = recovered.status().period;
 
     // The un-acked barrier either fully vanished (epoch 0) or was rolled
     // forward to completion (epoch 1) — never a mixed-epoch set.
-    EXPECT_LE(rep.epoch, 1u) << "crash_at " << crash_at;
-    for (const StateStore& s : recovered) {
-      EXPECT_EQ(s.manager().period(), rep.epoch)
-          << "crash_at " << crash_at << " shard " << s.dir();
-      // Every durably acked mutation (the two adds per shard) survived.
-      EXPECT_EQ(s.manager().users().size(), 2u) << "crash_at " << crash_at;
-    }
-
-    // The recovered set passes fsck shard by shard.
+    EXPECT_LE(epoch, 1u) << "crash_at " << crash_at;
     for (std::size_t i = 0; i < kShards; ++i) {
+      const SecurityManager& mgr = recovered.store(i).manager();
+      EXPECT_EQ(mgr.period(), epoch) << "crash_at " << crash_at << " shard " << i;
+      // Every durably acked mutation (the two adds per shard) survived.
+      EXPECT_EQ(mgr.users().size(), 2u) << "crash_at " << crash_at;
+      // The recovered set passes fsck shard by shard.
       const FsckReport r =
           fsck_store(fs, "shards/" + shard_dir_name(i), /*repair=*/false);
       EXPECT_TRUE(r.ok) << "crash_at " << crash_at << " shard " << i;
-      EXPECT_EQ(r.period, rep.epoch) << "crash_at " << crash_at;
+      EXPECT_EQ(r.period, epoch) << "crash_at " << crash_at;
     }
   }
 }

@@ -132,11 +132,10 @@ std::vector<StateStore> open_stores(const std::string& path) {
     die("'" + path + "' is not a store directory (`dfky_cli init " + path +
         "` creates one)");
   }
-  SystemRng rng;
   ShardSetReport rep;
   std::vector<StateStore> stores;
   try {
-    stores = open_shard_set(real_io(), path, rng, {}, &rep);
+    stores = open_shard_set(real_io(), path, {}, &rep);
   } catch (const StoreLockedError& e) {
     die(std::string(e.what()) +
         " — use `dfky_cli client` to talk to the daemon that holds it");
@@ -154,13 +153,6 @@ std::vector<StateStore> open_stores(const std::string& path) {
                    path.c_str(), r.truncated_records, r.truncated_bytes,
                    r.skipped_snapshots);
     }
-  }
-  if (rep.rolled_forward > 0) {
-    std::fprintf(stderr,
-                 "dfky_cli: shard set %s recovered to epoch %llu "
-                 "(%zu roll-forward(s))\n",
-                 path.c_str(), static_cast<unsigned long long>(rep.epoch),
-                 rep.rolled_forward);
   }
   return stores;
 }
@@ -432,6 +424,14 @@ std::string local_request(const std::string& dir, const std::string& line) {
   daemon::ShardRouter router(open_stores(dir), [](std::size_t) {
     return std::make_unique<SystemRng>();
   });
+  if (router.rolled_at_open() > 0) {
+    std::fprintf(stderr,
+                 "dfky_cli: shard set %s recovered to epoch %llu "
+                 "(%zu roll-forward(s))\n",
+                 dir.c_str(),
+                 static_cast<unsigned long long>(router.status().period),
+                 router.rolled_at_open());
+  }
   return daemon::RequestHandler(router).handle(line).response;
 }
 

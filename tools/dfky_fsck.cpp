@@ -10,8 +10,10 @@
 //                                    WAL length and chain head; exit 1 when
 //                                    two WALs of the same generation are NOT
 //                                    prefix-related (the streams diverged —
-//                                    one replica must be re-seeded), 0 when
-//                                    one replica merely lags the other
+//                                    one replica must be re-seeded) or when
+//                                    a WAL header needs repair (compared as
+//                                    the empty log the next open starts), 0
+//                                    when one replica merely lags the other
 //
 // A check and --replica both print fsck_store's read-only check, the same
 // read StateStore::open recovers with: a check reports what the next open
@@ -118,46 +120,40 @@ int fsck_shard_set(FileIo& io, const std::string& dir, bool repair) {
 
 // ---- replica comparison (--replica) -------------------------------------------
 
-/// One replica's log, printed from fsck_store's check-mode read.
+/// One replica's log, printed from fsck_store's check-mode read. A WAL
+/// whose header does not match the snapshot is reported as the plain check
+/// reports it, and its log as the empty one the next open starts.
 void print_replica(const std::string& dir, const FsckReport& r) {
   const std::string wal =
       std::string(StateStore::kWalPrefix) + std::to_string(r.generation);
-  if (!r.log_readable()) {
+  if (r.unrecoverable) {
     std::printf("%s: UNRECOVERABLE (no valid snapshot)\n", dir.c_str());
-    std::printf("  note: %s\n",
-                r.unrecoverable ? r.notes.back().c_str()
-                                : (wal + ": bad header").c_str());
+    std::printf("  note: %s\n", r.notes.back().c_str());
     return;
   }
-  std::printf("%s: generation %llu, period %llu, %zu WAL record(s) "
+  const bool bad_header = r.wal == FsckReport::Wal::kBadHeader;
+  std::printf("%s: %sgeneration %llu, period %llu, %zu WAL record(s) "
               "(%zu frame byte(s))\n",
-              dir.c_str(), static_cast<unsigned long long>(r.generation),
+              dir.c_str(), bad_header ? "needs repair; " : "",
+              static_cast<unsigned long long>(r.generation),
               static_cast<unsigned long long>(r.period), r.wal_records,
               r.frames.size());
   std::printf("  chain head:     %.16s...\n", r.chain_head_hex.c_str());
   if (r.wal == FsckReport::Wal::kMissing) {
     std::printf("  note: %s missing\n", wal.c_str());
+  } else if (bad_header) {
+    std::printf("  note: %s: bad header; the next open starts an empty log\n",
+                wal.c_str());
   } else if (r.torn_tail_bytes > 0) {
     std::printf("  note: %s: %zu torn tail byte(s)\n", wal.c_str(),
                 r.torn_tail_bytes);
   }
 }
 
-/// Compares one store pair. Exit contribution: 0 replicas agree (equal, or
-/// one lags the other on the same stream), 1 diverged, 2 unreadable.
-int compare_replica_pair(FileIo& io, const std::string& a,
-                         const std::string& b) {
-  FsckReport wa, wb;
-  try {
-    wa = fsck_store(io, a, /*repair=*/false);
-    wb = fsck_store(io, b, /*repair=*/false);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "dfky_fsck: %s\n", e.what());
-    return 2;
-  }
-  print_replica(a, wa);
-  print_replica(b, wb);
-  if (!wa.log_readable() || !wb.log_readable()) return 2;
+/// Compares the logs of a readable store pair: 0 equal, or one a prefix of
+/// the other on the same generation; 1 forked.
+int compare_logs(const std::string& a, const FsckReport& wa,
+                 const std::string& b, const FsckReport& wb) {
   if (wa.generation != wb.generation) {
     // Different snapshot generations never share a WAL chain; the lagging
     // replica is waiting for a snapshot resync (repl-snap), not diverged.
@@ -190,6 +186,27 @@ int compare_replica_pair(FileIo& io, const std::string& a,
                 longer.wal_records - shorter.wal_records);
   }
   return 0;
+}
+
+/// Compares one store pair. Exit contribution: 0 replicas agree (equal, or
+/// one lags the other on the same stream), 1 diverged or a WAL header needs
+/// repair, 2 unreadable.
+int compare_replica_pair(FileIo& io, const std::string& a,
+                         const std::string& b) {
+  FsckReport wa, wb;
+  try {
+    wa = fsck_store(io, a, /*repair=*/false);
+    wb = fsck_store(io, b, /*repair=*/false);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "dfky_fsck: %s\n", e.what());
+    return 2;
+  }
+  print_replica(a, wa);
+  print_replica(b, wb);
+  if (wa.unrecoverable || wb.unrecoverable) return 2;
+  const bool needs_repair = wa.wal == FsckReport::Wal::kBadHeader ||
+                            wb.wal == FsckReport::Wal::kBadHeader;
+  return std::max(compare_logs(a, wa, b, wb), needs_repair ? 1 : 0);
 }
 
 int cmd_replica(FileIo& io, const std::string& a, const std::string& b) {

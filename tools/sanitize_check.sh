@@ -6,20 +6,21 @@
 #
 # Default (ASan+UBSan, -DDFKY_SANITIZE=ON): build-dir = build-asan, regex =
 # the fixed-base kernel, Encryptor and generator tables (raw limb
-# indexing), the fault matrix, the bus reentrancy regressions, the metrics
-# registry, the durable-store crash matrix, the persistence corruption
-# fuzz, the reactor, the client library, the feed-order check, the
-# group-commit queue with the acks its committer hands to the reactor,
-# and catch-up: the served Recovery cases, the catch-up storm, the revive
-# attack and the bus system tests with signed key updates.
+# indexing), the fault matrix over served frames and its line filter, the
+# metrics registry, the durable-store crash matrix, the persistence
+# corruption fuzz, the reactor, the client library and its frame consumer
+# (ClientFrame), the feed-order check, the group-commit queue with the acks
+# its committer hands to the reactor, and catch-up: the served Recovery
+# cases, the catch-up storm, the revive attack and the system tests over
+# served frames.
 # --tsan builds -DDFKY_SANITIZE_THREAD=ON instead and runs the
 # obs concurrency tests (metrics registry and trace ring hammered from
 # many threads), the shard router (concurrent encrypts against the table
 # builder, the committer and the epoch barrier), the cluster-simulator
 # suites, the reactor, the client library (a sender and a reader thread on
-# one connection), the feed-order check, the group-commit queue (its
-# committer answers requests and finishes their traces on its own thread),
-# and the same catch-up tests (the storm's reader threads against the
+# one connection) and its frame consumer, the feed-order check, the
+# group-commit queue (its committer answers requests and finishes their
+# traces on its own thread), and the same catch-up tests (the storm's reader threads against the
 # reactor and the router's catch_up).
 # Pass '.*' to sanitize the whole suite.
 set -euo pipefail
@@ -38,14 +39,14 @@ export DFKY_SIM_SEEDS="${DFKY_SIM_SEEDS:-20}"
 
 if [ "$mode" = "tsan" ]; then
   build_dir="${1:-$repo/build-tsan}"
-  filter="${2:-ObsConcurrency|ObsCounter|ObsEvents|TraceConcurrency|ShardRouter|SimCluster|SimHealth|SimTrace|SimFailover|SimFeed|Reactor\.|Client(Conn|Pipeline|Prometheus)\.|RequestHandler\.Feed|GroupCommit|RequestHandler\.AddUserTrace|Recovery|FaultMatrixTest|FaultyBus|FeedStorm|Revive|System\.}"
+  filter="${2:-ObsConcurrency|ObsCounter|ObsEvents|TraceConcurrency|ShardRouter|SimCluster|SimHealth|SimTrace|SimFailover|SimFeed|Reactor\.|Client(Conn|Pipeline|Prometheus)\.|ClientFrame|RequestHandler\.Feed|GroupCommit|RequestHandler\.AddUserTrace|Recovery|FaultMatrixTest|FaultyBus|FeedStorm|Revive|System\.}"
   sanitize_flag=-DDFKY_SANITIZE_THREAD=ON
   targets=(obs_tests daemon_tests sim_tests failover_sim_tests reactor_tests
     client_tests fault_tests system_tests)
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 else
   build_dir="${1:-$repo/build-asan}"
-  filter="${2:-FixedBase|Encryptor|GeneratorTables|FaultyBus|Recovery|FaultMatrixTest|Bus\.|Obs|MemFileIo|FaultyFileIo|StateStore|CrashMatrix|Fsck|PersistenceFuzz|ShardSet|ShardRouter|DaemonProto|Replication|SimCluster|SimHealth|SimTrace|SimFailover|SimFeed|TraceLifecycle|TraceSlow|TraceJson|TraceConcurrency|Term\.|Reactor\.|Client(Conn|Pipeline|Prometheus)\.|RequestHandler\.Feed|GroupCommit|RequestHandler\.AddUserTrace|FeedStorm|Revive|System\.}"
+  filter="${2:-FixedBase|Encryptor|GeneratorTables|FaultyBus|Recovery|FaultMatrixTest|Obs|MemFileIo|FaultyFileIo|StateStore|CrashMatrix|Fsck|PersistenceFuzz|ShardSet|ShardRouter|DaemonProto|Replication|SimCluster|SimHealth|SimTrace|SimFailover|SimFeed|TraceLifecycle|TraceSlow|TraceJson|TraceConcurrency|Term\.|Reactor\.|Client(Conn|Pipeline|Prometheus)\.|ClientFrame|RequestHandler\.Feed|GroupCommit|RequestHandler\.AddUserTrace|FeedStorm|Revive|System\.}"
   sanitize_flag=-DDFKY_SANITIZE=ON
   targets=(unit_crypto_tests fault_tests system_tests obs_tests store_tests core_tests
     daemon_proto_tests daemon_tests sim_tests failover_sim_tests
